@@ -300,7 +300,7 @@ def property_suites() -> tuple[bool, str]:
         if p_core_weight(mu, 3).core == ():
             continue
         rep = generic_type(restricted_actions(mu, 3, 3), samples=3)
-        if any(rep.type.blocks[:-1]):
+        if not rep.rank_vector.is_free:
             return False, (f"S{format_partition(mu)} has nonempty 3-core but "
                            f"is not generically free: {rep.type.pretty()}")
         checked.append(mu)

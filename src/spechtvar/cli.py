@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 from . import __version__, acceptance
 from .errors import PreconditionViolated, SpechtvarError
+from .ffalg import _is_prime
 from .jordan import generic_type, stable_type
 from .partitions import (Partition, conjugate, dim_specht, format_partition,
                          is_pxp_blocks, p_core_weight, parse_partition, size)
@@ -51,7 +52,7 @@ def _prime(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 2 or any(value % d == 0 for d in range(2, int(value**0.5) + 1)):
+    if not _is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 
@@ -149,8 +150,10 @@ def cmd_jordan(args: argparse.Namespace, config: RunConfig) -> int:
         "mode": rep.mode,
         "samples": rep.samples,
         "field": f"GF({p}^{rep.field.k})" if rep.field is not None else None,
-        "certified_by_single_sample": rep.certified_by_single_sample,
-        "generically_free": not any(rep.type.blocks[:-1]),
+        # generic_type raises CertificationFailed rather than return an
+        # uncertified report, so this field is always true
+        "certified_by_single_sample": True,
+        "generically_free": rep.rank_vector.is_free,
     }
     _emit_json("jordan", config, report)
     return 0

@@ -1,4 +1,4 @@
-"""Field contexts GF(p^k), matrices over them, and multivariate polynomials.
+"""Field contexts GF(p^k), their elements, and multivariate polynomials.
 
 GF(p^k) is GF(p)[t] / (modulus) with the modulus chosen deterministically:
 the monic irreducible of degree k whose non-leading coefficient vector
@@ -6,20 +6,22 @@ the monic irreducible of degree k whose non-leading coefficient vector
 Elements carry their coefficient vector; the same encoding doubles as a
 stable integer code for storage and enumeration order.
 
-Matrix rank and solving over GF(p^k) reduce to GF(p) through the companion
-blowup: replacing each entry by its k-by-k multiplication matrix is a ring
-homomorphism, so rank_GF(p)(blowup(M)) = k * rank_GF(p^k)(M).
+Matrices stay over GF(p).  ``FieldCtx.mul_matrix`` gives the k-by-k
+multiplication matrix of an element, and the callers that need
+extension-field ranks (``jordan._point_operator`` and
+``variety._FreenessOracle``) build the companion blowup from it: replacing
+each entry by its multiplication matrix is a ring homomorphism, so
+rank_GF(p)(blowup(M)) = k * rank_GF(p^k)(M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import gfp
 from .errors import ArityMismatch, PreconditionViolated
 
 
@@ -238,20 +240,6 @@ class FieldCtx:
                 out += coef * self.tmats[c]
         return out % self.p
 
-    def _reduce_slices(self, slices: np.ndarray) -> np.ndarray:
-        """Fold coefficient slices of degree >= k back using t-power tables.
-
-        slices has shape (..., 2k-1); returns shape (..., k).
-        """
-        out = np.array(slices[..., : self.k], dtype=np.int64)
-        for e in range(self.k, slices.shape[-1]):
-            red = self._tpow[e]
-            piece = slices[..., e]
-            for c, coef in enumerate(red):
-                if coef:
-                    out[..., c] += coef * piece
-        return out % self.p
-
 
 @dataclass(frozen=True)
 class FieldElement:
@@ -351,132 +339,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"ff({self.to_index()})@GF({self.ctx.p}^{self.ctx.k})"
-
-
-# ---------------------------------------------------------------------------
-# matrices over GF(p^k)
-
-
-class MatrixFF:
-    """Dense matrix over GF(p^k); data shape (rows, cols, k), entries mod p."""
-
-    def __init__(self, ctx: FieldCtx, data: np.ndarray):
-        data = np.asarray(data, dtype=np.int64) % ctx.p
-        if data.ndim == 2:
-            if ctx.k != 1:
-                raise ArityMismatch("2-d data only valid for prime fields")
-            data = data[:, :, None]
-        if data.ndim != 3 or data.shape[2] != ctx.k:
-            raise ArityMismatch(f"data shape {data.shape} does not match k={ctx.k}")
-        self.ctx = ctx
-        self.data = data
-
-    @classmethod
-    def from_entries(cls, ctx: FieldCtx, rows: Iterable[Iterable]) -> "MatrixFF":
-        ents = [[ctx.element(v).coeffs for v in row] for row in rows]
-        return cls(ctx, np.array(ents, dtype=np.int64))
-
-    @classmethod
-    def identity(cls, ctx: FieldCtx, n: int) -> "MatrixFF":
-        data = np.zeros((n, n, ctx.k), dtype=np.int64)
-        data[np.arange(n), np.arange(n), 0] = 1
-        return cls(ctx, data)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape[0], self.data.shape[1]
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.ctx, tuple(int(c) for c in self.data[i, j]))
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixFF) and self.ctx.p == other.ctx.p
-                and self.ctx.modulus == other.ctx.modulus
-                and np.array_equal(self.data, other.data))
-
-    def __add__(self, other):
-        return MatrixFF(self.ctx, (self.data + other.data) % self.ctx.p)
-
-    def __sub__(self, other):
-        return MatrixFF(self.ctx, (self.data - other.data) % self.ctx.p)
-
-    def __matmul__(self, other: "MatrixFF") -> "MatrixFF":
-        k, p = self.ctx.k, self.ctx.p
-        m, inner = self.shape
-        _, n = other.shape
-        raw = np.zeros((m, n, 2 * k - 1), dtype=np.int64)
-        for a in range(k):
-            for b in range(k):
-                raw[:, :, a + b] += gfp.mod_matmul(self.data[:, :, a], other.data[:, :, b], p)
-        return MatrixFF(self.ctx, self.ctx._reduce_slices(raw))
-
-    def blowup(self) -> np.ndarray:
-        """GF(p) matrix of shape (rows*k, cols*k) via the companion embedding."""
-        ctx = self.ctx
-        out = np.zeros((self.shape[0] * ctx.k, self.shape[1] * ctx.k), dtype=np.int64)
-        for c in range(ctx.k):
-            sl = self.data[:, :, c]
-            if sl.any():
-                out += np.kron(sl, ctx.tmats[c])
-        return out % ctx.p
-
-
-def rank(m: MatrixFF) -> int:
-    """Rank over GF(p^k)."""
-    r = gfp.rank(m.blowup(), m.ctx.p)
-    assert r % m.ctx.k == 0
-    return r // m.ctx.k
-
-
-def solve_columns(b: MatrixFF, c: MatrixFF) -> MatrixFF:
-    """X with B X = C, for B of full column rank over GF(p^k)."""
-    ctx = b.ctx
-    xb = gfp.solve(b.blowup(), c.blowup(), ctx.p)
-    d, w = b.shape[1], c.shape[1]
-    # entry (i, j) sits in block row i, block column j; its coefficient
-    # vector is the first column of that k-by-k block
-    data = xb.reshape(d, ctx.k, w, ctx.k)[:, :, :, 0].transpose(0, 2, 1)
-    return MatrixFF(ctx, data)
-
-
-class SparseMatFF:
-    """Sparse matrix over GF(p^k): per-row list of (col, FieldElement)."""
-
-    def __init__(self, ctx: FieldCtx, shape: tuple[int, int],
-                 rows: list[list[tuple[int, FieldElement]]]):
-        self.ctx = ctx
-        self.shape = shape
-        self.rows = rows
-
-    @classmethod
-    def from_permutation(cls, ctx: FieldCtx, images: Sequence[int]) -> "SparseMatFF":
-        """Permutation matrix P with P[images[j], j] = 1."""
-        n = len(images)
-        rows: list[list[tuple[int, FieldElement]]] = [[] for _ in range(n)]
-        one = ctx.one
-        for j, i in enumerate(images):
-            rows[i].append((j, one))
-        return cls(ctx, (n, n), rows)
-
-    def compose(self, other: "SparseMatFF") -> "SparseMatFF":
-        rows: list[list[tuple[int, FieldElement]]] = [[] for _ in range(self.shape[0])]
-        for i, row in enumerate(self.rows):
-            acc: dict[int, FieldElement] = {}
-            for mid, v in row:
-                for j, w in other.rows[mid]:
-                    acc[j] = acc.get(j, self.ctx.zero) + v * w
-            rows[i] = sorted((j, v) for j, v in acc.items() if v)
-        return SparseMatFF(self.ctx, (self.shape[0], other.shape[1]), rows)
-
-    def to_dense(self) -> MatrixFF:
-        data = np.zeros((*self.shape, self.ctx.k), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                data[i, j] = v.coeffs
-        return MatrixFF(self.ctx, data)
-
-    def is_identity(self) -> bool:
-        return all(row == [(i, self.ctx.one)] for i, row in enumerate(self.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,15 @@ class RankVector:
     def dim(self) -> int:
         return self.ranks[0]
 
+    @property
+    def is_free(self) -> bool:
+        """Free over <u_alpha>: every Jordan block has size p.
+
+        That holds iff p divides the dimension and rank(N^(p-1)) = dim/p;
+        this is the one definition of freeness the package uses.
+        """
+        return self.dim % self.p == 0 and self.ranks[self.p - 1] == self.dim // self.p
+
     def dominates(self, other: "RankVector") -> bool:
         return all(a >= b for a, b in zip(self.ranks, other.ranks))
 
@@ -64,7 +73,9 @@ class JordanType:
     def from_rank_vector(cls, rv: RankVector) -> "JordanType":
         r = rv.ranks + (0,)  # pad r_{p+1} = 0
         blocks = tuple(r[s - 1] - 2 * r[s] + r[s + 1] for s in range(1, rv.p + 1))
-        assert all(b >= 0 for b in blocks)
+        if any(b < 0 for b in blocks):
+            raise RankCheckFailed(f"rank vector {rv.ranks} gives negative "
+                                  f"block counts {blocks}")
         return cls(p=rv.p, blocks=blocks)
 
     @property
@@ -145,7 +156,8 @@ def _rank_vector_of_operator(op: np.ndarray, k: int, p: int) -> RankVector:
     power = op
     for _ in range(1, p):
         r = gfp.rank(power, p)
-        assert r % k == 0
+        if r % k:
+            raise RankCheckFailed(f"blowup rank {r} is not a multiple of {k}")
         ranks.append(r // k)
         power = gfp.mod_matmul(power, op, p)
     ranks.append(0)
@@ -171,20 +183,12 @@ def jordan_at_point(acts, alpha) -> JordanType:
 
 
 def is_free_at(acts, alpha) -> bool:
-    """True iff the restriction along u_alpha is free: rank(N^(p-1)) = d/p."""
+    """True iff the restriction along u_alpha is free (``RankVector.is_free``)."""
     p, d = acts.p, acts.dim
     if d % p:
         warnings.warn(f"dim {d} not divisible by {p}; module cannot be free",
                       RuntimeWarning, stacklevel=2)
-        return False
-    if isinstance(acts, PermutationActions):
-        return rank_vector_at(acts, alpha).ranks[p - 1] == d // p
-    op, k = _point_operator(acts.A, alpha, p)
-    power = op
-    for _ in range(p - 2):
-        power = gfp.mod_matmul(power, op, p)
-    target = k * (d // p)
-    return gfp.rank(power, p, stop_at=target) == target
+    return rank_vector_at(acts, alpha).is_free
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,6 @@ class GenericTypeReport:
     mode: str  # "randomized" or "exact"
     samples: int
     field: FieldCtx | None
-    certified_by_single_sample: bool
     rank_vector: RankVector
 
 
@@ -245,7 +248,6 @@ def generic_type(acts, mode: str = "randomized", seed: int = 0,
         rv = _exact_rank_vector(acts)
         return GenericTypeReport(type=JordanType.from_rank_vector(rv),
                                  mode="exact", samples=0, field=None,
-                                 certified_by_single_sample=True,
                                  rank_vector=rv)
     if mode not in ("randomized", "random"):
         raise ArityMismatch(f"unknown mode {mode!r}")
@@ -264,15 +266,11 @@ def generic_type(acts, mode: str = "randomized", seed: int = 0,
         if winner is not None:
             return GenericTypeReport(type=JordanType.from_rank_vector(winner),
                                      mode="randomized", samples=len(seen),
-                                     field=ctx,
-                                     certified_by_single_sample=True,
-                                     rank_vector=winner)
+                                     field=ctx, rank_vector=winner)
     raise CertificationFailed(
         f"no single sample attained the entrywise max for "
         f"{format_partition(acts.mu)} after {len(seen)} samples")
 
 
 def generically_free(acts, **kwargs) -> bool:
-    report = generic_type(acts, **kwargs)
-    blocks = report.type.blocks
-    return all(b == 0 for b in blocks[:-1])
+    return generic_type(acts, **kwargs).rank_vector.is_free

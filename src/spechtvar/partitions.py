@@ -63,7 +63,8 @@ def dim_specht(mu: Partition) -> int:
     hooks = hook_lengths(mu)
     prod = math.prod(hooks.values())
     num = math.factorial(size(mu))
-    assert num % prod == 0
+    if num % prod:
+        raise PreconditionViolated(f"hook product {prod} does not divide {size(mu)}!")
     return num // prod
 
 

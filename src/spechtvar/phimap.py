@@ -64,7 +64,10 @@ def phi_step(mu: Partition, p: int) -> Partition:
     step = find_ab(mu, p)
     if step is None:
         return validate(mu)
-    assert p_core_weight(step.result, p).core == ()
+    if p_core_weight(step.result, p).core != ():
+        raise PreconditionViolated(f"phi({format_partition(mu)}) = "
+                                   f"{format_partition(step.result)} has a "
+                                   f"nonempty {p}-core")
     return step.result
 
 

@@ -15,6 +15,8 @@ import hashlib
 import itertools
 import math
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -23,7 +25,6 @@ import numpy as np
 
 from . import gfp
 from .errors import PreconditionViolated, RankCheckFailed, TooLarge
-from .ffalg import FieldCtx, SparseMatFF
 from .partitions import (Partition, conjugate, dim_specht, format_partition,
                          size, validate)
 
@@ -38,19 +39,6 @@ def tabloid_count(mu: Partition) -> int:
     for part in mu:
         count //= math.factorial(part)
     return count
-
-
-@dataclass(frozen=True)
-class Tabloid:
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def row_of(self) -> tuple[int, ...]:
-        assign = [0] * sum(len(r) for r in self.rows)
-        for r, row in enumerate(self.rows):
-            for x in row:
-                assign[x - 1] = r
-        return tuple(assign)
 
 
 class _TabloidTable:
@@ -84,7 +72,10 @@ class _TabloidTable:
             arr = np.zeros((1, 0), dtype=np.uint8)
         else:
             rec(tuple(range(1, m + 1)), 0)
-            assert pos == count
+            if pos != count:
+                raise PreconditionViolated(
+                    f"generated {pos} tabloids for {format_partition(mu)}, "
+                    f"expected {count}")
         self.rows = arr
         self.index = {arr[i].tobytes(): i for i in range(count)}
 
@@ -104,18 +95,6 @@ def _tabloid_table(mu: Partition) -> _TabloidTable:
     return _TabloidTable(mu)
 
 
-def enumerate_tabloids(mu: Partition) -> list[Tabloid]:
-    mu = validate(mu)
-    table = _tabloid_table(mu)
-    out = []
-    for i in range(table.count):
-        assign = table.rows[i]
-        rows = tuple(tuple(int(x) + 1 for x in np.flatnonzero(assign == r))
-                     for r in range(len(mu)))
-        out.append(Tabloid(rows=rows))
-    return out
-
-
 def generator_cycles(m: int, n: int, p: int) -> list[np.ndarray]:
     """Letter images of the p-cycles g_i = ((i-1)p+1, ..., ip) on {1..m}."""
     if n * p > m:
@@ -127,17 +106,6 @@ def generator_cycles(m: int, n: int, p: int) -> list[np.ndarray]:
         img[lo: lo + p] = np.roll(img[lo: lo + p], -1)
         gens.append(img)
     return gens
-
-
-def perm_action_sparse(sigma, mu: Partition, p: int = 2) -> SparseMatFF:
-    """Permutation matrix of sigma on the canonical tabloid basis."""
-    mu = validate(mu)
-    table = _tabloid_table(mu)
-    img = np.asarray(sigma, dtype=np.int64)
-    if sorted(img.tolist()) != list(range(1, table.m + 1)):
-        raise PreconditionViolated("sigma is not a permutation of the letters")
-    pi = table.apply_letters(img)
-    return SparseMatFF.from_permutation(FieldCtx.get(p), pi.tolist())
 
 
 def standard_tableaux(mu: Partition) -> list[tuple[tuple[int, ...], ...]]:
@@ -191,7 +159,9 @@ def standard_basis(mu: Partition, p: int) -> SpechtBasis:
         raise TooLarge(f"dim {d} exceeds {_DIM_CAP}")
     table = _tabloid_table(mu)
     tabs = standard_tableaux(mu)
-    assert len(tabs) == d
+    if len(tabs) != d:
+        raise PreconditionViolated(f"{len(tabs)} standard tableaux for "
+                                   f"{format_partition(mu)}, hook formula gives {d}")
     conj = conjugate(mu)
     colgroup = math.prod(math.factorial(c) for c in conj)
     if colgroup > _COLGROUP_CAP:
@@ -256,6 +226,24 @@ def _cache_key(work: Partition, n: int, p: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
+def _load_cached(path: Path, n: int, d: int) -> list[np.ndarray] | None:
+    """The n cached d x d action matrices, or None if the file is unusable.
+
+    A truncated or corrupt archive raises BadZipFile, EOFError or
+    zlib.error; a file that is not an archive at all raises ValueError
+    (pickled data refused) or TypeError (a bare .npy array).
+    """
+    try:
+        with np.load(path) as data:
+            mats = [data[f"a{i}"] for i in range(n)]
+    except (OSError, KeyError, ValueError, TypeError, EOFError,
+            zipfile.BadZipFile, zlib.error):
+        return None
+    if any(m.shape != (d, d) or m.dtype != np.int64 for m in mats):
+        return None
+    return mats
+
+
 def restricted_actions(mu: Partition, n: int, p: int,
                        use_conjugate: bool = True) -> RestrictedActions:
     """A_i = matrix of (g_i - 1) on S^mu (or S^mu' when that is smaller).
@@ -276,13 +264,10 @@ def restricted_actions(mu: Partition, n: int, p: int,
     cache = _cache_dir()
     path = cache / f"{_cache_key(work, n, p)}.npz" if cache else None
     if path is not None and path.exists():
-        try:
-            with np.load(path) as data:
-                mats = [data[f"a{i}"] for i in range(n)]
+        mats = _load_cached(path, n, dim_specht(work))
+        if mats is not None:
             return RestrictedActions(mu=mu, n=n, p=p, A=mats,
                                      dim=mats[0].shape[0], conjugated=conjugated)
-        except (OSError, KeyError):
-            pass
 
     basis = standard_basis(work, p)
     table = _tabloid_table(work)
@@ -314,28 +299,6 @@ class PermutationActions:
     p: int
     perms: list[np.ndarray]
     dim: int
-
-    @property
-    def A(self) -> list[SparseMatFF]:
-        """Sparse (g_i - 1) matrices, one per generator."""
-        ctx = FieldCtx.get(self.p)
-        out = []
-        for pi in self.perms:
-            rows: list[list[tuple[int, object]]] = [[] for _ in range(self.dim)]
-            for j, target in enumerate(pi.tolist()):
-                if target == j:
-                    continue
-                rows[target].append((j, ctx.one))
-                rows[j].append((j, -ctx.one))
-            out.append(SparseMatFF(ctx, (self.dim, self.dim),
-                                   [sorted(r) for r in rows]))
-        return out
-
-    def fixed_point_count(self) -> int:
-        fixed = np.ones(self.dim, dtype=bool)
-        for pi in self.perms:
-            fixed &= pi == np.arange(self.dim)
-        return int(fixed.sum())
 
     def orbits(self) -> list[np.ndarray]:
         """E_n-orbits on tabloids, each sorted, ordered by least element."""

@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gfp
-from .errors import TooLarge
+from .errors import PreconditionViolated, TooLarge
 
 _RADIX = 512
 MAX_EXACT_DIM = 32
@@ -66,7 +66,9 @@ def _pair_targets(nvars: int, d1: int, d2: int) -> np.ndarray:
     codes2 = monomials(nvars, d2)[1]
     codes12 = monomials(nvars, d1 + d2)[1]
     idx = _lookup(codes12, (codes1[:, None] + codes2[None, :]).ravel())
-    assert (idx >= 0).all()
+    if (idx < 0).any():
+        raise PreconditionViolated(f"monomial products of degrees {d1}, {d2} "
+                                   f"missing from degree {d1 + d2}")
     return idx.reshape(len(codes1), len(codes2)).astype(np.int64)
 
 
@@ -135,7 +137,9 @@ def _divide_rows(num: np.ndarray, prev: np.ndarray, nvars: int,
     codes_prev = monomials(nvars, dprev)[1]
     lm_code = int(codes_prev[int(np.flatnonzero(prev)[0])])
     cols = _lookup(codes_num, codes_q + lm_code)
-    assert (cols >= 0).all()
+    if (cols < 0).any():
+        raise PreconditionViolated(f"quotient monomials of degree {dq} times the "
+                                   f"leading monomial missing from degree {dnum}")
     num_sub = num[:, cols]
     tgt = codes_q[None, :] + lm_code - codes_q[:, None]
     idx = _lookup(codes_prev, tgt.ravel()).reshape(len(codes_q), len(codes_q))

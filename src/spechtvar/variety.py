@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .errors import InconsistentCounts, TooManyPoints
+from .errors import InconsistentCounts, RankCheckFailed, TooManyPoints
 from .ffalg import FieldCtx, FieldElement, MultiPoly, poly_eval
 from .jordan import rank_vector_at
-from .partitions import Partition, dim_specht, validate
+from .partitions import Partition, dim_specht, format_partition, validate
 from .spechtmod import RestrictedActions, restricted_actions
 
 # Reference catalogue for p=3, |mu|=9: conjugate-class representative ->
@@ -100,7 +100,12 @@ def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
 
 
 class _FreenessOracle:
-    """Shared precomputation for sweeping is_free over many points."""
+    """Shared precomputation for sweeping is_free over many points.
+
+    Decides ``RankVector.is_free`` (rank of N^(p-1) over GF(p^k) equal to
+    d/p, for p | d) from N^(p-1) alone, with an early-exit elimination;
+    the rank-vector path of ``sweep_rank_vectors`` is its test reference.
+    """
 
     def __init__(self, acts: RestrictedActions, ctx: FieldCtx):
         self.acts, self.ctx = acts, ctx
@@ -180,27 +185,31 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
         points = frozenset(points)
     sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=points,
                          total_projective_points=total)
-    _assert_permutation_closed(sample, ctx)
+    _check_permutation_closed(sample, ctx)
     if acts.mu == (p,) * p:
-        _assert_scaling_closed(sample, ctx)
+        _check_scaling_closed(sample, ctx)
     _LOCUS_MEMO[key] = sample
     return sample
 
 
-def _assert_permutation_closed(sample: LocusSample, ctx: FieldCtx) -> None:
+def _check_permutation_closed(sample: LocusSample, ctx: FieldCtx) -> None:
     for pt in sample.points:
         for sigma in itertools.permutations(range(sample.n)):
             moved = normalize_point([pt[i] for i in sigma], ctx)
-            assert moved in sample.points, (pt, sigma)
+            if moved not in sample.points:
+                raise RankCheckFailed(f"locus of {format_partition(sample.mu)} not "
+                                      f"closed under permutations: {pt} -> {moved}")
 
 
-def _assert_scaling_closed(sample: LocusSample, ctx: FieldCtx) -> None:
+def _check_scaling_closed(sample: LocusSample, ctx: FieldCtx) -> None:
     units = [c for c in range(1, sample.p)]
     for pt in sample.points:
         for scales in itertools.product(units, repeat=sample.n):
             moved = [ctx.element(c) * ctx.element(s) for c, s in zip(pt, scales)]
             moved = normalize_point([e.to_index() for e in moved], ctx)
-            assert moved in sample.points, (pt, scales)
+            if moved not in sample.points:
+                raise RankCheckFailed(f"locus of {format_partition(sample.mu)} not "
+                                      f"closed under GF(p)^* scaling: {pt} -> {moved}")
 
 
 def _axes_points(sample: LocusSample) -> frozenset[tuple[int, ...]]:
@@ -308,7 +317,7 @@ def classify(sample: LocusSample, max_degree: int | None = None) -> VarietyClass
     return VarietyClass(kind="other", est_dim=est)
 
 
-def _matches_pattern(cls: VarietyClass, sample: LocusSample, ctx: FieldCtx) -> bool:
+def _matches_pattern(cls: VarietyClass, sample: LocusSample) -> bool:
     if cls.kind == "zero":
         return sample.is_empty
     if cls.kind == "full":
@@ -333,7 +342,7 @@ def classify_stable(acts: RestrictedActions, ks: tuple[int, int] = (2, 3)
     lo = enumerate_locus(acts, ks[0])
     hi = enumerate_locus(acts, ks[1])
     cls = classify(hi)
-    if cls.kind != "other" and not _matches_pattern(cls, lo, FieldCtx.get(acts.p, ks[0])):
+    if cls.kind != "other" and not _matches_pattern(cls, lo):
         try:
             est = estimate_dimension(acts.mu, acts.p, acts.n, list(ks))
         except InconsistentCounts:
@@ -400,12 +409,10 @@ def sweep_rank_vectors(acts: RestrictedActions, k: int):
     if total > _POINT_GATE:
         raise TooManyPoints(f"{total} projective points exceed the sweep gate")
     ctx = FieldCtx.get(acts.p, k)
-    d = acts.dim
     for pt in projective_points(ctx, acts.n):
         coords = tuple(ctx.element(c) for c in pt)
         rv = rank_vector_at(acts, coords)
-        free = d % acts.p == 0 and rv.ranks[acts.p - 1] == d // acts.p
-        yield pt, free, rv
+        yield pt, rv.is_free, rv
 
 
 def template_check(f: MultiPoly, p: int) -> bool:

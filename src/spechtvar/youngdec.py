@@ -35,7 +35,9 @@ def young_summands(r: int, m: int, p: int) -> SummandSet:
         raise PreconditionViolated(f"need 0 <= m <= r/2, got r={r}, m={m}")
     s_values = frozenset(s for s in range(m + 1)
                          if contained_p(m - s, r - 2 * s, p))
-    assert m in s_values  # 0 is p-contained in anything
+    if m not in s_values:  # 0 is p-contained in anything
+        raise PreconditionViolated(f"s = {m} missing from the summands of "
+                                   f"M^({r - m},{m}) at p={p}")
     return SummandSet(r=r, m=m, p=p, s_values=s_values)
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from spechtvar import gfp
-from spechtvar.errors import ArityMismatch, NoSolution, RankDeficient
-from spechtvar.ffalg import (FieldCtx, MatrixFF, MultiPoly, SparseMatFF,
-                             poly_eval, rank, solve_columns)
+from spechtvar.errors import ArityMismatch
+from spechtvar.ffalg import FieldCtx, MultiPoly, poly_eval
+from spechtvar.jordan import _point_operator
 
 
 # -- field construction ------------------------------------------------------
@@ -63,13 +63,14 @@ def test_mul_matrix_is_ring_hom():
         assert tuple(ma[:, 0]) == a.coeffs
 
 
-# -- matrices ----------------------------------------------------------------
+# -- ranks over GF(p^k) through the companion blowup --------------------------
 
-def naive_rank_ff(m: MatrixFF) -> int:
+def naive_rank_ff(rows) -> int:
     """Textbook elimination using only FieldElement arithmetic."""
-    rows = [[m.entry(i, j) for j in range(m.shape[1])] for i in range(m.shape[0])]
+    rows = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
     rk, col = 0, 0
-    while rk < len(rows) and col < m.shape[1]:
+    while rk < len(rows) and col < width:
         piv = next((r for r in range(rk, len(rows)) if rows[r][col]), None)
         if piv is None:
             col += 1
@@ -86,14 +87,40 @@ def naive_rank_ff(m: MatrixFF) -> int:
     return rk
 
 
-def random_mat(ctx, rows, cols, rng):
-    data = rng.integers(0, ctx.p, (rows, cols, ctx.k))
-    return MatrixFF(ctx, data)
+def random_entries(ctx, rows, cols, rng):
+    return [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)]
+
+
+def entries_matmul(ctx, a, b):
+    return [[sum((a[i][m] * b[m][j] for m in range(len(b))), ctx.zero)
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def blowup(ctx, entries) -> np.ndarray:
+    """GF(p) blowup of a square GF(p^k) matrix M, built by jordan._point_operator.
+
+    M = sum_c t^c M_c is the operator sum_c alpha_c M_c at the point
+    alpha = (t^0, ..., t^(k-1)), with the coefficient slices M_c as the
+    generator matrices.
+    """
+    slices = [np.array([[e.coeffs[c] for e in row] for row in entries], dtype=np.int64)
+              for c in range(ctx.k)]
+    point = tuple(ctx.element([int(c == j) for j in range(ctx.k)]) for c in range(ctx.k))
+    op, k = _point_operator(slices, point, ctx.p)
+    assert k == ctx.k
+    return op
+
+
+def rank_ff(ctx, entries) -> int:
+    r, rem = divmod(gfp.rank(blowup(ctx, entries), ctx.p), ctx.k)
+    assert rem == 0  # blowup rank = k * rank over GF(p^k)
+    return r
 
 
 def test_identity_rank_over_gf27():
     ctx = FieldCtx.get(3, 3)
-    assert rank(MatrixFF.identity(ctx, 4)) == 4
+    ident = [[ctx.one if i == j else ctx.zero for j in range(4)] for i in range(4)]
+    assert rank_ff(ctx, ident) == 4
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (5, 1), (2, 3)])
@@ -101,59 +128,24 @@ def test_rank_matches_naive_elimination(p, k):
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(100 * p + k)
     for _ in range(8):
-        m = random_mat(ctx, 5, 7, rng)
-        assert rank(m) == naive_rank_ff(m)
+        m = random_entries(ctx, 6, 6, rng)
+        assert rank_ff(ctx, m) == naive_rank_ff(m)
         # planted low rank: outer product structure
-        u = random_mat(ctx, 5, 2, rng)
-        v = random_mat(ctx, 2, 7, rng)
-        prod = u @ v
-        assert rank(prod) == naive_rank_ff(prod)
-        assert rank(prod) <= 2
+        u = random_entries(ctx, 6, 2, rng)
+        v = random_entries(ctx, 2, 6, rng)
+        prod = entries_matmul(ctx, u, v)
+        assert rank_ff(ctx, prod) == naive_rank_ff(prod)
+        assert rank_ff(ctx, prod) <= 2
 
 
 def test_blowup_is_multiplicative():
     ctx = FieldCtx.get(3, 2)
     rng = np.random.default_rng(11)
-    a = random_mat(ctx, 4, 3, rng)
-    b = random_mat(ctx, 3, 5, rng)
-    lhs = (a @ b).blowup()
-    rhs = gfp.mod_matmul(a.blowup(), b.blowup(), 3)
+    a = random_entries(ctx, 4, 4, rng)
+    b = random_entries(ctx, 4, 4, rng)
+    lhs = blowup(ctx, entries_matmul(ctx, a, b))
+    rhs = gfp.mod_matmul(blowup(ctx, a), blowup(ctx, b), 3)
     assert np.array_equal(lhs, rhs)
-
-
-def test_solve_columns_roundtrip():
-    ctx = FieldCtx.get(2, 3)
-    rng = np.random.default_rng(5)
-    while True:
-        b = random_mat(ctx, 6, 3, rng)
-        if rank(b) == 3:
-            break
-    x = random_mat(ctx, 3, 2, rng)
-    got = solve_columns(b, b @ x)
-    assert got == x
-
-
-def test_solve_columns_errors():
-    ctx = FieldCtx.get(3, 1)
-    b = MatrixFF.from_entries(ctx, [[1, 0], [0, 1], [1, 1]])
-    bad = MatrixFF.from_entries(ctx, [[0], [0], [1]])
-    with pytest.raises(NoSolution):
-        solve_columns(b, bad)
-    thin = MatrixFF.from_entries(ctx, [[1, 2], [2, 4], [0, 0]])
-    ok = MatrixFF.from_entries(ctx, [[1], [2], [0]])
-    with pytest.raises(RankDeficient):
-        solve_columns(thin, ok)
-
-
-def test_sparse_permutation_compose():
-    ctx = FieldCtx.get(3, 1)
-    sigma = SparseMatFF.from_permutation(ctx, [1, 2, 0])
-    inv = SparseMatFF.from_permutation(ctx, [2, 0, 1])
-    assert sigma.compose(inv).is_identity()
-    assert not sigma.is_identity()
-    dense = sigma.to_dense()
-    assert dense.entry(1, 0) == ctx.one
-    assert dense.entry(0, 0) == ctx.zero
 
 
 # -- polynomials -------------------------------------------------------------

@@ -16,6 +16,10 @@ from spechtvar.spechtmod import perm_module_actions, restricted_actions
 def test_rank_vector_validation():
     rv = RankVector(3, (4, 2, 1, 0))
     assert rv.dim == 4
+    assert not rv.is_free  # type (3,1): dim not divisible by 3
+    assert RankVector(3, (6, 4, 2, 0)).is_free  # type (3^2)
+    assert not RankVector(3, (6, 3, 1, 0)).is_free  # type (3,2,1)
+    assert RankVector(2, (0, 0, 0)).is_free
     with pytest.raises(RankCheckFailed):
         RankVector(3, (4, 2, 1))  # wrong length
     with pytest.raises(RankCheckFailed):
@@ -104,7 +108,6 @@ def test_generic_type_81():
     assert rep.type.blocks == (0, 1, 2)
     assert rep.type.pretty() == "(3^2,2)"
     assert stable_type(rep.type).pretty() == "(2)"
-    assert rep.certified_by_single_sample
     assert rep.mode == "randomized"
     assert rep.field.p == 3
 

@@ -3,11 +3,10 @@ import pytest
 
 from spechtvar import gfp
 from spechtvar.errors import PreconditionViolated, TooLarge
-from spechtvar.spechtmod import (PermutationActions, Tabloid,
-                                 enumerate_tabloids, generator_cycles,
-                                 perm_action_sparse, perm_module_actions,
-                                 restricted_actions, standard_basis,
-                                 standard_tableaux, tabloid_count)
+from spechtvar.spechtmod import (_tabloid_table, generator_cycles,
+                                 perm_module_actions, restricted_actions,
+                                 standard_basis, standard_tableaux,
+                                 tabloid_count)
 
 
 def test_tabloid_counts():
@@ -15,34 +14,31 @@ def test_tabloid_counts():
     assert tabloid_count((3, 3, 3)) == 1680
     assert tabloid_count((7,)) == 1
     assert tabloid_count((5, 2, 1, 1)) == 1512
-    assert len(enumerate_tabloids((6, 3))) == 84
+    table = _tabloid_table((6, 3))
+    assert table.count == 84 and table.rows.shape == (84, 9)
+    assert len(table.index) == 84
 
 
 def test_tabloid_canonical_order():
-    tabs = enumerate_tabloids((2, 1))
-    assert [t.rows for t in tabs] == [
-        ((1, 2), (3,)), ((1, 3), (2,)), ((2, 3), (1,))]
-    assert tabs[0].row_of == (0, 0, 1)
+    # rows[i][x-1] is the row of letter x: {12|3}, {13|2}, {23|1}
+    assert _tabloid_table((2, 1)).rows.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     with pytest.raises(TooLarge):
-        enumerate_tabloids((1,) * 11)
+        _tabloid_table((1,) * 11)
 
 
 def test_perm_action_sparse_examples():
-    ident = perm_action_sparse([1, 2, 3], (2, 1), p=3)
-    assert ident.is_identity()
+    table = _tabloid_table((2, 1))
+
+    def act(img):
+        return table.apply_letters(np.array(img)).tolist()
+
+    assert act([1, 2, 3]) == [0, 1, 2]
     # transposition (1 2): fixes {12|3}, swaps {13|2} and {23|1}
-    swap = perm_action_sparse([2, 1, 3], (2, 1), p=3)
-    dense = swap.to_dense()
-    assert dense.entry(0, 0) == 1
-    assert dense.entry(2, 1) == 1
-    assert dense.entry(1, 2) == 1
+    assert act([2, 1, 3]) == [0, 2, 1]
     # 3-cycle sends {12|3} to {23|1}; composing with its inverse is identity
-    cyc = perm_action_sparse([2, 3, 1], (2, 1), p=3)
-    assert cyc.to_dense().entry(2, 0) == 1
-    inv = perm_action_sparse([3, 1, 2], (2, 1), p=3)
-    assert cyc.compose(inv).is_identity()
-    with pytest.raises(PreconditionViolated):
-        perm_action_sparse([1, 1, 2], (2, 1))
+    cyc, inv = act([2, 3, 1]), act([3, 1, 2])
+    assert cyc[0] == 2
+    assert [cyc[i] for i in inv] == [0, 1, 2]
 
 
 def test_standard_tableaux_order():
@@ -128,10 +124,14 @@ def test_conjugate_swap_records_flag():
     assert acts.dim == 27  # dim of the conjugate pair (7,2)
 
 
+def fixed_tabloids(acts):
+    return sum(len(orbit) == 1 for orbit in acts.orbits())
+
+
 def test_perm_module_fixed_tabloids():
-    assert perm_module_actions((9,), 3, 3).fixed_point_count() == 1
-    assert perm_module_actions((3, 3, 3), 3, 3).fixed_point_count() == 6
-    assert perm_module_actions((6, 3), 3, 3).fixed_point_count() == 3
+    assert fixed_tabloids(perm_module_actions((9,), 3, 3)) == 1
+    assert fixed_tabloids(perm_module_actions((3, 3, 3), 3, 3)) == 6
+    assert fixed_tabloids(perm_module_actions((6, 3), 3, 3)) == 3
 
 
 def test_perm_module_orbits_partition_the_tabloids():
@@ -142,18 +142,6 @@ def test_perm_module_orbits_partition_the_tabloids():
     assert all(s in (1, 3, 9, 27) for s in sizes)
     seen = np.concatenate(orbits)
     assert len(np.unique(seen)) == 1680
-
-
-def test_perm_module_sparse_matches_dense():
-    acts = perm_module_actions((2, 1), 1, 3)
-    sparse = acts.A[0].to_dense()
-    pi = acts.perms[0]
-    dense = np.zeros((3, 3), dtype=np.int64)
-    for j, t in enumerate(pi.tolist()):
-        dense[t, j] += 1
-        dense[j, j] -= 1
-    dense %= 3
-    assert np.array_equal(sparse.data[:, :, 0], dense)
 
 
 def test_perm_module_block_actions_reassemble():
@@ -188,3 +176,27 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     second = restricted_actions((4, 2), 2, 3)
     for a, b in zip(first.A, second.A):
         assert np.array_equal(a, b)
+
+
+def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
+    built = restricted_actions((4, 2), 2, 3)
+    (path,) = tmp_path.glob("*.npz")
+    raw = path.read_bytes()
+    wrong = tmp_path / "wrong.npz"
+    np.savez_compressed(wrong, a0=np.zeros((5, 5), dtype=np.int64),
+                        a1=np.zeros((5, 5), dtype=np.int64))
+    bad_files = {
+        "truncated": raw[: len(raw) // 2],
+        "garbage": b"not a cache file\n" * 8,
+        "misshaped": wrong.read_bytes(),
+    }
+    for label, content in bad_files.items():
+        path.write_bytes(content)
+        again = restricted_actions((4, 2), 2, 3)
+        assert again.dim == built.dim, label
+        for a, b in zip(built.A, again.A):
+            assert np.array_equal(a, b), label
+        # the rebuild rewrote the file with the right matrices
+        with np.load(path) as data:
+            assert np.array_equal(data["a0"], built.A[0]), label

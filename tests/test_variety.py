@@ -3,6 +3,7 @@ import pytest
 from spechtvar import variety
 from spechtvar.errors import InconsistentCounts, TooManyPoints
 from spechtvar.ffalg import FieldCtx, MultiPoly, poly_eval
+from spechtvar.jordan import is_free_at
 from spechtvar.spechtmod import restricted_actions
 from spechtvar.variety import (CATALOGUE_P3_9, classify, classify_stable,
                                enumerate_locus, estimate_dimension,
@@ -151,6 +152,21 @@ def test_sweep_rank_vectors_333():
             assert rv.ranks == (42, 28, 14, 0)
         else:
             assert rv.ranks[2] < 14
+
+
+@pytest.mark.parametrize("mu", [(3, 3, 3), (7, 2), (5, 3, 1)])
+def test_freeness_oracle_matches_rank_vectors(mu):
+    # enumerate_locus decides freeness through _FreenessOracle; the
+    # rank-vector path (RankVector.is_free) is its reference, point by point
+    acts = restricted_actions(mu, 3, 3)
+    rows = list(sweep_rank_vectors(acts, 2))
+    assert len(rows) == 91
+    nonfree = {pt for pt, free, _ in rows if not free}
+    assert enumerate_locus(acts, 2).points == nonfree
+    ctx = FieldCtx.get(3, 2)
+    for pt, free, rv in rows[::15]:
+        coords = tuple(ctx.element(c) for c in pt)
+        assert is_free_at(acts, coords) == free == rv.is_free, pt
 
 
 def test_template_check_shapes():

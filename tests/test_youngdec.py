@@ -100,4 +100,4 @@ def test_perm_formula_matches_empirical_type(mu, n, p):
     predicted = perm_generic_type_formula(mu, n, p)
     assert generic_type(acts, mode="exact").type == predicted
     # b is exactly the number of E_n-fixed tabloids
-    assert acts.fixed_point_count() == predicted.blocks[0]
+    assert sum(len(orbit) == 1 for orbit in acts.orbits()) == predicted.blocks[0]
