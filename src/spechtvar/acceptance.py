@@ -21,7 +21,7 @@ from .jordan import (JordanType, complementary_check, generic_type,
                      rank_vector_at, stable_type)
 from .partitions import (Partition, branching_set, conjugate, contained_p,
                          dim_specht, format_partition, p_core_weight,
-                         partitions_of, size, syt_count)
+                         partitions_of, syt_count)
 from .phimap import phi_chain, phi_step
 from .spechtmod import perm_module_actions, restricted_actions
 from .variety import (CATALOGUE_P3_9, classify_stable, enumerate_locus,
@@ -119,7 +119,7 @@ def quartic_identification() -> tuple[bool, str]:
 @lru_cache(maxsize=None)
 def dimension_estimate() -> tuple[bool, str]:
     """Point-count growth over k in {1,2,3} gives dim 2 = p-1 for (3,3,3)."""
-    est = estimate_dimension((3, 3, 3), 3, 3, (1, 2, 3))
+    est = estimate_dimension(restricted_actions((3, 3, 3), 3, 3), (1, 2, 3))
     d = dim_specht((3, 3, 3))
     ok = est == 2 and d % 3 ** (3 - est) == 0
     return ok, (f"estimated dim {est} = p-1 from k in {{1,2,3}}; "

@@ -175,7 +175,7 @@ def cmd_variety(args: argparse.Namespace, config: RunConfig) -> int:
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
     sample = enumerate_locus(acts, k)
-    cls = classify(sample)
+    cls = classify(acts, k)
     points = sorted(sample.points)
     report = {
         "mu": format_partition(mu),

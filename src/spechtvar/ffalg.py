@@ -7,11 +7,10 @@ Elements carry their coefficient vector; the same encoding doubles as a
 stable integer code for storage and enumeration order.
 
 Matrices stay over GF(p).  ``FieldCtx.mul_matrix`` gives the k-by-k
-multiplication matrix of an element, and the callers that need
-extension-field ranks (``jordan._point_operator`` and
-``variety._FreenessOracle``) build the companion blowup from it: replacing
-each entry by its multiplication matrix is a ring homomorphism, so
-rank_GF(p)(blowup(M)) = k * rank_GF(p^k)(M).
+multiplication matrix of an element, and ``jordan._point_operator``, the
+one blowup site (``variety``'s sweeps reach it too), builds the companion
+blowup from it: replacing each entry by its multiplication matrix is a
+ring homomorphism, so rank_GF(p)(blowup(M)) = k * rank_GF(p^k)(M).
 """
 
 from __future__ import annotations

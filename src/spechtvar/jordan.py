@@ -26,7 +26,7 @@ from .errors import (ArityMismatch, CertificationFailed, RankCheckFailed,
                      ZeroPoint)
 from .ffalg import FieldCtx, FieldElement
 from .partitions import format_partition
-from .spechtmod import PermutationActions, RestrictedActions
+from .spechtmod import PermutationActions
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ back to a d x d matrix by solving B X = (g - 1) B once.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
@@ -226,16 +227,16 @@ def _cache_key(work: Partition, n: int, p: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
-def _load_cached(path: Path, n: int, d: int) -> list[np.ndarray] | None:
+def _load_cached(path: Path, key: str, n: int, d: int) -> list[np.ndarray] | None:
     """The n cached d x d action matrices, or None if the file is unusable.
 
-    A truncated or corrupt archive raises BadZipFile, EOFError or
-    zlib.error; a file that is not an archive at all raises ValueError
-    (pickled data refused) or TypeError (a bare .npy array).
+    Members are named after the key, so a file written for another key or
+    by hand is a miss.  A truncated or corrupt archive raises BadZipFile,
+    EOFError or zlib.error; a non-archive raises ValueError or TypeError.
     """
     try:
         with np.load(path) as data:
-            mats = [data[f"a{i}"] for i in range(n)]
+            mats = [data[f"{key}_{i}"] for i in range(n)]
     except (OSError, KeyError, ValueError, TypeError, EOFError,
             zipfile.BadZipFile, zlib.error):
         return None
@@ -262,9 +263,10 @@ def restricted_actions(mu: Partition, n: int, p: int,
             work, conjugated = other, True
 
     cache = _cache_dir()
-    path = cache / f"{_cache_key(work, n, p)}.npz" if cache else None
+    key = _cache_key(work, n, p)
+    path = cache / f"{key}.npz" if cache else None
     if path is not None and path.exists():
-        mats = _load_cached(path, n, dim_specht(work))
+        mats = _load_cached(path, key, n, dim_specht(work))
         if mats is not None:
             return RestrictedActions(mu=mu, n=n, p=p, A=mats,
                                      dim=mats[0].shape[0], conjugated=conjugated)
@@ -281,11 +283,15 @@ def restricted_actions(mu: Partition, n: int, p: int,
     mats = [np.ascontiguousarray(solved[:, i * basis.dim: (i + 1) * basis.dim])
             for i in range(n)]
     if path is not None:
+        # renamed into place whole, so no reader sees a half-written file
+        tmp = path.with_name(f"{key}.{os.getpid()}.tmp.npz")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            np.savez_compressed(path, **{f"a{i}": m for i, m in enumerate(mats)})
+            np.savez_compressed(tmp, **{f"{key}_{i}": m for i, m in enumerate(mats)})
+            os.replace(tmp, path)
         except OSError:
-            pass
+            with contextlib.suppress(OSError):
+                tmp.unlink()
     return RestrictedActions(mu=mu, n=n, p=p, A=mats, dim=basis.dim,
                              conjugated=conjugated)
 

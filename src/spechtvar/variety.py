@@ -4,10 +4,15 @@ Points are projective: the first nonzero coordinate is normalized to 1,
 which is sound because Jordan type is invariant under scaling.  A point
 is stored as a tuple of field-element codes (integers below p^k).
 
+Every sweep takes one walk, ``_frobenius_orbits``, and evaluates each
+Frobenius orbit once: the A_i lie over GF(p), so applying the field
+automorphism entrywise maps N(alpha) to N(sigma alpha) and keeps ranks.
+
 Freeness sweeps share one precomputation per module and field: since
 the A_i commute, N^{p-1} = sum over multisets m of multinomial(m) *
-alpha^m * A^m, so the blown-up power at a point is assembled from the
-cached products A^m without any large matrix multiplication.
+alpha^m * A^m, the point operator of the cached products A^m at the
+scalars multinomial(m) * alpha^m.  ``jordan._point_operator`` is the
+one place that blows an operator up over GF(p).
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import numpy as np
 from . import gfp
 from .errors import InconsistentCounts, RankCheckFailed, TooManyPoints
 from .ffalg import FieldCtx, FieldElement, MultiPoly, poly_eval
-from .jordan import rank_vector_at
-from .partitions import Partition, dim_specht, format_partition, validate
-from .spechtmod import RestrictedActions, restricted_actions
+from .jordan import _point_operator, rank_vector_at
+from .partitions import Partition, format_partition
+from .spechtmod import RestrictedActions
 
 # Reference catalogue for p=3, |mu|=9: conjugate-class representative ->
 # (kind, dimension).  Every partition of 9 is covered through its
@@ -111,7 +116,9 @@ class _FreenessOracle:
         self.acts, self.ctx = acts, ctx
         p, d = acts.p, acts.dim
         self.target = ctx.k * (d // p)
-        self.products: list[tuple[tuple[int, ...], int, np.ndarray]] = []
+        # multisets m with multinomial(m) != 0 mod p, and the products A^m
+        self.terms: list[tuple[tuple[int, ...], int]] = []
+        self.mats: list[np.ndarray] = []
         for m in itertools.combinations_with_replacement(range(acts.n), p - 1):
             coef = math.factorial(p - 1)
             for i in set(m):
@@ -121,21 +128,15 @@ class _FreenessOracle:
             mat = np.eye(d, dtype=np.int64)
             for i in m:
                 mat = gfp.mod_matmul(mat, acts.A[i], p)
-            self.products.append((m, coef % p, mat))
+            self.terms.append((m, coef % p))
+            self.mats.append(mat)
 
     def power_blowup(self, codes) -> np.ndarray:
         """Blown-up matrix of N^(p-1) at the point with these codes."""
-        ctx, p, d = self.ctx, self.acts.p, self.acts.dim
-        coords = [ctx.element(c) for c in codes]
-        out = np.zeros((d * ctx.k, d * ctx.k), dtype=np.int64)
-        for m, coef, mat in self.products:
-            scalar = ctx.one
-            for i in m:
-                scalar = scalar * coords[i]
-            if not scalar:
-                continue
-            out += coef * np.kron(mat, ctx.mul_matrix(scalar))
-        return out % p
+        coords = [self.ctx.element(c) for c in codes]
+        scalars = [math.prod((coords[i] for i in m), start=self.ctx.element(coef))
+                   for m, coef in self.terms]
+        return _point_operator(self.mats, scalars, self.acts.p)[0]
 
     def is_free(self, codes) -> bool:
         power = self.power_blowup(codes)
@@ -145,46 +146,46 @@ class _FreenessOracle:
 _LOCUS_MEMO: dict[tuple, LocusSample] = {}
 
 
-def _frobenius_orbit(pt: tuple[int, ...], ctx: FieldCtx) -> list[tuple[int, ...]]:
-    """Coordinatewise Galois orbit; normalization survives (1 is fixed)."""
-    orbit, cur = [], pt
-    while cur not in orbit:
-        orbit.append(cur)
-        cur = tuple((ctx.element(c) ** ctx.p).to_index() for c in cur)
-    return orbit
+def _frobenius_orbits(p: int, n: int, k: int):
+    """Each Frobenius orbit of projective points once, representative first.
 
-
-def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
-    """Sweep every projective point of GF(p^k)^n and keep the non-free ones.
-
-    Freeness is decided once per Frobenius orbit: applying the field
-    automorphism entrywise commutes with forming N and preserves rank.
+    The one sweep walk, and the one place ``_POINT_GATE`` is enforced.
+    Orbits are coordinatewise; normalization survives (1 is fixed).
     """
-    p, n, d = acts.p, acts.n, acts.dim
-    key = (acts.mu, n, p, k)
-    if key in _LOCUS_MEMO:
-        return _LOCUS_MEMO[key]
     q = p**k
     total = (q**n - 1) // (q - 1)
     if total > _POINT_GATE:
         raise TooManyPoints(f"{total} projective points exceed the sweep gate")
     ctx = FieldCtx.get(p, k)
-    if d % p:
-        # never free anywhere, no elimination needed
-        points = frozenset(projective_points(ctx, n))
-    else:
-        oracle = _FreenessOracle(acts, ctx)
-        points, seen = set(), set()
-        for pt in projective_points(ctx, n):
-            if pt in seen:
+    seen = set()
+    for pt in projective_points(ctx, n):
+        if pt in seen:
+            continue
+        orbit, cur = [], pt
+        while cur not in orbit:
+            orbit.append(cur)
+            cur = tuple((ctx.element(c) ** p).to_index() for c in cur)
+        seen.update(orbit)
+        yield orbit
+
+
+def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
+    """Sweep every projective point of GF(p^k)^n and keep the non-free ones."""
+    p, n, d = acts.p, acts.n, acts.dim
+    key = (acts.mu, n, p, k)
+    if key in _LOCUS_MEMO:
+        return _LOCUS_MEMO[key]
+    points, total, oracle = set(), 0, None
+    for orbit in _frobenius_orbits(p, n, k):
+        total += len(orbit)
+        if d % p == 0:  # otherwise never free anywhere, no elimination needed
+            oracle = oracle or _FreenessOracle(acts, FieldCtx.get(p, k))
+            if oracle.is_free(orbit[0]):
                 continue
-            orbit = _frobenius_orbit(pt, ctx)
-            seen.update(orbit)
-            if not oracle.is_free(pt):
-                points.update(orbit)
-        points = frozenset(points)
-    sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=points,
+        points.update(orbit)
+    sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
                          total_projective_points=total)
+    ctx = FieldCtx.get(p, k)
     _check_permutation_closed(sample, ctx)
     if acts.mu == (p,) * p:
         _check_scaling_closed(sample, ctx)
@@ -212,13 +213,6 @@ def _check_scaling_closed(sample: LocusSample, ctx: FieldCtx) -> None:
                                       f"closed under GF(p)^* scaling: {pt} -> {moved}")
 
 
-def _axes_points(sample: LocusSample) -> frozenset[tuple[int, ...]]:
-    pts = []
-    for i in range(sample.n):
-        pts.append((0,) * i + (1,) + (0,) * (sample.n - 1 - i))
-    return frozenset(pts)
-
-
 def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiPoly]:
     """Basis of homogeneous degree-`degree` forms vanishing on the locus.
 
@@ -228,16 +222,10 @@ def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiP
     n, p, k = sample.n, sample.p, sample.k
     exps = list(_exponents(n, degree))
     pts = sample.decoded()
-    if not pts:
-        rows = np.zeros((0, len(exps)), dtype=np.int64)
-    else:
-        blocks = []
-        for pt in pts:
-            block = np.zeros((k, len(exps)), dtype=np.int64)
-            for col, e in enumerate(exps):
-                block[:, col] = _eval_monomial(pt, e).coeffs
-            blocks.append(block)
-        rows = np.concatenate(blocks, axis=0)
+    rows = np.zeros((k * len(pts), len(exps)), dtype=np.int64)
+    for r, pt in enumerate(pts):
+        for col, e in enumerate(exps):
+            rows[r * k:(r + 1) * k, col] = _eval_monomial(pt, e).coeffs
     basis = gfp.nullspace(rows, p)
     out = []
     for j in range(basis.shape[1]):
@@ -276,28 +264,42 @@ def _eval_monomial(pt, e) -> FieldElement:
 
 
 def _form_cuts_out(sample: LocusSample, f: MultiPoly) -> bool:
+    # f has GF(p) coefficients, so its zero set is a union of Frobenius
+    # orbits, as the locus is: comparing representatives is enough
     ctx = FieldCtx.get(sample.p, sample.k)
-    for pt in projective_points(ctx, sample.n):
-        coords = tuple(ctx.element(c) for c in pt)
+    for orbit in _frobenius_orbits(sample.p, sample.n, sample.k):
+        coords = tuple(ctx.element(c) for c in orbit[0])
         vanishes = not poly_eval(f, coords)
-        if vanishes != (pt in sample.points):
+        if vanishes != (orbit[0] in sample.points):
             return False
     return True
 
 
-def classify(sample: LocusSample, max_degree: int | None = None) -> VarietyClass:
-    """Catalogue kind of one locus sample.
+def _pattern_kind(sample: LocusSample) -> str | None:
+    """zero, full or axes-union when the locus is that point set, else None."""
+    if sample.is_empty:
+        return "zero"
+    if sample.is_full:
+        return "full"
+    n = sample.n
+    if sample.points == {(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)}:
+        return "axes-union"
+    return None
+
+
+def classify(acts: RestrictedActions, k: int, max_degree: int | None = None
+             ) -> VarietyClass:
+    """Catalogue kind of the module's locus over GF(p^k).
 
     Hypersurface detection interpolates forms of increasing degree and
     accepts only a one-dimensional space whose zero set equals the locus
     over the sampled field.
     """
-    if sample.is_empty:
-        return VarietyClass(kind="zero", est_dim=0)
-    if sample.is_full:
-        return VarietyClass(kind="full", est_dim=sample.n)
-    if sample.points == _axes_points(sample):
-        return VarietyClass(kind="axes-union", est_dim=1)
+    sample = enumerate_locus(acts, k)
+    kind = _pattern_kind(sample)
+    if kind is not None:
+        est = {"zero": 0, "full": sample.n, "axes-union": 1}[kind]
+        return VarietyClass(kind=kind, est_dim=est)
     if max_degree is None:
         max_degree = (sample.p - 1) ** 2
     for deg in range(1, max_degree + 1):
@@ -308,25 +310,18 @@ def classify(sample: LocusSample, max_degree: int | None = None) -> VarietyClass
             return VarietyClass(kind="hypersurface", est_dim=sample.n - 1,
                                 form=forms[0])
         break  # several independent forms, or zero set too big: not a hypersurface
-    ks = [sample.k, sample.k + 1] if sample.k == 1 else [sample.k - 1, sample.k]
+    affine = _affine_counts(acts, [k, k + 1] if k == 1 else [k - 1, k])
     try:
-        est = estimate_dimension(sample.mu, sample.p, sample.n, ks)
+        est = _dimension_from_counts(acts, affine)
     except InconsistentCounts:
-        affine = _affine_counts(sample.mu, sample.p, sample.n, ks)
-        est = round(_fit_slope(sample.p, affine))
+        est = round(_fit_slope(acts.p, affine))
     return VarietyClass(kind="other", est_dim=est)
 
 
 def _matches_pattern(cls: VarietyClass, sample: LocusSample) -> bool:
-    if cls.kind == "zero":
-        return sample.is_empty
-    if cls.kind == "full":
-        return sample.is_full
-    if cls.kind == "axes-union":
-        return sample.points == _axes_points(sample)
     if cls.kind == "hypersurface":
         return _form_cuts_out(sample, cls.form)
-    return True
+    return cls.kind == "other" or cls.kind == _pattern_kind(sample)
 
 
 def classify_stable(acts: RestrictedActions, ks: tuple[int, int] = (2, 3)
@@ -340,24 +335,20 @@ def classify_stable(acts: RestrictedActions, ks: tuple[int, int] = (2, 3)
     relations such as x^p - x.)
     """
     lo = enumerate_locus(acts, ks[0])
-    hi = enumerate_locus(acts, ks[1])
-    cls = classify(hi)
+    cls = classify(acts, ks[1])
     if cls.kind != "other" and not _matches_pattern(cls, lo):
         try:
-            est = estimate_dimension(acts.mu, acts.p, acts.n, list(ks))
+            est = estimate_dimension(acts, ks)
         except InconsistentCounts:
             est = cls.est_dim
         return VarietyClass(kind="other", est_dim=est)
     return cls
 
 
-def _affine_counts(mu, p: int, n: int, k_list) -> dict[int, int]:
-    acts = restricted_actions(mu, n, p)
-    out = {}
-    for k in k_list:
-        sample = enumerate_locus(acts, k)
-        out[k] = (p**k - 1) * len(sample.points) + 1
-    return out
+def _affine_counts(acts: RestrictedActions, k_list) -> dict[int, int]:
+    """Affine locus size (cone points, origin included) per degree k."""
+    return {k: (acts.p**k - 1) * len(enumerate_locus(acts, k).points) + 1
+            for k in k_list}
 
 
 def _fit_slope(p: int, affine: dict[int, int]) -> float:
@@ -371,7 +362,7 @@ def _fit_slope(p: int, affine: dict[int, int]) -> float:
     return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / den
 
 
-def estimate_dimension(mu, p: int, n: int, k_list) -> int:
+def estimate_dimension(acts: RestrictedActions, k_list) -> int:
     """Dimension from the growth of affine point counts across k_list.
 
     The estimate is the least-squares slope of log(count) vs log(p^k),
@@ -379,11 +370,16 @@ def estimate_dimension(mu, p: int, n: int, k_list) -> int:
     consistency is judged against the largest-field pair only; the result
     is also cross-checked against the p^(n-r) | dim divisibility law.
     """
-    mu = validate(mu)
     k_list = sorted(set(k_list))
     if len(k_list) < 2:
         raise InconsistentCounts("need at least two distinct extension degrees")
-    affine = _affine_counts(mu, p, n, k_list)
+    return _dimension_from_counts(acts, _affine_counts(acts, k_list))
+
+
+def _dimension_from_counts(acts: RestrictedActions, affine: dict[int, int]) -> int:
+    """``estimate_dimension`` on counts already taken at two or more degrees."""
+    p, n = acts.p, acts.n
+    k_list = sorted(affine)
     if affine[k_list[-1]] == 1:
         return 0  # empty locus at the largest field
     if any(affine[k1] > affine[k2] for k1, k2 in zip(k_list, k_list[1:])):
@@ -395,24 +391,22 @@ def estimate_dimension(mu, p: int, n: int, k_list) -> int:
     if round(tail) != r:
         raise InconsistentCounts(
             f"fit slope {r} disagrees with largest-field slope {tail:.3f}")
-    d = dim_specht(mu)
-    if n - r >= 0 and d % p**(n - r):
+    if n - r >= 0 and acts.dim % p**(n - r):
         raise InconsistentCounts(
-            f"estimated dim {r} contradicts p^(n-r) | dim for dim={d}")
+            f"estimated dim {r} contradicts p^(n-r) | dim for dim={acts.dim}")
     return r
 
 
 def sweep_rank_vectors(acts: RestrictedActions, k: int):
-    """(point codes, free flag, rank vector) per projective point; CLI fodder."""
-    q = acts.p**k
-    total = (q**acts.n - 1) // (q - 1)
-    if total > _POINT_GATE:
-        raise TooManyPoints(f"{total} projective points exceed the sweep gate")
-    ctx = FieldCtx.get(acts.p, k)
-    for pt in projective_points(ctx, acts.n):
-        coords = tuple(ctx.element(c) for c in pt)
-        rv = rank_vector_at(acts, coords)
-        yield pt, rv.is_free, rv
+    """(point codes, free flag, rank vector) per projective point; CLI fodder.
+
+    One rank vector per Frobenius orbit, reported for each of its points.
+    """
+    for orbit in _frobenius_orbits(acts.p, acts.n, k):
+        ctx = FieldCtx.get(acts.p, k)  # cached; only reached past the gate
+        rv = rank_vector_at(acts, tuple(ctx.element(c) for c in orbit[0]))
+        for pt in orbit:
+            yield pt, rv.is_free, rv
 
 
 def template_check(f: MultiPoly, p: int) -> bool:

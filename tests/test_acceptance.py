@@ -5,8 +5,6 @@ complete.  Results are cached per process, so the CLI tests that follow
 reuse everything computed here.
 """
 
-import pytest
-
 from spechtvar import acceptance
 
 

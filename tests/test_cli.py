@@ -113,6 +113,15 @@ def test_variety_json_projective_module_has_empty_locus(capsys):
     assert rep["class"] == {"kind": "zero", "est_dim": 0, "form": None}
 
 
+def test_variety_json_other_class_p2(capsys):
+    # not zero, full, axes or a hypersurface: the dimension comes from the
+    # affine counts over GF(2) and GF(4), read from the module already built
+    rep = run_json(["variety", "--mu", "(4,4)", "--p", "2", "--ext", "2"],
+                   capsys)["report"]
+    assert rep["total_projective_points"] == 85
+    assert rep["class"] == {"kind": "other", "est_dim": 3, "form": None}
+
+
 def test_table9_matches_golden(capsys):
     code, out, err = run(["table9"], capsys)
     assert code == 0

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from spechtvar import jordan
-from spechtvar.errors import (ArityMismatch, CertificationFailed,
-                              RankCheckFailed, ZeroPoint)
+from spechtvar.errors import ArityMismatch, RankCheckFailed, ZeroPoint
 from spechtvar.ffalg import FieldCtx
-from spechtvar.jordan import (GenericTypeReport, JordanType, RankVector,
-                              complementary_check, generic_type, is_free_at,
-                              jordan_at_point, rank_vector_at, stable_type)
+from spechtvar.jordan import (JordanType, RankVector, complementary_check,
+                              generic_type, is_free_at, jordan_at_point,
+                              rank_vector_at, stable_type)
 from spechtvar.partitions import p_core_weight, partitions_of
 from spechtvar.phimap import find_ab
 from spechtvar.spechtmod import perm_module_actions, restricted_actions

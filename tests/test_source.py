@@ -14,3 +14,32 @@ def test_package_uses_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a file imports and never reads; ``__all__`` entries count as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_no_unused_imports():
+    package = Path(spechtvar.__file__).parent
+    tests = Path(__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):
+        found += _unused_imports(path)
+    assert not found, "unused imports: " + ", ".join(found)

@@ -3,10 +3,11 @@ import pytest
 
 from spechtvar import gfp
 from spechtvar.errors import PreconditionViolated, TooLarge
-from spechtvar.spechtmod import (_tabloid_table, generator_cycles,
-                                 perm_module_actions, restricted_actions,
-                                 standard_basis, standard_tableaux,
-                                 tabloid_count)
+from spechtvar.jordan import rank_vector_at
+from spechtvar.spechtmod import (_cache_key, _load_cached, _tabloid_table,
+                                 generator_cycles, perm_module_actions,
+                                 restricted_actions, standard_basis,
+                                 standard_tableaux, tabloid_count)
 
 
 def test_tabloid_counts():
@@ -181,11 +182,12 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
 def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
     monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
     built = restricted_actions((4, 2), 2, 3)
+    key = _cache_key((4, 2), 2, 3)
     (path,) = tmp_path.glob("*.npz")
     raw = path.read_bytes()
     wrong = tmp_path / "wrong.npz"
-    np.savez_compressed(wrong, a0=np.zeros((5, 5), dtype=np.int64),
-                        a1=np.zeros((5, 5), dtype=np.int64))
+    np.savez_compressed(wrong, **{f"{key}_{i}": np.zeros((5, 5), dtype=np.int64)
+                                  for i in range(2)})
     bad_files = {
         "truncated": raw[: len(raw) // 2],
         "garbage": b"not a cache file\n" * 8,
@@ -198,5 +200,31 @@ def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
         for a, b in zip(built.A, again.A):
             assert np.array_equal(a, b), label
         # the rebuild rewrote the file with the right matrices
-        with np.load(path) as data:
-            assert np.array_equal(data["a0"], built.A[0]), label
+        cached = _load_cached(path, key, 2, built.dim)
+        assert cached is not None, label
+        for a, b in zip(built.A, cached):
+            assert np.array_equal(a, b), label
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted([path.name, wrong.name])
+
+
+def test_cache_file_is_bound_to_its_key(tmp_path, monkeypatch):
+    # S^(7,2) at p=3 (d=27): zero matrices written by hand over its cache
+    # file, or the file of another module of the same shape, must be
+    # rebuilt, not served
+    monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
+    built = restricted_actions((7, 2), 3, 3)
+    (path,) = tmp_path.glob("*.npz")
+    fresh = rank_vector_at(built, [1, 1, 1])
+    assert fresh.ranks == (27, 18, 9, 0)
+    other = restricted_actions((2, 2, 1, 1, 1, 1, 1), 3, 3, use_conjugate=False)
+    (other_path,) = set(tmp_path.glob("*.npz")) - {path}
+    assert any(not np.array_equal(a, b) for a, b in zip(built.A, other.A))
+    zeros = tmp_path / "zeros.npz"
+    np.savez_compressed(zeros, **{f"a{i}": np.zeros((27, 27), dtype=np.int64)
+                                  for i in range(3)})
+    for label, source in (("hand-written", zeros), ("other key", other_path)):
+        path.write_bytes(source.read_bytes())
+        again = restricted_actions((7, 2), 3, 3)
+        assert rank_vector_at(again, [1, 1, 1]) == fresh, label
+        for a, b in zip(built.A, again.A):
+            assert np.array_equal(a, b), label

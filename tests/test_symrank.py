@@ -5,8 +5,8 @@ from spechtvar import gfp
 from spechtvar.errors import TooLarge
 from spechtvar.ffalg import FieldCtx
 from spechtvar.jordan import _point_operator
-from spechtvar.symrank import (generic_power_ranks, generic_rank, monomials,
-                               sym_matmul, tri_inv_mod, _divide_rows, _mul_many)
+from spechtvar.symrank import (generic_power_ranks, monomials, sym_matmul,
+                               tri_inv_mod, _divide_rows, _mul_many)
 
 
 def test_monomials_count_and_order():

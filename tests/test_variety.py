@@ -1,9 +1,9 @@
 import pytest
 
-from spechtvar import variety
+from spechtvar import spechtmod, variety
 from spechtvar.errors import InconsistentCounts, TooManyPoints
 from spechtvar.ffalg import FieldCtx, MultiPoly, poly_eval
-from spechtvar.jordan import is_free_at
+from spechtvar.jordan import is_free_at, rank_vector_at
 from spechtvar.spechtmod import restricted_actions
 from spechtvar.variety import (CATALOGUE_P3_9, classify, classify_stable,
                                enumerate_locus, estimate_dimension,
@@ -38,17 +38,18 @@ def test_frobenius_orbits_partition_points():
     ctx = FieldCtx.get(3, 3)
     seen = set()
     sizes = set()
-    for pt in projective_points(ctx, 2):
-        if pt in seen:
-            continue
-        orbit = variety._frobenius_orbit(pt, ctx)
+    for orbit in variety._frobenius_orbits(3, 2, 3):
         sizes.add(len(orbit))
         assert not seen & set(orbit)
         seen.update(orbit)
+        # each member's coordinates are the cubes of the previous member's
+        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
+            assert b == tuple((ctx.element(c) ** 3).to_index() for c in a)
+        # rational points are Galois-fixed
+        if all(c < 3 for c in orbit[0]):
+            assert orbit == [orbit[0]]
     assert seen == set(projective_points(ctx, 2))
     assert sizes <= {1, 3}
-    # rational points are Galois-fixed
-    assert variety._frobenius_orbit((1, 2), ctx) == [(1, 2)]
 
 
 def test_locus_331_empty_everywhere_sampled():
@@ -57,7 +58,7 @@ def test_locus_331_empty_everywhere_sampled():
     assert s2.is_empty and s2.total_projective_points == 91
     s3 = enumerate_locus(acts, 3)
     assert s3.is_empty and s3.total_projective_points == 757
-    assert classify(s3).kind == "zero"
+    assert classify(acts, 3).kind == "zero"
     assert classify_stable(acts).est_dim == 0
 
 
@@ -78,7 +79,7 @@ def test_trivial_module_locus_is_full():
     acts = restricted_actions((9,), 3, 3)
     s = enumerate_locus(acts, 1)
     assert s.is_full and len(s.points) == 13
-    cls = classify(s)
+    cls = classify(acts, 1)
     assert cls.kind == "full" and cls.est_dim == 3
     # dim not divisible by p: same short-circuit
     s81 = enumerate_locus(restricted_actions((8, 1), 3, 3), 2)
@@ -127,12 +128,14 @@ def test_interpolation_spaces():
 
 
 def test_estimate_dimension_examples():
-    assert estimate_dimension((3, 3, 3), 3, 3, [1, 2, 3]) == 2
-    assert estimate_dimension((7, 2), 3, 3, [2, 3]) == 1
-    assert estimate_dimension((9,), 3, 3, [1, 2]) == 3
-    assert estimate_dimension((5, 3, 1), 3, 3, [1, 2]) == 0
+    def est(mu, k_list):
+        return estimate_dimension(restricted_actions(mu, 3, 3), k_list)
+    assert est((3, 3, 3), [1, 2, 3]) == 2
+    assert est((7, 2), [2, 3]) == 1
+    assert est((9,), [1, 2]) == 3
+    assert est((5, 3, 1), [1, 2]) == 0
     with pytest.raises(InconsistentCounts):
-        estimate_dimension((9,), 3, 3, [2])
+        est((9,), [2])
 
 
 def test_point_gate():
@@ -167,6 +170,36 @@ def test_freeness_oracle_matches_rank_vectors(mu):
     for pt, free, rv in rows[::15]:
         coords = tuple(ctx.element(c) for c in pt)
         assert is_free_at(acts, coords) == free == rv.is_free, pt
+
+
+@pytest.mark.parametrize("mu, p, k, total", [((3, 3, 3), 3, 2, 91),
+                                              ((4, 4), 2, 3, 585)])
+def test_sweep_rank_vectors_matches_direct_evaluation(mu, p, k, total):
+    # sweep_rank_vectors evaluates one point per Frobenius orbit and copies
+    # its rank vector to the rest; rank_vector_at at every point is the
+    # reference
+    n = sum(mu) // p
+    acts = restricted_actions(mu, n, p)
+    ctx = FieldCtx.get(p, k)
+    rows = list(sweep_rank_vectors(acts, k))
+    assert len(rows) == total
+    assert sorted(pt for pt, _, _ in rows) == sorted(projective_points(ctx, n))
+    for pt, free, rv in rows:
+        direct = rank_vector_at(acts, tuple(ctx.element(c) for c in pt))
+        assert rv == direct and free == direct.is_free, pt
+
+
+def test_classify_builds_no_module(monkeypatch):
+    # classify reads every count it needs from the module it is given
+    acts = restricted_actions((3, 3, 3), 3, 3)
+    built = []
+    real = spechtmod.standard_basis
+    monkeypatch.setattr(spechtmod, "standard_basis",
+                        lambda *args: built.append(args) or real(*args))
+    monkeypatch.setattr(variety, "_LOCUS_MEMO", {})
+    cls = classify(acts, 2)
+    assert (cls.kind, cls.est_dim) == ("other", 1)
+    assert built == []
 
 
 def test_template_check_shapes():
