@@ -304,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cache_dir", None):
-        os.environ["SPECHTVAR_CACHE"] = args.cache_dir
     config = RunConfig(
         p=getattr(args, "p", 3),
         ext_degree=getattr(args, "ext", 1),
@@ -323,11 +321,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--threads must be at least 1")
     if args.command in _MODULE_COMMANDS and config.p not in _MODULE_PRIMES:
         parser.error(f"module construction supports p in {_MODULE_PRIMES}")
+    saved = os.environ.get("SPECHTVAR_CACHE")
+    if getattr(args, "cache_dir", None):
+        os.environ["SPECHTVAR_CACHE"] = args.cache_dir
     try:
         return args.func(args, config)
     except SpechtvarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:  # --cache-dir holds for this command only
+        if saved is None:
+            os.environ.pop("SPECHTVAR_CACHE", None)
+        else:
+            os.environ["SPECHTVAR_CACHE"] = saved
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ stable integer code for storage and enumeration order.
 
 Matrices stay over GF(p).  ``FieldCtx.mul_matrix`` gives the k-by-k
 multiplication matrix of an element, and ``jordan._point_operator``, the
-one blowup site (``variety``'s sweeps reach it too), builds the companion
-blowup from it: replacing each entry by its multiplication matrix is a
-ring homomorphism, so rank_GF(p)(blowup(M)) = k * rank_GF(p^k)(M).
+one blowup site, builds the companion blowup from it: replacing each
+entry by its multiplication matrix is a ring homomorphism, so
+rank_GF(p)(blowup(M)) = k * rank_GF(p^k)(M).  Rank vectors, freeness
+tests and the ``variety`` sweeps all go through it.
 """
 
 from __future__ import annotations

@@ -6,11 +6,17 @@ extension are blowup ranks divided by k.  The Jordan type is recovered
 from the rank vector (r_0, ..., r_p) by the second difference
 b_s = r_{s-1} - 2 r_s + r_{s+1}.
 
+Every evaluation walks the blocks of ``_blocks``: a permutation module
+splits into orbit blocks, identical ones computed once, and a Specht
+module is a single block.  Rank vectors add over blocks.  Freeness at a
+point is decided in one place, ``is_free_at``: a block of dimension d is
+free iff p | d and rank N^(p-1) = d/p, an elimination that stops once it
+reaches d/p, which the rank never exceeds.
+
 Generic types come in two modes: randomized sampling over GF(p^8) with
 entrywise-max certification (retried over GF(p^12)), and exact
 fraction-free elimination over the rational function field for small
-dimensions.  Permutation modules decompose into orbit blocks first; rank
-vectors add over blocks, and identical blocks are computed once.
+dimensions.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp, symrank
-from .errors import (ArityMismatch, CertificationFailed, RankCheckFailed,
-                     ZeroPoint)
+from .errors import (ArityMismatch, CertificationFailed, PreconditionViolated,
+                     RankCheckFailed, ZeroPoint)
 from .ffalg import FieldCtx, FieldElement
 from .partitions import format_partition
 from .spechtmod import PermutationActions
@@ -150,32 +156,51 @@ def _point_operator(mats: list[np.ndarray], alpha, p: int) -> tuple[np.ndarray, 
     return out % p, k
 
 
-def _rank_vector_of_operator(op: np.ndarray, k: int, p: int) -> RankVector:
-    d = op.shape[0] // k
-    ranks = [d]
+def _blocks(acts) -> list[tuple[list[np.ndarray], int]]:
+    """Blocks of the module as (mats, multiplicity); Specht modules are one.
+
+    Permutation modules split into orbit blocks, grouped by identical
+    matrices.
+    """
+    if not isinstance(acts, PermutationActions):
+        return [(acts.A, 1)]
+    groups: dict[bytes, tuple[list[np.ndarray], int]] = {}
+    for _, mats in acts.block_actions():
+        key = b"|".join(m.tobytes() + str(m.shape[0]).encode() for m in mats)
+        if key in groups:
+            groups[key] = (groups[key][0], groups[key][1] + 1)
+        else:
+            groups[key] = (mats, 1)
+    return list(groups.values())
+
+
+def _powers(op: np.ndarray, p: int):
+    """N, N^2, ..., N^(p-1) in turn; N^p, which is zero, is never formed."""
     power = op
-    for _ in range(1, p):
+    for _ in range(p - 2):
+        yield power
+        power = gfp.mod_matmul(power, op, p)
+    yield power
+
+
+def _rank_vector_of_operator(op: np.ndarray, k: int, p: int) -> RankVector:
+    ranks = [op.shape[0] // k]
+    for power in _powers(op, p):
         r = gfp.rank(power, p)
         if r % k:
             raise RankCheckFailed(f"blowup rank {r} is not a multiple of {k}")
         ranks.append(r // k)
-        power = gfp.mod_matmul(power, op, p)
-    ranks.append(0)
-    return RankVector(p, tuple(ranks))
+    return RankVector(p, tuple(ranks) + (0,))
 
 
 def rank_vector_at(acts, alpha) -> RankVector:
-    """Rank vector of N at one point; permutation modules add over orbits."""
+    """Rank vector of N at one point, summed over the module's blocks."""
     p = acts.p
-    if isinstance(acts, PermutationActions):
-        total = np.zeros(p + 1, dtype=np.int64)
-        for mats, mult in _distinct_blocks(acts):
-            op, k = _point_operator(mats, alpha, p)
-            rv = _rank_vector_of_operator(op, k, p)
-            total += mult * np.array(rv.ranks)
-        return RankVector(p, tuple(int(x) for x in total))
-    op, k = _point_operator(acts.A, alpha, p)
-    return _rank_vector_of_operator(op, k, p)
+    total = np.zeros(p + 1, dtype=np.int64)
+    for mats, mult in _blocks(acts):
+        op, k = _point_operator(mats, alpha, p)
+        total += mult * np.array(_rank_vector_of_operator(op, k, p).ranks)
+    return RankVector(p, tuple(int(x) for x in total))
 
 
 def jordan_at_point(acts, alpha) -> JordanType:
@@ -183,12 +208,28 @@ def jordan_at_point(acts, alpha) -> JordanType:
 
 
 def is_free_at(acts, alpha) -> bool:
-    """True iff the restriction along u_alpha is free (``RankVector.is_free``)."""
-    p, d = acts.p, acts.dim
-    if d % p:
-        warnings.warn(f"dim {d} not divisible by {p}; module cannot be free",
+    """True iff the restriction along u_alpha is free, i.e. every block is.
+
+    The one place freeness at a point is decided.  A block of dimension d
+    is free iff p | d and rank N^(p-1) = d/p over GF(p^k), k*d/p on the
+    blowup.  That rank counts the Jordan blocks of size p, so it never
+    exceeds d/p and the elimination stops once it gets there.  Agrees
+    with ``RankVector.is_free`` of ``rank_vector_at``.
+    """
+    p = acts.p
+    if acts.dim % p:
+        warnings.warn(f"dim {acts.dim} not divisible by {p}; module cannot be free",
                       RuntimeWarning, stacklevel=2)
-    return rank_vector_at(acts, alpha).is_free
+    for mats, _ in _blocks(acts):
+        op, k = _point_operator(mats, alpha, p)  # validates alpha in every case
+        d = mats[0].shape[0]
+        if d % p:
+            return False
+        *_, top = _powers(op, p)
+        target = k * (d // p)
+        if gfp.rank(top, p, stop_at=target) != target:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +245,6 @@ class GenericTypeReport:
     rank_vector: RankVector
 
 
-def _distinct_blocks(acts: PermutationActions):
-    """Orbit blocks grouped by identical matrices: (mats, multiplicity)."""
-    groups: dict[bytes, tuple[list[np.ndarray], int]] = {}
-    for _, mats in acts.block_actions():
-        key = b"|".join(m.tobytes() + str(m.shape[0]).encode() for m in mats)
-        if key in groups:
-            groups[key] = (groups[key][0], groups[key][1] + 1)
-        else:
-            groups[key] = (mats, 1)
-    return list(groups.values())
-
-
 def _derive_rng(acts, seed: int) -> np.random.Generator:
     text = f"{format_partition(acts.mu)}|p={acts.p}|n={acts.n}|seed={seed}"
     digest = hashlib.sha256(text.encode()).digest()
@@ -224,15 +253,11 @@ def _derive_rng(acts, seed: int) -> np.random.Generator:
 
 def _exact_rank_vector(acts) -> RankVector:
     p = acts.p
-    if isinstance(acts, PermutationActions):
-        total = np.zeros(p + 1, dtype=np.int64)
-        for mats, mult in _distinct_blocks(acts):
-            ranks = symrank.generic_power_ranks(mats, p, p - 1)
-            local = [mats[0].shape[0]] + ranks + [0]
-            total += mult * np.array(local)
-        return RankVector(p, tuple(int(x) for x in total))
-    ranks = symrank.generic_power_ranks(acts.A, p, p - 1)
-    return RankVector(p, tuple([acts.dim] + ranks + [0]))
+    total = np.zeros(p + 1, dtype=np.int64)
+    for mats, mult in _blocks(acts):
+        ranks = symrank.generic_power_ranks(mats, p, p - 1)
+        total += mult * np.array([mats[0].shape[0]] + ranks + [0])
+    return RankVector(p, tuple(int(x) for x in total))
 
 
 def generic_type(acts, mode: str = "randomized", seed: int = 0,
@@ -251,7 +276,8 @@ def generic_type(acts, mode: str = "randomized", seed: int = 0,
                                  rank_vector=rv)
     if mode not in ("randomized", "random"):
         raise ArityMismatch(f"unknown mode {mode!r}")
-    samples = max(1, int(samples))
+    if samples < 1:
+        raise PreconditionViolated(f"samples must be at least 1, got {samples}")
     rng = _derive_rng(acts, seed)
     seen: list[RankVector] = []
     for k in (8, 12):

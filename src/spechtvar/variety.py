@@ -8,11 +8,8 @@ Every sweep takes one walk, ``_frobenius_orbits``, and evaluates each
 Frobenius orbit once: the A_i lie over GF(p), so applying the field
 automorphism entrywise maps N(alpha) to N(sigma alpha) and keeps ranks.
 
-Freeness sweeps share one precomputation per module and field: since
-the A_i commute, N^{p-1} = sum over multisets m of multinomial(m) *
-alpha^m * A^m, the point operator of the cached products A^m at the
-scalars multinomial(m) * alpha^m.  ``jordan._point_operator`` is the
-one place that blows an operator up over GF(p).
+Freeness at a point is ``jordan.is_free_at``, rank vectors are
+``jordan.rank_vector_at``; both accept Specht and permutation modules.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import numpy as np
 from . import gfp
 from .errors import InconsistentCounts, RankCheckFailed, TooManyPoints
 from .ffalg import FieldCtx, FieldElement, MultiPoly, poly_eval
-from .jordan import _point_operator, rank_vector_at
+from .jordan import is_free_at, rank_vector_at
 from .partitions import Partition, format_partition
 from .spechtmod import RestrictedActions
 
@@ -104,45 +101,6 @@ def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
     return tuple((e * inv).to_index() for e in elems)
 
 
-class _FreenessOracle:
-    """Shared precomputation for sweeping is_free over many points.
-
-    Decides ``RankVector.is_free`` (rank of N^(p-1) over GF(p^k) equal to
-    d/p, for p | d) from N^(p-1) alone, with an early-exit elimination;
-    the rank-vector path of ``sweep_rank_vectors`` is its test reference.
-    """
-
-    def __init__(self, acts: RestrictedActions, ctx: FieldCtx):
-        self.acts, self.ctx = acts, ctx
-        p, d = acts.p, acts.dim
-        self.target = ctx.k * (d // p)
-        # multisets m with multinomial(m) != 0 mod p, and the products A^m
-        self.terms: list[tuple[tuple[int, ...], int]] = []
-        self.mats: list[np.ndarray] = []
-        for m in itertools.combinations_with_replacement(range(acts.n), p - 1):
-            coef = math.factorial(p - 1)
-            for i in set(m):
-                coef //= math.factorial(m.count(i))
-            if coef % p == 0:
-                continue
-            mat = np.eye(d, dtype=np.int64)
-            for i in m:
-                mat = gfp.mod_matmul(mat, acts.A[i], p)
-            self.terms.append((m, coef % p))
-            self.mats.append(mat)
-
-    def power_blowup(self, codes) -> np.ndarray:
-        """Blown-up matrix of N^(p-1) at the point with these codes."""
-        coords = [self.ctx.element(c) for c in codes]
-        scalars = [math.prod((coords[i] for i in m), start=self.ctx.element(coef))
-                   for m, coef in self.terms]
-        return _point_operator(self.mats, scalars, self.acts.p)[0]
-
-    def is_free(self, codes) -> bool:
-        power = self.power_blowup(codes)
-        return gfp.rank(power, self.acts.p, stop_at=self.target) == self.target
-
-
 _LOCUS_MEMO: dict[tuple, LocusSample] = {}
 
 
@@ -172,20 +130,19 @@ def _frobenius_orbits(p: int, n: int, k: int):
 def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
     """Sweep every projective point of GF(p^k)^n and keep the non-free ones."""
     p, n, d = acts.p, acts.n, acts.dim
-    key = (acts.mu, n, p, k)
+    key = (type(acts).__name__, acts.mu, n, p, k)
     if key in _LOCUS_MEMO:
         return _LOCUS_MEMO[key]
-    points, total, oracle = set(), 0, None
+    points, total = set(), 0
     for orbit in _frobenius_orbits(p, n, k):
+        ctx = FieldCtx.get(p, k)  # cached; only reached past the gate
         total += len(orbit)
-        if d % p == 0:  # otherwise never free anywhere, no elimination needed
-            oracle = oracle or _FreenessOracle(acts, FieldCtx.get(p, k))
-            if oracle.is_free(orbit[0]):
-                continue
+        # p must divide d for freeness anywhere; skipping also skips the warning
+        if d % p == 0 and is_free_at(acts, tuple(ctx.element(c) for c in orbit[0])):
+            continue
         points.update(orbit)
     sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
                          total_projective_points=total)
-    ctx = FieldCtx.get(p, k)
     _check_permutation_closed(sample, ctx)
     if acts.mu == (p,) * p:
         _check_scaling_closed(sample, ctx)
@@ -225,7 +182,7 @@ def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiP
     rows = np.zeros((k * len(pts), len(exps)), dtype=np.int64)
     for r, pt in enumerate(pts):
         for col, e in enumerate(exps):
-            rows[r * k:(r + 1) * k, col] = _eval_monomial(pt, e).coeffs
+            rows[r * k:(r + 1) * k, col] = poly_eval(MultiPoly.monomial(p, e), pt).coeffs
     basis = gfp.nullspace(rows, p)
     out = []
     for j in range(basis.shape[1]):
@@ -253,14 +210,6 @@ def _exponents(nvars: int, total: int):
     for head in range(total, -1, -1):
         for tail in _exponents(nvars - 1, total - head):
             yield (head,) + tail
-
-
-def _eval_monomial(pt, e) -> FieldElement:
-    out = pt[0].ctx.one
-    for x, a in zip(pt, e):
-        for _ in range(a):
-            out = out * x
-    return out
 
 
 def _form_cuts_out(sample: LocusSample, f: MultiPoly) -> bool:

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driving ``main`` in-process."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,24 @@ def test_verify_runs_all_checks(capsys):
     assert len(lines) == 9
     assert all(line.startswith("PASS ") for line in lines[:8])
     assert lines[-1] == "8/8 acceptance checks passed"
+
+
+def test_cache_dir_is_scoped_to_its_command(tmp_path, monkeypatch, capsys):
+    # --cache-dir holds for its own command only; a later command in the
+    # same process is back on SPECHTVAR_CACHE, or on no cache when unset
+    scoped, default = tmp_path / "scoped", tmp_path / "default"
+    monkeypatch.delenv("SPECHTVAR_CACHE", raising=False)
+    run_json(["jordan", "--mu", "(4,2)", "--p", "3", "--cache-dir", str(scoped)], capsys)
+    assert "SPECHTVAR_CACHE" not in os.environ
+    written = sorted(scoped.iterdir())
+    assert len(written) == 1
+    monkeypatch.setenv("SPECHTVAR_CACHE", str(default))
+    run_json(["jordan", "--mu", "(4,2)", "--p", "3", "--cache-dir", str(scoped)], capsys)
+    payload = run_json(["jordan", "--mu", "(5,1)", "--p", "3"], capsys)
+    assert payload["config"]["cache_dir"] == str(default)
+    assert os.environ["SPECHTVAR_CACHE"] == str(default)
+    assert sorted(scoped.iterdir()) == written
+    assert len(list(default.iterdir())) == 1
 
 
 @pytest.mark.parametrize("argv", [

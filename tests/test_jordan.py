@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spechtvar.errors import ArityMismatch, RankCheckFailed, ZeroPoint
+from spechtvar.errors import (ArityMismatch, PreconditionViolated, RankCheckFailed,
+                              ZeroPoint)
 from spechtvar.ffalg import FieldCtx
 from spechtvar.jordan import (JordanType, RankVector, complementary_check,
                               generic_type, is_free_at, jordan_at_point,
@@ -223,3 +224,10 @@ def test_generic_report_seed_determinism():
     b = generic_type(acts, seed=42)
     assert a == b
     assert a.type.blocks == (0, 0, 54)
+
+
+def test_generic_type_rejects_fewer_than_one_sample():
+    acts = restricted_actions((4, 2), 2, 3)
+    for samples in (0, -1):
+        with pytest.raises(PreconditionViolated):
+            generic_type(acts, samples=samples)

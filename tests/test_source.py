@@ -43,3 +43,38 @@ def test_no_unused_imports():
     for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):
         found += _unused_imports(path)
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def _calls(match) -> list[str]:
+    """``module.function`` enclosing each package call that ``match`` accepts."""
+    found = []
+    for path in sorted(Path(spechtvar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and match(path.stem, node)):
+                continue
+            scope = node
+            while scope in parents and not isinstance(scope, ast.FunctionDef):
+                scope = parents[scope]
+            found.append(f"{path.stem}.{getattr(scope, 'name', '<module>')}")
+    return found
+
+
+def _is_attr_call(node: ast.Call, owner: str, name: str) -> bool:
+    f = node.func
+    return (isinstance(f, ast.Attribute) and f.attr == name
+            and isinstance(f.value, ast.Name) and f.value.id == owner)
+
+
+def test_one_blowup_and_one_freeness_elimination():
+    # one companion blowup, and one early-stopping elimination outside gfp:
+    # the one place that decides freeness at a point
+    assert _calls(lambda mod, node: _is_attr_call(node, "np", "kron")) == [
+        "jordan._point_operator"]
+    assert _calls(lambda mod, node: mod != "gfp"
+                  and _is_attr_call(node, "gfp", "rank")
+                  and (len(node.args) > 2
+                       or any(kw.arg == "stop_at" for kw in node.keywords))) == [
+        "jordan.is_free_at"]

@@ -4,7 +4,7 @@ from spechtvar import spechtmod, variety
 from spechtvar.errors import InconsistentCounts, TooManyPoints
 from spechtvar.ffalg import FieldCtx, MultiPoly, poly_eval
 from spechtvar.jordan import is_free_at, rank_vector_at
-from spechtvar.spechtmod import restricted_actions
+from spechtvar.spechtmod import perm_module_actions, restricted_actions
 from spechtvar.variety import (CATALOGUE_P3_9, classify, classify_stable,
                                enumerate_locus, estimate_dimension,
                                homogeneous_vanishing_forms, interpolate_forms,
@@ -157,19 +157,34 @@ def test_sweep_rank_vectors_333():
             assert rv.ranks[2] < 14
 
 
-@pytest.mark.parametrize("mu", [(3, 3, 3), (7, 2), (5, 3, 1)])
-def test_freeness_oracle_matches_rank_vectors(mu):
-    # enumerate_locus decides freeness through _FreenessOracle; the
-    # rank-vector path (RankVector.is_free) is its reference, point by point
-    acts = restricted_actions(mu, 3, 3)
-    rows = list(sweep_rank_vectors(acts, 2))
-    assert len(rows) == 91
-    nonfree = {pt for pt, free, _ in rows if not free}
-    assert enumerate_locus(acts, 2).points == nonfree
-    ctx = FieldCtx.get(3, 2)
-    for pt, free, rv in rows[::15]:
+AXES_2 = {(0, 1), (1, 0)}
+
+
+@pytest.mark.parametrize("build, mu, n, p, k, locus", [
+    (restricted_actions, (3, 3, 3), 3, 3, 2, None),
+    (restricted_actions, (7, 2), 3, 3, 2, None),
+    (restricted_actions, (5, 3, 1), 3, 3, 2, None),
+    (restricted_actions, (4, 4), 4, 2, 3, None),
+    # p=5: the only prime here where N^(p-1) takes more than one product
+    (restricted_actions, (8, 2), 2, 5, 2, AXES_2),
+    (perm_module_actions, (3, 1), 2, 2, 2, AXES_2),
+    (perm_module_actions, (5, 1), 2, 3, 2, AXES_2),
+], ids=["S333-p3", "S72-p3", "S531-p3", "S44-p2", "S82-p5", "M31-p2", "M51-p3"])
+def test_is_free_at_matches_rank_vectors(monkeypatch, build, mu, n, p, k, locus):
+    # is_free_at decides freeness for enumerate_locus; the full rank vector
+    # (RankVector.is_free of rank_vector_at) is its reference at every point
+    acts = build(mu, n, p)
+    monkeypatch.setattr(variety, "_LOCUS_MEMO", {})
+    sample = enumerate_locus(acts, k)
+    ctx = FieldCtx.get(p, k)
+    points = list(projective_points(ctx, n))
+    assert sample.total_projective_points == len(points)
+    for pt in points:
         coords = tuple(ctx.element(c) for c in pt)
-        assert is_free_at(acts, coords) == free == rv.is_free, pt
+        free = rank_vector_at(acts, coords).is_free
+        assert is_free_at(acts, coords) == free == (pt not in sample.points), pt
+    if locus is not None:
+        assert sample.points == locus
 
 
 @pytest.mark.parametrize("mu, p, k, total", [((3, 3, 3), 3, 2, 91),
