@@ -38,7 +38,7 @@ class RankCheckFailed(SpechtvarError):
 
 
 class ZeroPoint(SpechtvarError):
-    """Jordan data requested at the zero point."""
+    """Jordan data or a projective point requested at the zero vector."""
 
 
 class CertificationFailed(SpechtvarError):

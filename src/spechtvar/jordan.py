@@ -156,22 +156,15 @@ def _point_operator(mats: list[np.ndarray], alpha, p: int) -> tuple[np.ndarray, 
     return out % p, k
 
 
-def _blocks(acts) -> list[tuple[list[np.ndarray], int]]:
+def _blocks(acts) -> tuple[tuple[list[np.ndarray], int], ...]:
     """Blocks of the module as (mats, multiplicity); Specht modules are one.
 
     Permutation modules split into orbit blocks, grouped by identical
-    matrices.
+    matrices once per module (``PermutationActions.distinct_blocks``).
     """
     if not isinstance(acts, PermutationActions):
-        return [(acts.A, 1)]
-    groups: dict[bytes, tuple[list[np.ndarray], int]] = {}
-    for _, mats in acts.block_actions():
-        key = b"|".join(m.tobytes() + str(m.shape[0]).encode() for m in mats)
-        if key in groups:
-            groups[key] = (groups[key][0], groups[key][1] + 1)
-        else:
-            groups[key] = (mats, 1)
-    return list(groups.values())
+        return ((acts.A, 1),)
+    return acts.distinct_blocks
 
 
 def _powers(op: np.ndarray, p: int):

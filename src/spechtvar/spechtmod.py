@@ -19,7 +19,7 @@ import os
 import zipfile
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +326,21 @@ class PermutationActions:
                         stack.append(w)
             out.append(np.array(sorted(members), dtype=np.int64))
         return out
+
+    @cached_property
+    def distinct_blocks(self) -> tuple[tuple[list[np.ndarray], int], ...]:
+        """``block_actions`` grouped by identical matrices, as (mats, count).
+
+        Built once per module; every point evaluation walks these blocks.
+        """
+        groups: dict[bytes, tuple[list[np.ndarray], int]] = {}
+        for _, mats in self.block_actions():
+            key = b"|".join(m.tobytes() + str(m.shape[0]).encode() for m in mats)
+            if key in groups:
+                groups[key] = (groups[key][0], groups[key][1] + 1)
+            else:
+                groups[key] = (mats, 1)
+        return tuple(groups.values())
 
     def block_actions(self):
         """Per-orbit dense (g_i - 1) blocks; Jordan data adds over blocks."""

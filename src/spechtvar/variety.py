@@ -4,9 +4,14 @@ Points are projective: the first nonzero coordinate is normalized to 1,
 which is sound because Jordan type is invariant under scaling.  A point
 is stored as a tuple of field-element codes (integers below p^k).
 
-Every sweep takes one walk, ``_frobenius_orbits``, and evaluates each
-Frobenius orbit once: the A_i lie over GF(p), so applying the field
-automorphism entrywise maps N(alpha) to N(sigma alpha) and keeps ranks.
+Every sweep takes one walk, ``_point_orbits``, and evaluates one point
+per orbit of the group generated by the Frobenius and the coordinate
+permutations.  Both keep the rank vector, so the quotient is exact:
+the A_i lie over GF(p), so applying the field automorphism entrywise
+maps N(alpha) to N(alpha^p); and the permutation of S_m sending the
+p-cycle g_i to g_sigma(i) normalises E_n and conjugates A_i to
+A_sigma(i) on any S_m-module (Specht and permutation modules alike), so
+N(alpha) and N(sigma alpha) are conjugate.
 
 Freeness at a point is ``jordan.is_free_at``, rank vectors are
 ``jordan.rank_vector_at``; both accept Specht and permutation modules.
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .errors import InconsistentCounts, RankCheckFailed, TooManyPoints
+from .errors import InconsistentCounts, RankCheckFailed, TooManyPoints, ZeroPoint
 from .ffalg import FieldCtx, FieldElement, MultiPoly, poly_eval
 from .jordan import is_free_at, rank_vector_at
 from .partitions import Partition, format_partition
@@ -96,7 +101,7 @@ def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
     elems = [ctx.element(c) for c in codes]
     lead = next((e for e in elems if e), None)
     if lead is None:
-        raise ValueError("zero vector is not projective")
+        raise ZeroPoint("zero vector is not projective")
     inv = lead.inverse()
     return tuple((e * inv).to_index() for e in elems)
 
@@ -104,26 +109,38 @@ def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
 _LOCUS_MEMO: dict[tuple, LocusSample] = {}
 
 
-def _frobenius_orbits(p: int, n: int, k: int):
-    """Each Frobenius orbit of projective points once, representative first.
+def _point_orbits(p: int, n: int, k: int):
+    """Each orbit of projective points under Frobenius x S_n once.
 
     The one sweep walk, and the one place ``_POINT_GATE`` is enforced.
-    Orbits are coordinatewise; normalization survives (1 is fixed).
+    An orbit is listed from its first point in ``projective_points``
+    order, the representative.  The Frobenius is a code table and keeps
+    normalization (1 is fixed); a transposed point is normalized again.
     """
     q = p**k
     total = (q**n - 1) // (q - 1)
     if total > _POINT_GATE:
         raise TooManyPoints(f"{total} projective points exceed the sweep gate")
     ctx = FieldCtx.get(p, k)
+    frob = [(ctx.element(c) ** p).to_index() for c in range(q)]
     seen = set()
     for pt in projective_points(ctx, n):
         if pt in seen:
             continue
-        orbit, cur = [], pt
-        while cur not in orbit:
-            orbit.append(cur)
-            cur = tuple((ctx.element(c) ** p).to_index() for c in cur)
-        seen.update(orbit)
+        seen.add(pt)
+        orbit, todo = [pt], [pt]
+        while todo:
+            cur = todo.pop()
+            moved = [tuple(frob[c] for c in cur)]
+            for i in range(n - 1):
+                swapped = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
+                lead = next(c for c in swapped if c)
+                moved.append(swapped if lead == 1 else normalize_point(swapped, ctx))
+            for img in moved:
+                if img not in seen:
+                    seen.add(img)
+                    orbit.append(img)
+                    todo.append(img)
         yield orbit
 
 
@@ -134,7 +151,7 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
     if key in _LOCUS_MEMO:
         return _LOCUS_MEMO[key]
     points, total = set(), 0
-    for orbit in _frobenius_orbits(p, n, k):
+    for orbit in _point_orbits(p, n, k):
         ctx = FieldCtx.get(p, k)  # cached; only reached past the gate
         total += len(orbit)
         # p must divide d for freeness anywhere; skipping also skips the warning
@@ -143,20 +160,12 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
         points.update(orbit)
     sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
                          total_projective_points=total)
-    _check_permutation_closed(sample, ctx)
+    # coordinate permutations are in the walk's group; scaling by GF(p)^*
+    # is not, so for (p^p) it is still checked
     if acts.mu == (p,) * p:
         _check_scaling_closed(sample, ctx)
     _LOCUS_MEMO[key] = sample
     return sample
-
-
-def _check_permutation_closed(sample: LocusSample, ctx: FieldCtx) -> None:
-    for pt in sample.points:
-        for sigma in itertools.permutations(range(sample.n)):
-            moved = normalize_point([pt[i] for i in sigma], ctx)
-            if moved not in sample.points:
-                raise RankCheckFailed(f"locus of {format_partition(sample.mu)} not "
-                                      f"closed under permutations: {pt} -> {moved}")
 
 
 def _check_scaling_closed(sample: LocusSample, ctx: FieldCtx) -> None:
@@ -213,14 +222,18 @@ def _exponents(nvars: int, total: int):
 
 
 def _form_cuts_out(sample: LocusSample, f: MultiPoly) -> bool:
-    # f has GF(p) coefficients, so its zero set is a union of Frobenius
-    # orbits, as the locus is: comparing representatives is enough
+    """True iff f vanishes exactly on the locus, checked at every point.
+
+    f has GF(p) coefficients, so only the Frobenius is sure to keep its
+    zero set; an interpolated form need not be permutation-symmetric, so
+    every member of every orbit is evaluated.
+    """
     ctx = FieldCtx.get(sample.p, sample.k)
-    for orbit in _frobenius_orbits(sample.p, sample.n, sample.k):
-        coords = tuple(ctx.element(c) for c in orbit[0])
-        vanishes = not poly_eval(f, coords)
-        if vanishes != (orbit[0] in sample.points):
-            return False
+    for orbit in _point_orbits(sample.p, sample.n, sample.k):
+        for pt in orbit:
+            vanishes = not poly_eval(f, tuple(ctx.element(c) for c in pt))
+            if vanishes != (pt in sample.points):
+                return False
     return True
 
 
@@ -349,9 +362,10 @@ def _dimension_from_counts(acts: RestrictedActions, affine: dict[int, int]) -> i
 def sweep_rank_vectors(acts: RestrictedActions, k: int):
     """(point codes, free flag, rank vector) per projective point; CLI fodder.
 
-    One rank vector per Frobenius orbit, reported for each of its points.
+    One rank vector per orbit of ``_point_orbits``, reported for each of
+    its points: the Frobenius and coordinate permutations keep it.
     """
-    for orbit in _frobenius_orbits(acts.p, acts.n, k):
+    for orbit in _point_orbits(acts.p, acts.n, k):
         ctx = FieldCtx.get(acts.p, k)  # cached; only reached past the gate
         rv = rank_vector_at(acts, tuple(ctx.element(c) for c in orbit[0]))
         for pt in orbit:

@@ -9,7 +9,8 @@ from spechtvar.jordan import (JordanType, RankVector, complementary_check,
                               rank_vector_at, stable_type)
 from spechtvar.partitions import p_core_weight, partitions_of
 from spechtvar.phimap import find_ab
-from spechtvar.spechtmod import perm_module_actions, restricted_actions
+from spechtvar.spechtmod import (PermutationActions, perm_module_actions,
+                                 restricted_actions)
 
 
 def test_rank_vector_validation():
@@ -142,6 +143,18 @@ def test_perm_module_generic_types():
     small = perm_module_actions((4, 2), 2, 3)
     assert (generic_type(small, mode="exact").type
             == generic_type(small, seed=5).type)
+
+
+def test_generic_type_builds_permutation_blocks_once(monkeypatch):
+    # the orbit blocks are grouped once per module, not once per sample
+    calls = []
+    real = PermutationActions.block_actions
+    monkeypatch.setattr(PermutationActions, "block_actions",
+                        lambda self: calls.append(self) or real(self))
+    rep = generic_type(perm_module_actions((4, 4), 4, 2))
+    assert len(calls) == 1
+    assert (rep.rank_vector.ranks, rep.type.blocks) == ((70, 32, 0), (6, 32))
+    assert (rep.samples, rep.field.k) == (5, 8)
 
 
 def test_scaling_invariance():

@@ -78,3 +78,11 @@ def test_one_blowup_and_one_freeness_elimination():
                   and (len(node.args) > 2
                        or any(kw.arg == "stop_at" for kw in node.keywords))) == [
         "jordan.is_free_at"]
+
+
+def test_one_point_walk():
+    # every sweep enumerates points through the one orbit walk
+    def names_projective_points(mod, node):
+        f = node.func
+        return getattr(f, "id", getattr(f, "attr", None)) == "projective_points"
+    assert _calls(names_projective_points) == ["variety._point_orbits"]

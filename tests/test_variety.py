@@ -1,7 +1,7 @@
 import pytest
 
 from spechtvar import spechtmod, variety
-from spechtvar.errors import InconsistentCounts, TooManyPoints
+from spechtvar.errors import InconsistentCounts, TooManyPoints, ZeroPoint
 from spechtvar.ffalg import FieldCtx, MultiPoly, poly_eval
 from spechtvar.jordan import is_free_at, rank_vector_at
 from spechtvar.spechtmod import perm_module_actions, restricted_actions
@@ -30,26 +30,40 @@ def test_normalize_point():
     ctx = FieldCtx.get(3, 1)
     assert normalize_point((0, 2, 1), ctx) == (0, 1, 2)
     assert normalize_point((2, 2, 0), ctx) == (1, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroPoint):
         normalize_point((0, 0, 0), ctx)
 
 
-def test_frobenius_orbits_partition_points():
-    ctx = FieldCtx.get(3, 3)
-    seen = set()
-    sizes = set()
-    for orbit in variety._frobenius_orbits(3, 2, 3):
-        sizes.add(len(orbit))
-        assert not seen & set(orbit)
-        seen.update(orbit)
-        # each member's coordinates are the cubes of the previous member's
-        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
-            assert b == tuple((ctx.element(c) ** 3).to_index() for c in a)
-        # rational points are Galois-fixed
-        if all(c < 3 for c in orbit[0]):
-            assert orbit == [orbit[0]]
-    assert seen == set(projective_points(ctx, 2))
-    assert sizes <= {1, 3}
+@pytest.mark.parametrize("p, n, k, count", [
+    (3, 3, 3, 53), (3, 3, 2, 15), (2, 4, 3, 21), (2, 4, 2, 10), (2, 3, 3, 9),
+    (2, 3, 2, 6)], ids=["GF27-n3", "GF9-n3", "GF8-n4", "GF4-n4", "GF8-n3", "GF4-n3"])
+def test_point_orbits_partition_points(p, n, k, count):
+    ctx = FieldCtx.get(p, k)
+    order = {pt: i for i, pt in enumerate(projective_points(ctx, n))}
+    orbits = list(variety._point_orbits(p, n, k))
+    assert len(orbits) == count
+    owner = {}
+    for idx, orbit in enumerate(orbits):
+        assert not owner.keys() & set(orbit)
+        owner.update(dict.fromkeys(orbit, idx))
+        # the representative is listed first and is the orbit's least point
+        assert orbit[0] == min(orbit, key=order.__getitem__)
+        members = set(orbit)
+        for pt in orbit:
+            assert tuple((ctx.element(c) ** p).to_index() for c in pt) in members
+            for i in range(n):
+                for j in range(i + 1, n):
+                    swapped = list(pt)
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    assert normalize_point(swapped, ctx) in members, (pt, i, j)
+    assert owner.keys() == order.keys()
+    # GF(p)-rational points with one coordinate multiset are permutations
+    # of each other, so they share an orbit
+    rational = {}
+    for pt in order:
+        if all(c < p for c in pt):
+            rational.setdefault(tuple(sorted(pt)), set()).add(owner[pt])
+    assert all(len(owners) == 1 for owners in rational.values())
 
 
 def test_locus_331_empty_everywhere_sampled():
@@ -158,18 +172,22 @@ def test_sweep_rank_vectors_333():
 
 
 AXES_2 = {(0, 1), (1, 0)}
+AXES_3 = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
 @pytest.mark.parametrize("build, mu, n, p, k, locus", [
     (restricted_actions, (3, 3, 3), 3, 3, 2, None),
     (restricted_actions, (7, 2), 3, 3, 2, None),
     (restricted_actions, (5, 3, 1), 3, 3, 2, None),
+    # 757 points in 53 orbits, most of them mixing S_3 and the Frobenius
+    (restricted_actions, (7, 2), 3, 3, 3, AXES_3),
     (restricted_actions, (4, 4), 4, 2, 3, None),
     # p=5: the only prime here where N^(p-1) takes more than one product
     (restricted_actions, (8, 2), 2, 5, 2, AXES_2),
     (perm_module_actions, (3, 1), 2, 2, 2, AXES_2),
     (perm_module_actions, (5, 1), 2, 3, 2, AXES_2),
-], ids=["S333-p3", "S72-p3", "S531-p3", "S44-p2", "S82-p5", "M31-p2", "M51-p3"])
+], ids=["S333-p3", "S72-p3", "S531-p3", "S72-p3-GF27", "S44-p2", "S82-p5",
+        "M31-p2", "M51-p3"])
 def test_is_free_at_matches_rank_vectors(monkeypatch, build, mu, n, p, k, locus):
     # is_free_at decides freeness for enumerate_locus; the full rank vector
     # (RankVector.is_free of rank_vector_at) is its reference at every point
@@ -187,21 +205,31 @@ def test_is_free_at_matches_rank_vectors(monkeypatch, build, mu, n, p, k, locus)
         assert sample.points == locus
 
 
-@pytest.mark.parametrize("mu, p, k, total", [((3, 3, 3), 3, 2, 91),
-                                              ((4, 4), 2, 3, 585)])
-def test_sweep_rank_vectors_matches_direct_evaluation(mu, p, k, total):
-    # sweep_rank_vectors evaluates one point per Frobenius orbit and copies
-    # its rank vector to the rest; rank_vector_at at every point is the
-    # reference
-    n = sum(mu) // p
-    acts = restricted_actions(mu, n, p)
-    ctx = FieldCtx.get(p, k)
+def _check_sweep_against_direct_evaluation(acts, k, total):
+    # sweep_rank_vectors evaluates one point per Frobenius x S_n orbit and
+    # copies its rank vector to the rest; rank_vector_at at every point is
+    # the reference
+    ctx = FieldCtx.get(acts.p, k)
     rows = list(sweep_rank_vectors(acts, k))
     assert len(rows) == total
-    assert sorted(pt for pt, _, _ in rows) == sorted(projective_points(ctx, n))
+    assert sorted(pt for pt, _, _ in rows) == sorted(projective_points(ctx, acts.n))
     for pt, free, rv in rows:
         direct = rank_vector_at(acts, tuple(ctx.element(c) for c in pt))
         assert rv == direct and free == direct.is_free, pt
+
+
+@pytest.mark.parametrize("mu, p, k, total", [((3, 3, 3), 3, 2, 91),
+                                              ((4, 4), 2, 3, 585),
+                                              ((7, 2), 3, 3, 757)])
+def test_sweep_rank_vectors_matches_direct_evaluation(mu, p, k, total):
+    acts = restricted_actions(mu, sum(mu) // p, p)
+    _check_sweep_against_direct_evaluation(acts, k, total)
+
+
+def test_sweep_rank_vectors_matches_direct_evaluation_with_fixed_letters():
+    # M^(5,3) at n=3, p=2: two letters lie outside the p-cycles
+    acts = perm_module_actions((5, 3), 3, 2)
+    _check_sweep_against_direct_evaluation(acts, 2, 21)
 
 
 def test_classify_builds_no_module(monkeypatch):
