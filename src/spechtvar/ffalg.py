@@ -6,18 +6,21 @@ the monic irreducible of degree k whose non-leading coefficient vector
 Elements carry their coefficient vector; the same encoding doubles as a
 stable integer code for storage and enumeration order.
 
-Matrices stay over GF(p).  ``FieldCtx.mul_matrix`` gives the k-by-k
-multiplication matrix of an element, and ``jordan._point_operator``, the
-one blowup site, builds the companion blowup from it: replacing each
-entry by its multiplication matrix is a ring homomorphism, so
-rank_GF(p)(blowup(M)) = k * rank_GF(p^k)(M).  Rank vectors, freeness
-tests and the ``variety`` sweeps all go through it.
+For q = p^k <= ``TABLE_CAP`` (3^12) a context also holds log/Zech tables
+over its codes (``FieldCtx.tables``, built on first use): with a fixed
+primitive element g, a nonzero code is g^l and is stored as the log l,
+products are sums of logs and sums use the Zech logarithm,
+g^a + g^b = g^(a + zech[b - a]) (Lidl and Niederreiter, Finite Fields,
+section 10.3).  ``gfq`` eliminates on d-by-d matrices of log codes with
+them, and the sweeps normalise points and apply the Frobenius by lookup.
+``FieldCtx.mul_matrix`` gives the k-by-k multiplication matrix of an
+element over GF(p); the tables are built with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -148,6 +151,42 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+# Largest field with log/Zech tables: GF(3^12) takes about 10 MB of them.
+# GF(5^12) would need about 4 GB; it keeps the companion blowup (``gfq``).
+TABLE_CAP = 3**12
+_TABLE_BLOCK = 4096  # powers of g per step of the table build
+
+
+@dataclass(frozen=True, eq=False)
+class LogTables:
+    """Lookup tables over the codes of GF(q), q <= ``TABLE_CAP``.
+
+    g is the least code of a primitive element and order = q - 1.  For a
+    nonzero code c, ``exp[log[c]] == c``; ``log[0] == -1`` stands for zero.
+    ``exp`` has length 2 * order, so ``exp[a + b]`` needs no reduction for
+    logs a, b below order.  ``zech[n] = log(1 + g^n)``, -1 when that sum is
+    zero, and ``neg = log(-1)``.  All three arrays are int32.
+    """
+
+    g: int
+    order: int
+    neg: int
+    exp: np.ndarray
+    log: np.ndarray
+    zech: np.ndarray
+
+
 class FieldCtx:
     """Arithmetic context for GF(p^k)."""
 
@@ -173,6 +212,8 @@ class FieldCtx:
             for j in range(k):
                 mats[c, :, j] = tpow[c + j]
         self.tmats = mats
+        # column e holds the power-basis coefficients of t^e, e <= 2k - 2
+        self.reduction = np.array(tpow, dtype=np.int64).T
 
     @classmethod
     @lru_cache(maxsize=None)
@@ -230,7 +271,7 @@ class FieldCtx:
             if any(pt):
                 return pt
 
-    # -- blowup support -------------------------------------------------------
+    # -- matrices over GF(p) and code tables -----------------------------------
 
     def mul_matrix(self, elem: "FieldElement") -> np.ndarray:
         """k-by-k multiplication matrix of elem over GF(p)."""
@@ -239,6 +280,50 @@ class FieldCtx:
             if coef:
                 out += coef * self.tmats[c]
         return out % self.p
+
+    @cached_property
+    def tables(self) -> LogTables:
+        """Log/Zech tables of this field, built on first use."""
+        if self.q > TABLE_CAP:
+            raise PreconditionViolated(f"no log tables for GF({self.p}^{self.k}): "
+                                       f"{self.q} elements exceed {TABLE_CAP}")
+        p, k, order = self.p, self.k, self.q - 1
+        g = next(c for c in range(1, self.q)
+                 if all(self.element(c) ** (order // r) != self.one
+                        for r in _prime_factors(order)))
+        # coefficient rows of g^0 .. g^(b-1) by doubling with the
+        # multiplication matrix of g^(2^j); each further block of b powers
+        # is those rows times the matrix of g^s, turned into codes at once
+        rows = np.zeros((1, k), dtype=np.int64)
+        rows[0, 0] = 1
+        step = self.element(g)
+        while len(rows) < min(order, _TABLE_BLOCK):
+            rows = np.concatenate([rows, rows @ self.mul_matrix(step).T % p])
+            step = step * step
+        weights = p ** np.arange(k)
+        exp = np.empty(2 * order, dtype=np.int32)
+        codes = exp[:order]
+        shift = self.one  # g^s
+        for s in range(0, order, len(rows)):
+            block = rows[:order - s] @ self.mul_matrix(shift).T % p
+            codes[s:s + len(block)] = block @ weights
+            shift = shift * step
+        exp[order:] = codes
+        logs = np.full(self.q, -1, dtype=np.int32)
+        logs[codes] = np.arange(order, dtype=np.int32)
+        one_plus = codes + 1  # 1 + g^n: add 1 to the constant digit
+        one_plus[codes % p == p - 1] -= p
+        return LogTables(g=g, order=order, neg=order // 2 if p > 2 else 0,
+                         exp=exp, log=logs,
+                         zech=logs[one_plus])
+
+    @cached_property
+    def frob(self) -> np.ndarray:
+        """Code of c^p for each code c, g^l -> g^(p*l); built on first use."""
+        t = self.tables
+        out = t.exp[self.p * t.log.astype(np.int64) % t.order]
+        out[0] = 0
+        return out
 
 
 @dataclass(frozen=True)

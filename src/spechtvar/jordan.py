@@ -1,9 +1,9 @@
 """Jordan types of the nilpotent operators N = sum alpha_i A_i.
 
-A point alpha with coordinates in GF(p^k) is handled over GF(p) through
-the companion blowup kron(A_i, mul_matrix(alpha_i)); ranks over the
-extension are blowup ranks divided by k.  The Jordan type is recovered
-from the rank vector (r_0, ..., r_p) by the second difference
+A point alpha with coordinates in GF(p^k) gives N as k coefficient
+slices over GF(p) (the A_i lie over GF(p)); its powers and ranks over
+GF(p^k) come from ``gfq``.  The Jordan type is recovered from the rank
+vector (r_0, ..., r_p) by the second difference
 b_s = r_{s-1} - 2 r_s + r_{s+1}.
 
 Every evaluation walks the blocks of ``_blocks``: a permutation module
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gfp, symrank
+from . import gfq, symrank
 from .errors import (ArityMismatch, CertificationFailed, PreconditionViolated,
                      RankCheckFailed, ZeroPoint)
 from .ffalg import FieldCtx, FieldElement
@@ -117,8 +117,8 @@ def complementary_check(t1: JordanType, t2: JordanType, p: int) -> bool:
 # pointwise evaluation
 
 
-def _coerce_point(alpha, n: int, p: int) -> tuple[list, int]:
-    """Normalize a point to a list of coordinates plus extension degree."""
+def _coerce_point(alpha, n: int, p: int) -> tuple[np.ndarray, FieldCtx]:
+    """Coefficient rows (n x k) of a point's coordinates, plus their field."""
     alpha = list(alpha)
     if len(alpha) != n:
         raise ArityMismatch(f"point has {len(alpha)} coordinates, need {n}")
@@ -126,34 +126,27 @@ def _coerce_point(alpha, n: int, p: int) -> tuple[list, int]:
         ctx = next(a.ctx for a in alpha if isinstance(a, FieldElement))
         if ctx.p != p:
             raise ArityMismatch(f"point has characteristic {ctx.p}, module has {p}")
-        alpha = [ctx.element(a) for a in alpha]
-        if not any(alpha):
-            raise ZeroPoint("alpha = 0 has no Jordan type")
-        if ctx.k == 1:
-            return [a.coeffs[0] for a in alpha], 1
-        return alpha, ctx.k
-    alpha = [int(a) % p for a in alpha]
-    if not any(alpha):
+        coeffs = np.array([ctx.element(a).coeffs for a in alpha], dtype=np.int64)
+    else:
+        ctx = FieldCtx.get(p, 1)
+        coeffs = np.array([[int(a) % p] for a in alpha], dtype=np.int64)
+    if not coeffs.any():
         raise ZeroPoint("alpha = 0 has no Jordan type")
-    return alpha, 1
+    return coeffs, ctx
 
 
-def _point_operator(mats: list[np.ndarray], alpha, p: int) -> tuple[np.ndarray, int]:
-    """Blown-up GF(p) matrix of N = sum alpha_i A_i, plus the degree k."""
-    coords, k = _coerce_point(alpha, len(mats), p)
+def _point_operator(mats: list[np.ndarray], alpha, p: int) -> tuple[np.ndarray, FieldCtx]:
+    """N = sum alpha_i A_i as k slices over GF(p), shape (k, d, d), plus GF(p^k).
+
+    The A_i lie over GF(p), so slice c is sum_i alpha_i[c] A_i.
+    """
+    coeffs, ctx = _coerce_point(alpha, len(mats), p)
     d = mats[0].shape[0]
-    if k == 1:
-        out = np.zeros((d, d), dtype=np.int64)
-        for a, m in zip(coords, mats):
-            if a:
-                out += a * m
-        return out % p, 1
-    ctx = coords[0].ctx
-    out = np.zeros((d * k, d * k), dtype=np.int64)
-    for a, m in zip(coords, mats):
-        if a:
-            out += np.kron(m, ctx.mul_matrix(a))
-    return out % p, k
+    out = np.zeros((ctx.k, d, d), dtype=np.int64)
+    for row, m in zip(coeffs, mats):
+        for c in np.flatnonzero(row):
+            out[c] += row[c] * m
+    return out % p, ctx
 
 
 def _blocks(acts) -> tuple[tuple[list[np.ndarray], int], ...]:
@@ -167,23 +160,18 @@ def _blocks(acts) -> tuple[tuple[list[np.ndarray], int], ...]:
     return acts.distinct_blocks
 
 
-def _powers(op: np.ndarray, p: int):
-    """N, N^2, ..., N^(p-1) in turn; N^p, which is zero, is never formed."""
+def _powers(op: np.ndarray, ctx: FieldCtx):
+    """Slices of N, N^2, ..., N^(p-1) in turn; N^p, which is zero, is never formed."""
     power = op
-    for _ in range(p - 2):
+    for _ in range(ctx.p - 2):
         yield power
-        power = gfp.mod_matmul(power, op, p)
+        power = gfq.matmul(power, op, ctx)
     yield power
 
 
-def _rank_vector_of_operator(op: np.ndarray, k: int, p: int) -> RankVector:
-    ranks = [op.shape[0] // k]
-    for power in _powers(op, p):
-        r = gfp.rank(power, p)
-        if r % k:
-            raise RankCheckFailed(f"blowup rank {r} is not a multiple of {k}")
-        ranks.append(r // k)
-    return RankVector(p, tuple(ranks) + (0,))
+def _rank_vector_of_operator(op: np.ndarray, ctx: FieldCtx) -> RankVector:
+    ranks = [op.shape[1]] + [gfq.rank(power, ctx) for power in _powers(op, ctx)]
+    return RankVector(ctx.p, tuple(ranks) + (0,))
 
 
 def rank_vector_at(acts, alpha) -> RankVector:
@@ -191,8 +179,8 @@ def rank_vector_at(acts, alpha) -> RankVector:
     p = acts.p
     total = np.zeros(p + 1, dtype=np.int64)
     for mats, mult in _blocks(acts):
-        op, k = _point_operator(mats, alpha, p)
-        total += mult * np.array(_rank_vector_of_operator(op, k, p).ranks)
+        op, ctx = _point_operator(mats, alpha, p)
+        total += mult * np.array(_rank_vector_of_operator(op, ctx).ranks)
     return RankVector(p, tuple(int(x) for x in total))
 
 
@@ -204,9 +192,9 @@ def is_free_at(acts, alpha) -> bool:
     """True iff the restriction along u_alpha is free, i.e. every block is.
 
     The one place freeness at a point is decided.  A block of dimension d
-    is free iff p | d and rank N^(p-1) = d/p over GF(p^k), k*d/p on the
-    blowup.  That rank counts the Jordan blocks of size p, so it never
-    exceeds d/p and the elimination stops once it gets there.  Agrees
+    is free iff p | d and rank N^(p-1) = d/p over GF(p^k).  That rank
+    counts the Jordan blocks of size p, so it never exceeds d/p, and the
+    GF(p^k) elimination of ``gfq.rank`` stops once it gets there.  Agrees
     with ``RankVector.is_free`` of ``rank_vector_at``.
     """
     p = acts.p
@@ -214,13 +202,12 @@ def is_free_at(acts, alpha) -> bool:
         warnings.warn(f"dim {acts.dim} not divisible by {p}; module cannot be free",
                       RuntimeWarning, stacklevel=2)
     for mats, _ in _blocks(acts):
-        op, k = _point_operator(mats, alpha, p)  # validates alpha in every case
+        op, ctx = _point_operator(mats, alpha, p)  # validates alpha in every case
         d = mats[0].shape[0]
         if d % p:
             return False
-        *_, top = _powers(op, p)
-        target = k * (d // p)
-        if gfp.rank(top, p, stop_at=target) != target:
+        *_, top = _powers(op, ctx)
+        if gfq.rank(top, ctx, stop_at=d // p) != d // p:
             return False
     return True
 

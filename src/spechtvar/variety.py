@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gfp
 from .errors import InconsistentCounts, RankCheckFailed, TooManyPoints, ZeroPoint
-from .ffalg import FieldCtx, FieldElement, MultiPoly, poly_eval
+from .ffalg import TABLE_CAP, FieldCtx, FieldElement, MultiPoly, poly_eval
 from .jordan import is_free_at, rank_vector_at
 from .partitions import Partition, format_partition
 from .spechtmod import RestrictedActions
@@ -98,15 +98,29 @@ def projective_points(ctx: FieldCtx, n: int):
 
 
 def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
-    elems = [ctx.element(c) for c in codes]
-    lead = next((e for e in elems if e), None)
+    """Scale a nonzero code vector so its first nonzero coordinate is 1."""
+    lead = next((c for c in codes if c), None)
     if lead is None:
         raise ZeroPoint("zero vector is not projective")
-    inv = lead.inverse()
-    return tuple((e * inv).to_index() for e in elems)
+    if ctx.q > TABLE_CAP:  # no tables: FieldElement arithmetic
+        inv = ctx.element(lead).inverse()
+        return tuple((ctx.element(c) * inv).to_index() for c in codes)
+    t = ctx.tables
+    shift = t.order - t.log[lead]  # log of 1/lead, in 1..order
+    return tuple(int(t.exp[t.log[c] + shift]) if c else 0 for c in codes)
 
 
 _LOCUS_MEMO: dict[tuple, LocusSample] = {}
+
+
+def _frobenius(ctx: FieldCtx):
+    """Code map c -> c^p: the table, or FieldElement powers above ``TABLE_CAP``.
+
+    Above the cap (GF(5^12)) the sweep gate leaves only n = 1, one point.
+    """
+    if ctx.q <= TABLE_CAP:
+        return ctx.frob.tolist().__getitem__
+    return lambda c: (ctx.element(c) ** ctx.p).to_index()
 
 
 def _point_orbits(p: int, n: int, k: int):
@@ -114,7 +128,7 @@ def _point_orbits(p: int, n: int, k: int):
 
     The one sweep walk, and the one place ``_POINT_GATE`` is enforced.
     An orbit is listed from its first point in ``projective_points``
-    order, the representative.  The Frobenius is a code table and keeps
+    order, the representative.  The Frobenius is a code lookup and keeps
     normalization (1 is fixed); a transposed point is normalized again.
     """
     q = p**k
@@ -122,7 +136,7 @@ def _point_orbits(p: int, n: int, k: int):
     if total > _POINT_GATE:
         raise TooManyPoints(f"{total} projective points exceed the sweep gate")
     ctx = FieldCtx.get(p, k)
-    frob = [(ctx.element(c) ** p).to_index() for c in range(q)]
+    frob = _frobenius(ctx)
     seen = set()
     for pt in projective_points(ctx, n):
         if pt in seen:
@@ -131,7 +145,7 @@ def _point_orbits(p: int, n: int, k: int):
         orbit, todo = [pt], [pt]
         while todo:
             cur = todo.pop()
-            moved = [tuple(frob[c] for c in cur)]
+            moved = [tuple(map(frob, cur))]
             for i in range(n - 1):
                 swapped = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
                 lead = next(c for c in swapped if c)
@@ -169,11 +183,12 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
 
 
 def _check_scaling_closed(sample: LocusSample, ctx: FieldCtx) -> None:
-    units = [c for c in range(1, sample.p)]
+    t = ctx.tables  # (p^p) sweeps stay far below TABLE_CAP under the gate
+    unit_logs = [int(t.log[c]) for c in range(1, sample.p)]  # GF(p)^* codes
     for pt in sample.points:
-        for scales in itertools.product(units, repeat=sample.n):
-            moved = [ctx.element(c) * ctx.element(s) for c, s in zip(pt, scales)]
-            moved = normalize_point([e.to_index() for e in moved], ctx)
+        for scales in itertools.product(unit_logs, repeat=sample.n):
+            moved = normalize_point([int(t.exp[t.log[c] + s]) if c else 0
+                                     for c, s in zip(pt, scales)], ctx)
             if moved not in sample.points:
                 raise RankCheckFailed(f"locus of {format_partition(sample.mu)} not "
                                       f"closed under GF(p)^* scaling: {pt} -> {moved}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spechtvar import gfp
+from spechtvar import gfp, gfq
 from spechtvar.errors import ArityMismatch
 from spechtvar.ffalg import FieldCtx, MultiPoly, poly_eval
 from spechtvar.jordan import _point_operator
@@ -63,7 +63,7 @@ def test_mul_matrix_is_ring_hom():
         assert tuple(ma[:, 0]) == a.coeffs
 
 
-# -- ranks over GF(p^k) through the companion blowup --------------------------
+# -- ranks over GF(p^k): the GF(q) kernel against the companion blowup -------
 
 def naive_rank_ff(rows) -> int:
     """Textbook elimination using only FieldElement arithmetic."""
@@ -96,8 +96,8 @@ def entries_matmul(ctx, a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def blowup(ctx, entries) -> np.ndarray:
-    """GF(p) blowup of a square GF(p^k) matrix M, built by jordan._point_operator.
+def point_slices(ctx, entries) -> np.ndarray:
+    """Slices (k, d, d) of a square GF(p^k) matrix M, built by jordan._point_operator.
 
     M = sum_c t^c M_c is the operator sum_c alpha_c M_c at the point
     alpha = (t^0, ..., t^(k-1)), with the coefficient slices M_c as the
@@ -106,14 +106,22 @@ def blowup(ctx, entries) -> np.ndarray:
     slices = [np.array([[e.coeffs[c] for e in row] for row in entries], dtype=np.int64)
               for c in range(ctx.k)]
     point = tuple(ctx.element([int(c == j) for j in range(ctx.k)]) for c in range(ctx.k))
-    op, k = _point_operator(slices, point, ctx.p)
-    assert k == ctx.k
+    op, op_ctx = _point_operator(slices, point, ctx.p)
+    assert op_ctx.k == ctx.k
     return op
 
 
+def blowup(ctx, slices) -> np.ndarray:
+    """GF(p) companion blowup sum_c kron(M_c, tmats[c]) of the slices."""
+    return sum(np.kron(s, ctx.tmats[c]) for c, s in enumerate(slices)) % ctx.p
+
+
 def rank_ff(ctx, entries) -> int:
-    r, rem = divmod(gfp.rank(blowup(ctx, entries), ctx.p), ctx.k)
+    """Rank by the GF(q) kernel, checked against the blowup on the way."""
+    op = point_slices(ctx, entries)
+    r, rem = divmod(gfp.rank(blowup(ctx, op), ctx.p), ctx.k)
     assert rem == 0  # blowup rank = k * rank over GF(p^k)
+    assert gfq.rank(op, ctx) == r
     return r
 
 
@@ -139,12 +147,17 @@ def test_rank_matches_naive_elimination(p, k):
 
 
 def test_blowup_is_multiplicative():
+    # the slice product is the product over GF(9), and its blowup is the
+    # product of the blowups
     ctx = FieldCtx.get(3, 2)
     rng = np.random.default_rng(11)
     a = random_entries(ctx, 4, 4, rng)
     b = random_entries(ctx, 4, 4, rng)
-    lhs = blowup(ctx, entries_matmul(ctx, a, b))
-    rhs = gfp.mod_matmul(blowup(ctx, a), blowup(ctx, b), 3)
+    prod = gfq.matmul(point_slices(ctx, a), point_slices(ctx, b), ctx)
+    assert np.array_equal(prod, point_slices(ctx, entries_matmul(ctx, a, b)))
+    lhs = blowup(ctx, prod)
+    rhs = gfp.mod_matmul(blowup(ctx, point_slices(ctx, a)),
+                         blowup(ctx, point_slices(ctx, b)), 3)
     assert np.array_equal(lhs, rhs)
 
 

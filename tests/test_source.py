@@ -45,15 +45,15 @@ def test_no_unused_imports():
     assert not found, "unused imports: " + ", ".join(found)
 
 
-def _calls(match) -> list[str]:
-    """``module.function`` enclosing each package call that ``match`` accepts."""
+def _scopes(match) -> list[str]:
+    """``module.function`` enclosing each package AST node that ``match`` accepts."""
     found = []
     for path in sorted(Path(spechtvar.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         parents = {child: node for node in ast.walk(tree)
                    for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.Call) and match(path.stem, node)):
+            if not match(path.stem, node):
                 continue
             scope = node
             while scope in parents and not isinstance(scope, ast.FunctionDef):
@@ -62,22 +62,52 @@ def _calls(match) -> list[str]:
     return found
 
 
+def _calls(match) -> list[str]:
+    """``module.function`` enclosing each package call that ``match`` accepts."""
+    return _scopes(lambda mod, node: isinstance(node, ast.Call) and match(mod, node))
+
+
 def _is_attr_call(node: ast.Call, owner: str, name: str) -> bool:
     f = node.func
     return (isinstance(f, ast.Attribute) and f.attr == name
             and isinstance(f.value, ast.Name) and f.value.id == owner)
 
 
+def _calls_method(node: ast.Call, name: str) -> bool:
+    return isinstance(node.func, ast.Attribute) and node.func.attr == name
+
+
 def test_one_blowup_and_one_freeness_elimination():
-    # one companion blowup, and one early-stopping elimination outside gfp:
-    # the one place that decides freeness at a point
+    # one companion blowup, in the rank path for fields above the table
+    # cap, and one early-stopping elimination outside the kernels: the one
+    # place that decides freeness at a point
     assert _calls(lambda mod, node: _is_attr_call(node, "np", "kron")) == [
-        "jordan._point_operator"]
-    assert _calls(lambda mod, node: mod != "gfp"
-                  and _is_attr_call(node, "gfp", "rank")
+        "gfq._blowup_rank"]
+    assert _calls(lambda mod, node: mod not in ("gfp", "gfq")
+                  and (_is_attr_call(node, "gfp", "rank")
+                       or _is_attr_call(node, "gfq", "rank"))
                   and (len(node.args) > 2
                        or any(kw.arg == "stop_at" for kw in node.keywords))) == [
         "jordan.is_free_at"]
+
+
+def test_one_extension_field_elimination():
+    # the Zech table is read only by the one GF(q) elimination, and only
+    # gfq.rank calls that
+    assert _scopes(lambda mod, node: isinstance(node, ast.Attribute)
+                   and node.attr == "zech") == ["gfq._rank_logs"]
+    assert _calls(lambda mod, node: getattr(node.func, "id", None) == "_rank_logs") == [
+        "gfq.rank"]
+
+
+def test_point_operator_builds_no_blowup():
+    # N is assembled as coefficient slices: no multiplication matrices, no kron
+    uses = _calls(lambda mod, node: _calls_method(node, "mul_matrix")
+                  or _calls_method(node, "kron"))
+    assert "jordan._point_operator" not in uses
+    # multiplication matrices are built only for the table build
+    assert set(_calls(lambda mod, node: _calls_method(node, "mul_matrix"))) == {
+        "ffalg.tables"}
 
 
 def test_one_point_walk():

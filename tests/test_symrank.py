@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spechtvar import gfp
+from spechtvar import gfp, gfq
 from spechtvar.errors import TooLarge
 from spechtvar.ffalg import FieldCtx
 from spechtvar.jordan import _point_operator
@@ -44,19 +44,22 @@ def test_divide_rows_recovers_planted_quotient():
 def eval_rank_oracle(gens, p, power, trials=6, seed=0):
     """Max rank of (sum a_i A_i)^power over random GF(p^6) points.
 
-    The point operator is the GF(p) companion blowup of N; its rank is
-    6 times the rank over GF(p^6).
+    The point operator is N as 6 coefficient slices; the GF(q) kernel's
+    rank is checked against the GF(p) companion blowup, whose rank is 6
+    times the rank over GF(p^6).
     """
     ctx = FieldCtx.get(p, 6)
     rng = np.random.default_rng(seed)
     best = 0
     for _ in range(trials):
-        n, k = _point_operator(gens, ctx.random_point(rng, len(gens)), p)
+        n, n_ctx = _point_operator(gens, ctx.random_point(rng, len(gens)), p)
         acc = n
         for _ in range(power - 1):
-            acc = gfp.mod_matmul(acc, n, p)
-        r, rem = divmod(gfp.rank(acc, p), k)
+            acc = gfq.matmul(acc, n, n_ctx)
+        big = sum(np.kron(s, ctx.tmats[c]) for c, s in enumerate(acc)) % p
+        r, rem = divmod(gfp.rank(big, p), n_ctx.k)
         assert rem == 0
+        assert gfq.rank(acc, n_ctx) == r
         best = max(best, r)
     return best
 
