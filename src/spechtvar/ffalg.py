@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -257,10 +257,6 @@ class FieldCtx:
             raise ArityMismatch(f"need {self.k} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for code in range(self.q):
-            yield self.element(code)
-
     def random_element(self, rng: np.random.Generator) -> "FieldElement":
         return FieldElement(self, tuple(int(x) for x in rng.integers(0, self.p, self.k)))
 
@@ -492,10 +488,6 @@ class MultiPoly:
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
 
     def proportional_to(self, other: "MultiPoly") -> bool:
         """True if self = c * other for some nonzero scalar c."""

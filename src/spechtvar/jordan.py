@@ -64,9 +64,6 @@ class RankVector:
         """
         return self.dim % self.p == 0 and self.ranks[self.p - 1] == self.dim // self.p
 
-    def dominates(self, other: "RankVector") -> bool:
-        return all(a >= b for a, b in zip(self.ranks, other.ranks))
-
 
 @dataclass(frozen=True)
 class JordanType:

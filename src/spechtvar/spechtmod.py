@@ -4,9 +4,18 @@ the elementary abelian subgroup E_n to both.
 Tabloids are stored as row-assignment vectors (letter -> row index); the
 canonical order is lexicographic on the sequence of sorted row-sets, which
 matches generation order when row sets are chosen as ascending
-combinations.  S^mu lives extrinsically inside M^mu as the column span of
-the standard-polytabloid matrix B, and each generator action is pulled
-back to a d x d matrix by solving B X = (g - 1) B once.
+combinations.  A tabloid's index in that order is computed exactly from its
+vector (`_TabloidTable.lookup`), so whole batches are looked up at once.
+
+S^mu lives extrinsically inside M^mu as the column span of the
+standard-polytabloid matrix B (T x d).  The rows of B at the standard
+tabloids {t} form a d x d minor that is unit lower triangular over the
+integers, so it is invertible mod every p and B has full column rank: every
+other tabloid of e_t is dominated by {t} (James, LNM 682, 8.11), and the
+row-reading order of the standard tableaux lists a dominated one later.
+`standard_basis` checks this minor on every build.  Each generator action
+is pulled back to a d x d matrix X by solving B X = (g - 1) B on that
+minor alone, then checking the product on every row of B.
 """
 
 from __future__ import annotations
@@ -25,13 +34,15 @@ from pathlib import Path
 import numpy as np
 
 from . import gfp
-from .errors import PreconditionViolated, RankCheckFailed, TooLarge
+from .errors import (NoSolution, PreconditionViolated, RankCheckFailed,
+                     TooLarge)
 from .partitions import (Partition, conjugate, dim_specht, format_partition,
                          size, validate)
 
 _TABLOID_CAP = 10**6
 _COLGROUP_CAP = 10**7
 _DIM_CAP = 2000
+_BATCH = 2**20  # letters, or matrix entries, handled per vectorised step
 
 
 def tabloid_count(mu: Partition) -> int:
@@ -43,7 +54,13 @@ def tabloid_count(mu: Partition) -> int:
 
 
 class _TabloidTable:
-    """Row-assignment matrix (T, m) plus bytes-key index lookup."""
+    """Row-assignment matrix (T, m) and the exact index of any tabloid.
+
+    Row r of a tabloid is a combination of the letters not in rows < r, and
+    its canonical index is the mixed-radix number of those combinations'
+    lexicographic ranks.  Every term is below T, so int64 is exact however
+    many letters the shape has.
+    """
 
     def __init__(self, mu: Partition):
         m = size(mu)
@@ -53,42 +70,52 @@ class _TabloidTable:
         self.mu = mu
         self.m = m
         self.count = count
-        arr = np.zeros((count, m), dtype=np.uint8)
-        cur = np.zeros(m, dtype=np.uint8)
-        pos = 0
+        # Rows are filled in order, each tabloid splitting into one child per
+        # combination of its free letters (marked len(mu)), so parents stay
+        # in order and children follow combination order.
+        rows = np.full((1, m), len(mu), dtype=np.uint8)
+        for r, k in enumerate(mu):
+            free = np.nonzero(rows == len(mu))[1].reshape(len(rows), -1)
+            picks = np.array(list(itertools.combinations(range(free.shape[1]), k)),
+                             dtype=np.intp)
+            chosen = free[:, picks].reshape(-1, k)
+            rows = np.repeat(rows, len(picks), axis=0)
+            rows[np.arange(len(rows))[:, None], chosen] = r
+        self.rows = rows
+        # Row r picks k = mu[r] of the free = m - sum(mu[:r]) letters left.  A
+        # combination at places c_0 < ... < c_(k-1) among them has rank
+        # C(free, k) - 1 - sum_i C(free - 1 - c_i, k - i), the i-th term read
+        # from terms[i, c_i - i]; the last row's rank is always 0.
+        self._ranking = []
+        free = m
+        for r, k in enumerate(mu[:-1]):
+            terms = np.array([[math.comb(free - 1 - i - s, k - i)
+                               for s in range(free - k + 1)] for i in range(k)],
+                             dtype=np.int64)
+            self._ranking.append((math.comb(free, k) - 1, terms,
+                                  tabloid_count(mu[r + 1:])))
+            free -= k
 
-        def rec(avail: tuple[int, ...], r: int):
-            nonlocal pos
-            if r == len(mu):
-                arr[pos] = cur
-                pos += 1
-                return
-            for combo in itertools.combinations(avail, mu[r]):
-                for x in combo:
-                    cur[x - 1] = r
-                chosen = set(combo)
-                rec(tuple(x for x in avail if x not in chosen), r + 1)
-
-        if len(mu) == 0:
-            arr = np.zeros((1, 0), dtype=np.uint8)
-        else:
-            rec(tuple(range(1, m + 1)), 0)
-            if pos != count:
-                raise PreconditionViolated(
-                    f"generated {pos} tabloids for {format_partition(mu)}, "
-                    f"expected {count}")
-        self.rows = arr
-        self.index = {arr[i].tobytes(): i for i in range(count)}
+    def lookup(self, rows: np.ndarray) -> np.ndarray:
+        """Canonical index of each row-assignment vector along the last axis."""
+        flat = rows.reshape(math.prod(rows.shape[:-1]), self.m)
+        out = np.zeros(len(flat), dtype=np.int64)
+        step = max(1, _BATCH // max(self.m, 1))
+        for lo in range(0, len(flat), step):
+            chunk = flat[lo: lo + step]
+            for r, (top, terms, weight) in enumerate(self._ranking):
+                k = len(terms)
+                free = chunk >= r
+                place = np.cumsum(free, axis=1, dtype=np.int32) - free
+                place = place[chunk == r].reshape(-1, k) - np.arange(k)
+                out[lo: lo + step] += (top - terms[np.arange(k), place].sum(axis=1)) * weight
+        return out.reshape(rows.shape[:-1])
 
     def apply_letters(self, img: np.ndarray) -> np.ndarray:
         """Permutation of tabloid indices induced by letter map x -> img[x-1]."""
         inv = np.empty(self.m, dtype=np.int64)
         inv[img - 1] = np.arange(self.m)
-        moved = self.rows[:, inv]
-        out = np.empty(self.count, dtype=np.int64)
-        for i in range(self.count):
-            out[i] = self.index[moved[i].tobytes()]
-        return out
+        return self.lookup(self.rows[:, inv])
 
 
 @lru_cache(maxsize=64)
@@ -140,20 +167,66 @@ class SpechtBasis:
     dim: int
     B: np.ndarray  # (T, d) over GF(p), columns are standard polytabloids
     tableaux: tuple[tuple[tuple[int, ...], ...], ...]
+    standard_rows: np.ndarray  # (d,) row of B holding {t}, per tableau t
 
 
-def _column_perms(col: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """All arrangements of one column with their signs."""
-    out = []
-    for arrangement in itertools.permutations(col):
-        order = [col.index(a) for a in arrangement]
-        inversions = sum(1 for i in range(len(order)) for j in range(i + 1, len(order))
-                         if order[i] > order[j])
-        out.append((arrangement, -1 if inversions % 2 else 1))
-    return out
+def _signed_perms(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """All permutations of range(c) as rows, and their signs."""
+    perms = np.array(list(itertools.permutations(range(c))), dtype=np.uint8)
+    inversions = np.zeros(len(perms), dtype=np.int64)
+    for i, j in itertools.combinations(range(c), 2):
+        inversions += perms[:, i] > perms[:, j]
+    return perms, 1 - 2 * (inversions % 2)
+
+
+def _polytabloid_matrix(table: _TabloidTable, tabs, p: int) -> np.ndarray:
+    """B over GF(p): column t is e_t, the signed sum of {sigma t} over the
+    column group of t.
+
+    An arrangement of the column group sends each cell of the shape to a
+    row; it is built once for the shape and applied to every tableau.  The
+    tabloids {sigma t} of one tableau are distinct, so each entry is
+    written once.  Work goes in batches of at most _BATCH letters.
+    """
+    conj = conjugate(table.mu)
+    cells = [(r, j) for j, c in enumerate(conj) for r in range(c)]
+    where = np.empty((len(tabs), table.m), dtype=np.intp)  # cell of each letter
+    for col, t in enumerate(tabs):
+        for cell, (r, j) in enumerate(cells):
+            where[col, t[r][j] - 1] = cell
+    signed = {c: _signed_perms(c) for c in set(conj)}
+    radix = [math.factorial(c) for c in conj]
+    group = math.prod(radix)
+    per = max(1, _BATCH // max(table.m, 1))
+    width = min(group, per)  # arrangements per batch
+    depth = max(1, per // width)  # tableaux per batch
+    b = np.zeros((table.count, len(tabs)), dtype=np.int64)
+    for lo in range(0, group, width):
+        arrangement = np.arange(lo, min(lo + width, group))
+        image = np.empty((len(arrangement), len(cells)), dtype=np.uint8)
+        sign = np.ones(len(arrangement), dtype=np.int64)
+        first = 0
+        for c, base in zip(conj, radix):
+            perms, signs = signed[c]
+            digit = arrangement % base
+            arrangement = arrangement // base
+            image[:, first: first + c] = perms[digit]
+            sign *= signs[digit]
+            first += c
+        for t0 in range(0, len(tabs), depth):
+            cols = np.arange(t0, min(t0 + depth, len(tabs)))
+            b[table.lookup(image[:, where[cols]]), cols] = sign[:, None]
+    b %= p
+    return b
 
 
 def standard_basis(mu: Partition, p: int) -> SpechtBasis:
+    """The standard polytabloids of S^mu as the columns of B over GF(p).
+
+    Raises RankCheckFailed unless B at the standard-tabloid rows is unit
+    lower triangular in tableau order: that d x d check stands in for the
+    rank of B, which it implies.
+    """
     mu = validate(mu)
     d = dim_specht(mu)
     if d > _DIM_CAP:
@@ -163,34 +236,22 @@ def standard_basis(mu: Partition, p: int) -> SpechtBasis:
     if len(tabs) != d:
         raise PreconditionViolated(f"{len(tabs)} standard tableaux for "
                                    f"{format_partition(mu)}, hook formula gives {d}")
-    conj = conjugate(mu)
-    colgroup = math.prod(math.factorial(c) for c in conj)
+    colgroup = math.prod(math.factorial(c) for c in conjugate(mu))
     if colgroup > _COLGROUP_CAP:
         raise TooLarge(f"column group order {colgroup} exceeds {_COLGROUP_CAP}")
 
-    b = np.zeros((table.count, d), dtype=np.int64)
+    b = _polytabloid_matrix(table, tabs, p)
+    own = np.zeros((d, table.m), dtype=np.uint8)  # the tabloid {t} of each t
     for colno, t in enumerate(tabs):
-        base = np.zeros(table.m, dtype=np.uint8)
         for r, row in enumerate(t):
-            for x in row:
-                base[x - 1] = r
-        columns = [tuple(t[r][j] for r in range(conj[j])) for j in range(len(conj))]
-        perm_lists = [_column_perms(c) for c in columns]
-        vec = base.copy()
-        for choice in itertools.product(*perm_lists):
-            sign = 1
-            vec[:] = base
-            for col, (arrangement, s) in zip(columns, choice):
-                sign *= s
-                for r, letter in enumerate(arrangement):
-                    vec[letter - 1] = r
-            b[table.index[vec.tobytes()], colno] += sign
-    b %= p
-    if gfp.rank(b, p) != d:
-        raise RankCheckFailed(f"polytabloid matrix of {format_partition(mu)} "
-                              f"has rank < {d} over GF({p})")
+            own[colno, np.array(row, dtype=np.intp) - 1] = r
+    rows = table.lookup(own)
+    minor = b[rows]
+    if (np.diagonal(minor) != 1).any() or np.triu(minor, 1).any():
+        raise RankCheckFailed(f"standard-tabloid minor of {format_partition(mu)} "
+                              f"is not unit lower triangular over GF({p})")
     return SpechtBasis(mu=mu, p=p, tabloid_count=table.count, dim=d,
-                       B=b, tableaux=tuple(tabs))
+                       B=b, tableaux=tuple(tabs), standard_rows=rows)
 
 
 @dataclass(frozen=True)
@@ -245,6 +306,24 @@ def _load_cached(path: Path, key: str, n: int, d: int) -> list[np.ndarray] | Non
     return mats
 
 
+def _solve_on_minor(b: np.ndarray, rows: np.ndarray, rhs, p: int) -> np.ndarray:
+    """The X with B X = C over GF(p), where B[rows] is an invertible d x d
+    minor and ``rhs(idx)`` gives the rows idx of C.
+
+    X is solved from the minor alone, so no elimination sees more than d
+    rows.  B X = C is then checked on every row of B, a block at a time so
+    that C is never held whole; a failing row raises NoSolution, since X is
+    the only candidate.
+    """
+    x = gfp.solve(b[rows], rhs(rows), p)
+    step = max(1, _BATCH // x.shape[1])
+    for lo in range(0, len(b), step):
+        block = slice(lo, lo + step)
+        if not np.array_equal(gfp.mod_matmul(b[block], x, p), rhs(block)):
+            raise NoSolution(f"B X = C fails in rows {lo}..{min(lo + step, len(b)) - 1}")
+    return x
+
+
 def restricted_actions(mu: Partition, n: int, p: int,
                        use_conjugate: bool = True) -> RestrictedActions:
     """A_i = matrix of (g_i - 1) on S^mu (or S^mu' when that is smaller).
@@ -273,13 +352,18 @@ def restricted_actions(mu: Partition, n: int, p: int,
 
     basis = standard_basis(work, p)
     table = _tabloid_table(work)
-    blocks = []
+    b = basis.B
+    sources = []  # (g_i - 1)B has row j equal to B[source[j]] - B[j]
     for img in generator_cycles(table.m, n, p):
         pi = table.apply_letters(img)
-        moved = np.empty_like(basis.B)
-        moved[pi] = basis.B
-        blocks.append((moved - basis.B) % p)
-    solved = gfp.solve(basis.B, np.hstack(blocks), p)
+        source = np.empty_like(pi)
+        source[pi] = np.arange(len(pi))
+        sources.append(source)
+
+    def rhs(idx):
+        return np.hstack([b[source[idx]] - b[idx] for source in sources]) % p
+
+    solved = _solve_on_minor(b, basis.standard_rows, rhs, p)
     mats = [np.ascontiguousarray(solved[:, i * basis.dim: (i + 1) * basis.dim])
             for i in range(n)]
     if path is not None:

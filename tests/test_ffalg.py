@@ -42,7 +42,7 @@ def test_field_axioms(p, k):
 
 def test_element_enumeration_roundtrip():
     ctx = FieldCtx.get(3, 2)
-    elems = list(ctx.elements())
+    elems = [ctx.element(code) for code in range(ctx.q)]
     assert len(elems) == 9
     assert len(set(elems)) == 9
     for i, e in enumerate(elems):
@@ -170,7 +170,7 @@ def test_multipoly_arithmetic():
     # (x + 2y)(x + y) = x^2 + 3xy + 2y^2, and the xy coefficient dies mod 3
     assert h.terms == {(2, 0): 1, (0, 2): 2}
     assert h.degree() == 2
-    assert h.is_homogeneous()
+    assert {sum(e) for e in h.terms} == {2}  # homogeneous
     assert (f - f).degree() == -1
     assert not (f - f)
     assert (2 * f).proportional_to(f)

@@ -191,7 +191,7 @@ def test_sampled_ranks_dominated_by_generic():
     rng = np.random.default_rng(17)
     for _ in range(10):
         rv = rank_vector_at(acts, ctx.random_point(rng, 3))
-        assert gen.dominates(rv)
+        assert all(a >= b for a, b in zip(gen.ranks, rv.ranks))
 
 
 def test_nonempty_core_is_generically_free():

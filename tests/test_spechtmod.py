@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from spechtvar import gfp
-from spechtvar.errors import PreconditionViolated, TooLarge
+from spechtvar import gfp, spechtmod
+from spechtvar.errors import (NoSolution, PreconditionViolated, RankCheckFailed,
+                              TooLarge)
 from spechtvar.jordan import rank_vector_at
-from spechtvar.spechtmod import (_cache_key, _load_cached, _tabloid_table,
-                                 generator_cycles, perm_module_actions,
-                                 restricted_actions, standard_basis,
-                                 standard_tableaux, tabloid_count)
+from spechtvar.partitions import conjugate, dim_specht, partitions_of
+from spechtvar.spechtmod import (_cache_key, _load_cached, _solve_on_minor,
+                                 _tabloid_table, generator_cycles,
+                                 perm_module_actions, restricted_actions,
+                                 standard_basis, standard_tableaux, tabloid_count)
 
 
 def test_tabloid_counts():
@@ -17,12 +21,31 @@ def test_tabloid_counts():
     assert tabloid_count((5, 2, 1, 1)) == 1512
     table = _tabloid_table((6, 3))
     assert table.count == 84 and table.rows.shape == (84, 9)
-    assert len(table.index) == 84
+    assert np.array_equal(table.lookup(table.rows), np.arange(84))
+
+
+def _tabloids_by_recursion(mu):
+    """Oracle: row-assignment vectors, each row set an ascending combination."""
+    out = []
+
+    def rec(avail, r, cur):
+        if r == len(mu):
+            out.append(list(cur))
+            return
+        for combo in itertools.combinations(avail, mu[r]):
+            for x in combo:
+                cur[x - 1] = r
+            rec([x for x in avail if x not in combo], r + 1, cur)
+
+    rec(list(range(1, sum(mu) + 1)), 0, [0] * sum(mu))
+    return out
 
 
 def test_tabloid_canonical_order():
     # rows[i][x-1] is the row of letter x: {12|3}, {13|2}, {23|1}
     assert _tabloid_table((2, 1)).rows.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    for mu in [(4, 3, 2), (2, 2, 1, 1, 1), (3, 3, 3), (70, 1, 1)]:
+        assert _tabloid_table(mu).rows.tolist() == _tabloids_by_recursion(mu), mu
     with pytest.raises(TooLarge):
         _tabloid_table((1,) * 11)
 
@@ -40,6 +63,28 @@ def test_perm_action_sparse_examples():
     cyc, inv = act([2, 3, 1]), act([3, 1, 2])
     assert cyc[0] == 2
     assert [cyc[i] for i in inv] == [0, 1, 2]
+
+
+def _dict_index(table):
+    """Oracle: the tabloid index by a bytes-key probe per tabloid."""
+    return {row.tobytes(): i for i, row in enumerate(table.rows)}
+
+
+@pytest.mark.parametrize("mu", [(4, 3, 2), (3, 3, 3), (2, 2, 1, 1, 1), (99, 1),
+                                (70, 1, 1)])
+def test_lookup_matches_dict_index(mu):
+    # (99,1) and (70,1,1) have more letters than a 63-bit packed key holds
+    table = _tabloid_table(mu)
+    index = _dict_index(table)
+    assert np.array_equal(table.lookup(table.rows), np.arange(table.count))
+    img = np.roll(np.arange(1, table.m + 1), -1)
+    img[:3] = img[[1, 0, 2]]
+    moved = table.rows[:, np.argsort(img - 1)]
+    expected = [index[row.tobytes()] for row in moved]
+    assert table.apply_letters(img).tolist() == expected
+    # batched lookups keep the leading axes
+    stacked = np.stack([table.rows[:5], moved[:5]])
+    assert table.lookup(stacked).tolist() == [list(range(5)), expected[:5]]
 
 
 def test_standard_tableaux_order():
@@ -62,6 +107,145 @@ def test_standard_basis_single_row_and_ranks():
     for mu, p in [((3, 3, 3), 3), ((4, 2), 3), ((3, 2, 1), 2), ((2, 2, 2), 5)]:
         basis = standard_basis(mu, p)
         assert gfp.rank(basis.B, p) == basis.dim  # re-check the invariant
+
+
+def _polytabloid_loop(mu, p):
+    """Oracle: B by one dict probe per tableau and column permutation."""
+    table = _tabloid_table(mu)
+    index = _dict_index(table)
+    conj = conjugate(mu)
+    tabs = standard_tableaux(mu)
+    b = np.zeros((table.count, len(tabs)), dtype=np.int64)
+    for colno, t in enumerate(tabs):
+        columns = [tuple(t[r][j] for r in range(conj[j])) for j in range(len(conj))]
+        perm_lists = []
+        for col in columns:
+            arrangements = []
+            for arrangement in itertools.permutations(col):
+                order = [col.index(a) for a in arrangement]
+                inversions = sum(order[i] > order[j]
+                                 for i, j in itertools.combinations(range(len(order)), 2))
+                arrangements.append((arrangement, -1 if inversions % 2 else 1))
+            perm_lists.append(arrangements)
+        vec = np.zeros(table.m, dtype=np.uint8)
+        for r, row in enumerate(t):
+            for x in row:
+                vec[x - 1] = r
+        for choice in itertools.product(*perm_lists):
+            sign = 1
+            for arrangement, s in choice:
+                sign *= s
+                for r, letter in enumerate(arrangement):
+                    vec[letter - 1] = r
+            b[index[vec.tobytes()], colno] += sign
+    return b % p
+
+
+def _tall_actions(mu, n, p):
+    """Oracle: A_i by one elimination of B against every (g_i - 1)B, all T rows."""
+    basis = standard_basis(mu, p)
+    table = _tabloid_table(mu)
+    blocks = []
+    for img in generator_cycles(table.m, n, p):
+        moved = np.empty_like(basis.B)
+        moved[table.apply_letters(img)] = basis.B
+        blocks.append((moved - basis.B) % p)
+    solved = gfp.solve(basis.B, np.hstack(blocks), p)
+    return [solved[:, i * basis.dim: (i + 1) * basis.dim] for i in range(n)]
+
+
+# (3,3,3) has a column group of 216; (2,2,1,1) and (3,3,2,2) are built
+# from their conjugates
+_DIFFERENTIAL = [((3, 2, 1), 3, 2), ((2, 2, 1, 1), 3, 2), ((3, 3, 3), 3, 3),
+                 ((4, 3, 2), 3, 3), ((2, 2, 1, 1, 1, 1, 1), 3, 3),
+                 ((6, 4), 2, 5), ((3, 3, 2, 2), 2, 5)]
+
+
+@pytest.mark.parametrize("mu,n,p", _DIFFERENTIAL)
+def test_actions_match_tall_solve(mu, n, p):
+    acts = restricted_actions(mu, n, p)
+    work = conjugate(mu) if acts.conjugated else mu
+    assert acts.conjugated == (mu in ((2, 2, 1, 1), (2, 2, 1, 1, 1, 1, 1), (3, 3, 2, 2)))
+    assert np.array_equal(standard_basis(work, p).B, _polytabloid_loop(work, p))
+    for a, b in zip(acts.A, _tall_actions(work, n, p), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_standard_tabloid_minor_is_unit_lower_triangular():
+    # over the integers, read at p = 3 where the entries -1, 0, 1 stay apart
+    for m in range(1, 10):
+        for mu in partitions_of(m):
+            basis = standard_basis(mu, 3)
+            index = _dict_index(_tabloid_table(mu))
+            rows = []
+            for t in basis.tableaux:
+                vec = np.zeros(m, dtype=np.uint8)
+                for r, row in enumerate(t):
+                    vec[np.array(row) - 1] = r
+                rows.append(index[vec.tobytes()])
+            assert basis.standard_rows.tolist() == rows
+            minor = basis.B[rows]
+            assert np.array_equal(minor, np.tril(minor)), mu
+            assert (np.diagonal(minor) == 1).all(), mu
+
+
+def test_minor_out_of_order_raises_rank_check(monkeypatch):
+    # reversed tableau order turns the minor upper triangular
+    real = spechtmod.standard_tableaux
+    monkeypatch.setattr(spechtmod, "standard_tableaux", lambda mu: real(mu)[::-1])
+    with pytest.raises(RankCheckFailed):
+        standard_basis((3, 2), 3)
+
+
+def test_minor_without_unit_diagonal_raises_rank_check(monkeypatch):
+    # a lost polytabloid leaves B rank deficient: its diagonal entry is 0
+    real = spechtmod._polytabloid_matrix
+
+    def lossy(*args):
+        b = real(*args)
+        b[:, 2] = 0
+        return b
+    monkeypatch.setattr(spechtmod, "_polytabloid_matrix", lossy)
+    with pytest.raises(RankCheckFailed):
+        standard_basis((3, 2), 3)
+
+
+@pytest.mark.parametrize("batch", [spechtmod._BATCH, 3])
+def test_solve_on_minor_checks_every_row(monkeypatch, batch):
+    # a batch of 3 entries checks the 3-column system one row at a time, and
+    # builds B one tabloid at a time
+    monkeypatch.setattr(spechtmod, "_BATCH", batch)
+    basis = standard_basis((3, 2), 3)
+    b, rows = basis.B, basis.standard_rows
+    assert np.array_equal(b, _polytabloid_loop((3, 2), 3))
+    x = np.arange(3 * basis.dim).reshape(basis.dim, 3) % 3
+    c = gfp.mod_matmul(b, x, 3)
+    assert np.array_equal(_solve_on_minor(b, rows, lambda idx: c[idx], 3), x)
+    outside = sorted(set(range(len(b))) - set(rows.tolist()))
+    for row in (outside[0], outside[-1]):
+        bad = c.copy()
+        bad[row, 1] = (bad[row, 1] + 1) % 3  # C plus a unit vector off the minor
+        with pytest.raises(NoSolution):
+            _solve_on_minor(b, rows, lambda idx: bad[idx], 3)
+
+
+def test_construction_eliminates_at_most_d_rows(monkeypatch):
+    monkeypatch.delenv("SPECHTVAR_CACHE", raising=False)
+    heights = []
+
+    def spy(name):
+        real = getattr(gfp, name)
+
+        def wrapped(a, *args, **kwargs):
+            heights.append((name, np.shape(a)[0]))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(gfp, name, wrapped)
+
+    for name in ("rank", "rref", "solve", "_echelon"):
+        spy(name)
+    acts = restricted_actions((4, 3, 2), 3, 3)
+    assert {name for name, _ in heights} == {"solve", "rref", "_echelon"}
+    assert max(h for _, h in heights) == acts.dim == dim_specht((4, 3, 2))
 
 
 def test_standard_basis_caps():
