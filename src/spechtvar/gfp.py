@@ -35,7 +35,9 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         prod = a.astype(np.float32) @ b.astype(np.float32)
     else:
         prod = a.astype(np.float64) @ b.astype(np.float64)
-    return prod.astype(np.int64) % p
+    out = prod.astype(np.int64)
+    out %= p
+    return out
 
 
 def _echelon(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
@@ -88,9 +90,9 @@ def _echelon(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
             # all rows below the pivot block in one BLAS update
             low = a[r + k:, piv_idx]
             if low.size and low.any():
-                a[r + k:, col + width:] = (
-                    a[r + k:, col + width:] - mod_matmul(low, trail, p)
-                ) % p
+                below = a[r + k:, col + width:]  # a view: updated in place
+                below -= mod_matmul(low, trail, p)
+                below %= p
         # clear the multiplier stash so the result is honest echelon form
         for i, j in enumerate(piv_local):
             a[r + i + 1:, j] = 0
@@ -106,9 +108,11 @@ def rank(a: np.ndarray, p: int, stop_at: int | None = None) -> int:
     return len(_echelon(work, p, stop_at=stop_at))
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns."""
-    work = np.array(a, dtype=np.int64) % p
+def _reduce(work: np.ndarray, p: int) -> list[int]:
+    """Reduced row echelon form of ``work`` in place; returns the pivots.
+
+    ``work`` must be int64 with entries already reduced mod p.
+    """
     pivots = _echelon(work, p)
     inv = inverse_table(p)
     for i in reversed(range(len(pivots))):
@@ -119,25 +123,38 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
             work[above, c:] = (
                 work[above, c:] - np.outer(work[above, c], work[i, c:])
             ) % p
-    return work, pivots
+    return pivots
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form and pivot columns; ``a`` is left unchanged."""
+    work = np.array(a, dtype=np.int64)
+    work %= p
+    return work, _reduce(work, p)
 
 
 def solve(b: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     """Solve B X = C over GF(p) for B with full column rank.
 
     Raises RankDeficient if rank(B) < B.shape[1], NoSolution if inconsistent.
+    The augmented matrix [B | C] is built once and reduced in place; B and
+    C are left unchanged.
     """
     b = np.asarray(b)
     c = np.asarray(c)
     m, d = b.shape
-    aug = np.concatenate([b % p, c.reshape(m, -1) % p], axis=1).astype(np.int64)
-    red, pivots = rref(aug, p)
+    rhs = c.reshape(m, -1)
+    aug = np.empty((m, d + rhs.shape[1]), dtype=np.int64)
+    aug[:, :d] = b
+    aug[:, d:] = rhs
+    aug %= p
+    pivots = _reduce(aug, p)
     in_b = [q for q in pivots if q < d]
     if len(pivots) > len(in_b):
         raise NoSolution("inconsistent system")
     if len(in_b) < d:
         raise RankDeficient(f"coefficient rank {len(in_b)} < {d}")
-    x = red[:d, d:]
+    x = aug[:d, d:]
     return x.reshape((d,) + c.shape[1:])
 
 

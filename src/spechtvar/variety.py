@@ -5,16 +5,29 @@ which is sound because Jordan type is invariant under scaling.  A point
 is stored as a tuple of field-element codes (integers below p^k).
 
 Every sweep takes one walk, ``_point_orbits``, and evaluates one point
-per orbit of the group generated by the Frobenius and the coordinate
-permutations.  Both keep the rank vector, so the quotient is exact:
-the A_i lie over GF(p), so applying the field automorphism entrywise
-maps N(alpha) to N(alpha^p); and the permutation of S_m sending the
-p-cycle g_i to g_sigma(i) normalises E_n and conjugates A_i to
-A_sigma(i) on any S_m-module (Specht and permutation modules alike), so
-N(alpha) and N(sigma alpha) are conjugate.
+per orbit of a group acting on the points.  ``sweep_rank_vectors`` and
+``_form_cuts_out`` walk the group generated by the Frobenius and the
+coordinate permutations, which keeps the rank vector, so the quotient is
+exact: the A_i lie over GF(p), so applying the field automorphism
+entrywise maps N(alpha) to N(alpha^p); and the permutation of S_m
+sending the p-cycle g_i to g_sigma(i) normalises E_n and conjugates A_i
+to A_sigma(i) on any S_m-module (Specht and permutation modules alike),
+so N(alpha) and N(sigma alpha) are conjugate.
+
+``enumerate_locus`` needs freeness only, and walks that group times the
+diagonal torus that scales each coordinate by GF(p)^*.  Conjugation in
+S_m sends g_i to its power g_i^c, and g_i^c - 1 = c (g_i - 1) mod J^2,
+where J is the augmentation ideal of the group algebra of E_n; by
+Carlson's lemma (J. Algebra 85, 1983) freeness of u_alpha depends only
+on alpha modulo J^2, so it is the same at alpha and at alpha scaled
+coordinate-wise by GF(p)^*.  The rank vector is not: the conjugate
+operator is c A_i plus terms in J^2, not c A_i, and S^(3,3,3) over GF(9)
+has points whose rank vector changes when one coordinate is doubled.
 
 Freeness at a point is ``jordan.is_free_at``, rank vectors are
 ``jordan.rank_vector_at``; both accept Specht and permutation modules.
+Forms are evaluated on code tables (``_monomials_at``), not on
+``FieldElement`` objects.
 """
 
 from __future__ import annotations
@@ -26,10 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gfp
-from .errors import InconsistentCounts, RankCheckFailed, TooManyPoints, ZeroPoint
-from .ffalg import TABLE_CAP, FieldCtx, FieldElement, MultiPoly, poly_eval
+from .errors import InconsistentCounts, TooManyPoints, ZeroPoint
+from .ffalg import TABLE_CAP, FieldCtx, FieldElement, MultiPoly
 from .jordan import is_free_at, rank_vector_at
-from .partitions import Partition, format_partition
+from .partitions import Partition
 from .spechtmod import RestrictedActions
 
 # Reference catalogue for p=3, |mu|=9: conjugate-class representative ->
@@ -123,13 +136,21 @@ def _frobenius(ctx: FieldCtx):
     return lambda c: (ctx.element(c) ** ctx.p).to_index()
 
 
-def _point_orbits(p: int, n: int, k: int):
+def _point_orbits(p: int, n: int, k: int, *, torus: bool = False):
     """Each orbit of projective points under Frobenius x S_n once.
 
     The one sweep walk, and the one place ``_POINT_GATE`` is enforced.
     An orbit is listed from its first point in ``projective_points``
     order, the representative.  The Frobenius is a code lookup and keeps
     normalization (1 is fixed); a transposed point is normalized again.
+
+    With ``torus`` (freeness only, see the module docstring) the group
+    also scales coordinates by GF(p)^*; with S_n it is generated by
+    scaling the last coordinate by a primitive root of GF(p),
+    exp[log x + (q - 1)/(p - 1)].  That keeps the lead unless the last
+    coordinate is the lead, and then it fixes the projective point, so
+    no normalization is needed.  For p = 2 the torus is trivial; above
+    ``TABLE_CAP`` the gate leaves only n = 1, where it is the identity.
     """
     q = p**k
     total = (q**n - 1) // (q - 1)
@@ -137,6 +158,10 @@ def _point_orbits(p: int, n: int, k: int):
         raise TooManyPoints(f"{total} projective points exceed the sweep gate")
     ctx = FieldCtx.get(p, k)
     frob = _frobenius(ctx)
+    scale = torus and n > 1 and p > 2
+    if scale:
+        t = ctx.tables
+        exp, log, unit = t.exp.tolist(), t.log.tolist(), t.order // (p - 1)
     seen = set()
     for pt in projective_points(ctx, n):
         if pt in seen:
@@ -150,6 +175,8 @@ def _point_orbits(p: int, n: int, k: int):
                 swapped = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
                 lead = next(c for c in swapped if c)
                 moved.append(swapped if lead == 1 else normalize_point(swapped, ctx))
+            if scale and cur[-1] and any(cur[:-1]):
+                moved.append(cur[:-1] + (exp[log[cur[-1]] + unit],))
             for img in moved:
                 if img not in seen:
                     seen.add(img)
@@ -159,13 +186,17 @@ def _point_orbits(p: int, n: int, k: int):
 
 
 def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
-    """Sweep every projective point of GF(p^k)^n and keep the non-free ones."""
+    """Sweep every projective point of GF(p^k)^n and keep the non-free ones.
+
+    Freeness is decided once per orbit of Frobenius x S_n x the GF(p)^*
+    torus, so the locus is a union of such orbits.
+    """
     p, n, d = acts.p, acts.n, acts.dim
     key = (type(acts).__name__, acts.mu, n, p, k)
     if key in _LOCUS_MEMO:
         return _LOCUS_MEMO[key]
     points, total = set(), 0
-    for orbit in _point_orbits(p, n, k):
+    for orbit in _point_orbits(p, n, k, torus=True):
         ctx = FieldCtx.get(p, k)  # cached; only reached past the gate
         total += len(orbit)
         # p must divide d for freeness anywhere; skipping also skips the warning
@@ -174,24 +205,32 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
         points.update(orbit)
     sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
                          total_projective_points=total)
-    # coordinate permutations are in the walk's group; scaling by GF(p)^*
-    # is not, so for (p^p) it is still checked
-    if acts.mu == (p,) * p:
-        _check_scaling_closed(sample, ctx)
     _LOCUS_MEMO[key] = sample
     return sample
 
 
-def _check_scaling_closed(sample: LocusSample, ctx: FieldCtx) -> None:
-    t = ctx.tables  # (p^p) sweeps stay far below TABLE_CAP under the gate
-    unit_logs = [int(t.log[c]) for c in range(1, sample.p)]  # GF(p)^* codes
-    for pt in sample.points:
-        for scales in itertools.product(unit_logs, repeat=sample.n):
-            moved = normalize_point([int(t.exp[t.log[c] + s]) if c else 0
-                                     for c, s in zip(pt, scales)], ctx)
-            if moved not in sample.points:
-                raise RankCheckFailed(f"locus of {format_partition(sample.mu)} not "
-                                      f"closed under GF(p)^* scaling: {pt} -> {moved}")
+def _monomials_at(points: np.ndarray, exps: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Power-basis coefficients of x^e for every point x and exponent e.
+
+    ``points`` is a (P, n) array of codes and ``exps`` an (M, n) array of
+    exponent vectors; the result has shape (P, M, k).  The code of x^e is
+    exp[sum_i e_i log x_i mod (q - 1)], and 0 where a coordinate with
+    e_i > 0 is 0 (x^0 = 1 even at x = 0).  Needs ``ctx.tables``: the
+    interpolation that calls this is reached for n >= 2 only, which the
+    sweep gate keeps below ``TABLE_CAP``.
+    """
+    t = ctx.tables
+    logs = t.log[points].astype(np.int64)
+    codes = t.exp[np.maximum(logs, 0) @ exps.T % t.order]
+    codes[(logs < 0) @ (exps > 0).T] = 0
+    return codes[:, :, None] // ctx.p ** np.arange(ctx.k) % ctx.p
+
+
+def _form_values(f: MultiPoly, points: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Power-basis coefficients of f(x) for every point x, shape (P, k)."""
+    exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.nvars)
+    coeffs = np.array(list(f.terms.values()), dtype=np.int64)
+    return np.tensordot(coeffs, _monomials_at(points, exps, ctx), axes=(0, 1)) % ctx.p
 
 
 def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiPoly]:
@@ -202,11 +241,10 @@ def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiP
     """
     n, p, k = sample.n, sample.p, sample.k
     exps = list(_exponents(n, degree))
-    pts = sample.decoded()
-    rows = np.zeros((k * len(pts), len(exps)), dtype=np.int64)
-    for r, pt in enumerate(pts):
-        for col, e in enumerate(exps):
-            rows[r * k:(r + 1) * k, col] = poly_eval(MultiPoly.monomial(p, e), pt).coeffs
+    pts = np.array(sorted(sample.points), dtype=np.int64).reshape(-1, n)
+    # k coefficient rows per point, one column per monomial
+    vals = _monomials_at(pts, np.array(exps, dtype=np.int64), FieldCtx.get(p, k))
+    rows = vals.transpose(0, 2, 1).reshape(-1, len(exps))
     basis = gfp.nullspace(rows, p)
     out = []
     for j in range(basis.shape[1]):
@@ -243,13 +281,11 @@ def _form_cuts_out(sample: LocusSample, f: MultiPoly) -> bool:
     zero set; an interpolated form need not be permutation-symmetric, so
     every member of every orbit is evaluated.
     """
-    ctx = FieldCtx.get(sample.p, sample.k)
-    for orbit in _point_orbits(sample.p, sample.n, sample.k):
-        for pt in orbit:
-            vanishes = not poly_eval(f, tuple(ctx.element(c) for c in pt))
-            if vanishes != (pt in sample.points):
-                return False
-    return True
+    pts = [pt for orbit in _point_orbits(sample.p, sample.n, sample.k) for pt in orbit]
+    values = _form_values(f, np.array(pts, dtype=np.int64),
+                          FieldCtx.get(sample.p, sample.k))
+    vanishes = ~values.any(axis=1)
+    return bool((vanishes == [pt in sample.points for pt in pts]).all())
 
 
 def _pattern_kind(sample: LocusSample) -> str | None:

@@ -66,12 +66,23 @@ def test_rank_stop_at_early_exit():
 def test_rref_is_reduced():
     rng = np.random.default_rng(5)
     a = rng.integers(0, 5, (30, 45))
+    before = a.copy()
     red, pivots = gfp.rref(a, 5)
+    assert np.array_equal(a, before)  # reduced in a copy
     for i, c in enumerate(pivots):
         col = np.zeros(30, dtype=np.int64)
         col[i] = 1
         assert np.array_equal(red[:, c], col)
     assert gfp.rank(red, 5) == len(pivots) == gfp.rank(a, 5)
+
+
+def _solve_leaving_inputs(b, c, p):
+    """gfp.solve, checking afterwards that b and c are unchanged."""
+    b_before, c_before = b.copy(), c.copy()
+    try:
+        return gfp.solve(b, c, p)
+    finally:
+        assert np.array_equal(b, b_before) and np.array_equal(c, c_before)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -84,7 +95,10 @@ def test_solve_roundtrip(p):
             b = rng.integers(0, p, (m, d))
         x = rng.integers(0, p, (d, w))
         c = gfp.mod_matmul(b, x, p)
-        got = gfp.solve(b, c, p)
+        got = _solve_leaving_inputs(b, c, p)
+        assert np.array_equal(got, x)
+        # entries outside 0..p-1 are reduced, in the solver's own array
+        got = _solve_leaving_inputs(b + p * rng.integers(-2, 3, b.shape), c + p, p)
         assert np.array_equal(got, x)
 
 
@@ -92,14 +106,14 @@ def test_solve_detects_inconsistency():
     b = np.array([[1, 0], [0, 1], [1, 1]])
     c = np.array([[0], [0], [1]])
     with pytest.raises(NoSolution):
-        gfp.solve(b, c, 3)
+        _solve_leaving_inputs(b, c, 3)
 
 
 def test_solve_detects_rank_deficiency():
     b = np.array([[1, 2], [2, 4], [0, 0]])
     c = np.array([[1], [2], [0]])
     with pytest.raises(RankDeficient):
-        gfp.solve(b, c, 3)
+        _solve_leaving_inputs(b, c, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

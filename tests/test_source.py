@@ -116,3 +116,12 @@ def test_one_point_walk():
         f = node.func
         return getattr(f, "id", getattr(f, "attr", None)) == "projective_points"
     assert _calls(names_projective_points) == ["variety._point_orbits"]
+
+
+def test_variety_evaluates_forms_on_code_tables():
+    # interpolation reads monomial values from log/exp tables
+    # (variety._monomials_at), never from FieldElement arithmetic
+    def names_poly_eval(mod, node):
+        f = node.func
+        return mod == "variety" and getattr(f, "id", getattr(f, "attr", None)) == "poly_eval"
+    assert _calls(names_poly_eval) == []

@@ -241,10 +241,11 @@ def test_construction_eliminates_at_most_d_rows(monkeypatch):
             return real(a, *args, **kwargs)
         monkeypatch.setattr(gfp, name, wrapped)
 
-    for name in ("rank", "rref", "solve", "_echelon"):
+    for name in ("rank", "rref", "_reduce", "solve", "_echelon"):
         spy(name)
     acts = restricted_actions((4, 3, 2), 3, 3)
-    assert {name for name, _ in heights} == {"solve", "rref", "_echelon"}
+    # solve reduces its one augmented matrix in place, without rref's copy
+    assert {name for name, _ in heights} == {"solve", "_reduce", "_echelon"}
     assert max(h for _, h in heights) == acts.dim == dim_specht((4, 3, 2))
 
 

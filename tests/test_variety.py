@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from spechtvar import spechtmod, variety
@@ -34,14 +37,24 @@ def test_normalize_point():
         normalize_point((0, 0, 0), ctx)
 
 
-@pytest.mark.parametrize("p, n, k, count", [
-    (3, 3, 3, 53), (3, 3, 2, 15), (2, 4, 3, 21), (2, 4, 2, 10), (2, 3, 3, 9),
-    (2, 3, 2, 6)], ids=["GF27-n3", "GF9-n3", "GF8-n4", "GF4-n4", "GF8-n3", "GF4-n3"])
-def test_point_orbits_partition_points(p, n, k, count):
+@pytest.mark.parametrize("p, n, k, torus, count", [
+    (3, 3, 3, False, 53), (3, 3, 2, False, 15), (5, 2, 2, False, 10),
+    (3, 2, 3, False, 7), (2, 4, 3, False, 21), (2, 4, 2, False, 10),
+    (2, 3, 3, False, 9), (2, 3, 2, False, 6),
+    # the GF(p)^* torus merges orbits for p > 2 and is trivial for p = 2
+    (3, 3, 3, True, 19), (3, 3, 2, True, 8), (5, 2, 2, True, 5),
+    (3, 2, 3, True, 4), (2, 4, 3, True, 21), (2, 3, 2, True, 6)],
+    ids=["GF27-n3", "GF9-n3", "GF25-n2", "GF27-n2", "GF8-n4", "GF4-n4", "GF8-n3",
+         "GF4-n3", "GF27-n3-torus", "GF9-n3-torus", "GF25-n2-torus",
+         "GF27-n2-torus", "GF8-n4-torus", "GF4-n3-torus"])
+def test_point_orbits_partition_points(p, n, k, torus, count):
     ctx = FieldCtx.get(p, k)
     order = {pt: i for i, pt in enumerate(projective_points(ctx, n))}
-    orbits = list(variety._point_orbits(p, n, k))
+    orbits = list(variety._point_orbits(p, n, k, torus=torus))
     assert len(orbits) == count
+    if p == 2 and torus:
+        assert orbits == list(variety._point_orbits(p, n, k))
+    units = [ctx.element(c) for c in range(2, p)] if torus else []
     owner = {}
     for idx, orbit in enumerate(orbits):
         assert not owner.keys() & set(orbit)
@@ -56,6 +69,10 @@ def test_point_orbits_partition_points(p, n, k, count):
                     swapped = list(pt)
                     swapped[i], swapped[j] = swapped[j], swapped[i]
                     assert normalize_point(swapped, ctx) in members, (pt, i, j)
+                for c in units:
+                    scaled = list(pt)
+                    scaled[i] = (ctx.element(pt[i]) * c).to_index()
+                    assert normalize_point(scaled, ctx) in members, (pt, i, c)
     assert owner.keys() == order.keys()
     # GF(p)-rational points with one coordinate multiset are permutations
     # of each other, so they share an orbit
@@ -64,6 +81,40 @@ def test_point_orbits_partition_points(p, n, k, count):
         if all(c < p for c in pt):
             rational.setdefault(tuple(sorted(pt)), set()).add(owner[pt])
     assert all(len(owners) == 1 for owners in rational.values())
+
+
+@pytest.mark.parametrize("build, mu, n, p, k", [
+    (restricted_actions, (3, 3, 3), 3, 3, 2),
+    (restricted_actions, (8, 2), 2, 5, 2),
+    (perm_module_actions, (5, 1), 2, 3, 2)], ids=["S333-GF9", "S82-GF25", "M51-GF9"])
+def test_freeness_is_invariant_under_gfp_scaling(build, mu, n, p, k):
+    # the reason enumerate_locus may walk the GF(p)^* torus: freeness at
+    # alpha equals freeness at every coordinate-wise GF(p)^*-scaled alpha
+    acts = build(mu, n, p)
+    ctx = FieldCtx.get(p, k)
+    units = [ctx.element(c) for c in range(1, p)]
+    for pt in projective_points(ctx, n):
+        coords = tuple(ctx.element(c) for c in pt)
+        free = is_free_at(acts, coords)
+        for scales in itertools.product(units, repeat=n):
+            scaled = tuple(x * s for x, s in zip(coords, scales))
+            assert is_free_at(acts, scaled) == free, (pt, scales)
+
+
+def test_scaling_changes_rank_vectors_but_not_freeness():
+    # why sweep_rank_vectors keeps the torus out of its walk: over GF(9),
+    # doubling x_3 changes the rank vector of S^(3,3,3) at (1,1,1) and (1,1,2)
+    acts = restricted_actions((3, 3, 3), 3, 3)
+    ctx = FieldCtx.get(3, 2)
+    changed = []
+    for pt in projective_points(ctx, 3):
+        coords = tuple(ctx.element(c) for c in pt)
+        scaled = coords[:2] + (coords[2] * 2,)
+        before, after = rank_vector_at(acts, coords), rank_vector_at(acts, scaled)
+        assert before.is_free == after.is_free, pt
+        if before != after:
+            changed.append(pt)
+    assert changed == [(1, 1, 1), (1, 1, 2)]
 
 
 def test_locus_331_empty_everywhere_sampled():
@@ -181,12 +232,14 @@ AXES_3 = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     (restricted_actions, (5, 3, 1), 3, 3, 2, None),
     # 757 points in 53 orbits, most of them mixing S_3 and the Frobenius
     (restricted_actions, (7, 2), 3, 3, 3, AXES_3),
+    # a hypersurface locus over GF(27): 19 torus orbits, most of them mixed
+    (restricted_actions, (3, 3, 3), 3, 3, 3, None),
     (restricted_actions, (4, 4), 4, 2, 3, None),
     # p=5: the only prime here where N^(p-1) takes more than one product
     (restricted_actions, (8, 2), 2, 5, 2, AXES_2),
     (perm_module_actions, (3, 1), 2, 2, 2, AXES_2),
     (perm_module_actions, (5, 1), 2, 3, 2, AXES_2),
-], ids=["S333-p3", "S72-p3", "S531-p3", "S72-p3-GF27", "S44-p2", "S82-p5",
+], ids=["S333-p3", "S72-p3", "S531-p3", "S72-p3-GF27", "S333-p3-GF27", "S44-p2", "S82-p5",
         "M31-p2", "M51-p3"])
 def test_is_free_at_matches_rank_vectors(monkeypatch, build, mu, n, p, k, locus):
     # is_free_at decides freeness for enumerate_locus; the full rank vector
@@ -203,6 +256,35 @@ def test_is_free_at_matches_rank_vectors(monkeypatch, build, mu, n, p, k, locus)
         assert is_free_at(acts, coords) == free == (pt not in sample.points), pt
     if locus is not None:
         assert sample.points == locus
+
+
+def _random_form(rng, p, n, terms, max_degree):
+    exps = [tuple(int(e) for e in rng.integers(0, max_degree + 1, n)) for _ in range(terms)]
+    return MultiPoly(p=p, nvars=n, terms={e: int(rng.integers(1, p)) for e in exps})
+
+
+@pytest.mark.parametrize("k, affine", [(2, True), (3, False)], ids=["GF9", "GF27"])
+def test_forms_on_code_tables_match_poly_eval(k, affine):
+    # interpolation evaluates monomials and forms on log/exp code tables;
+    # poly_eval on FieldElements is the reference.  Over GF(9) every
+    # affine point, zero coordinates included; over GF(27) every
+    # projective point
+    ctx = FieldCtx.get(3, k)
+    pts = (list(itertools.product(range(ctx.q), repeat=3)) if affine
+           else list(projective_points(ctx, 3)))
+    coords = [tuple(ctx.element(c) for c in pt) for pt in pts]
+    arr = np.array(pts, dtype=np.int64)
+    exps = [e for d in range(5) for e in variety._exponents(3, d)]
+    mono = variety._monomials_at(arr, np.array(exps), ctx)
+    for col, e in enumerate(exps):
+        for row, x in enumerate(coords):
+            assert tuple(mono[row, col]) == poly_eval(MultiPoly.monomial(3, e), x).coeffs
+    rng = np.random.default_rng(k)
+    forms = [QUARTIC] + [_random_form(rng, 3, 3, terms, 4) for terms in (2, 5, 8)]
+    for f in forms:
+        values = variety._form_values(f, arr, ctx)
+        for row, x in enumerate(coords):
+            assert tuple(values[row]) == poly_eval(f, x).coeffs, (f, pts[row])
 
 
 def _check_sweep_against_direct_evaluation(acts, k, total):
