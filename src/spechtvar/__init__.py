@@ -9,8 +9,9 @@ classification of the resulting varieties.
 __version__ = "0.1.0"
 
 from .jordan import (GenericTypeReport, JordanType, RankVector,
-                     complementary_check, generic_type, generically_free,
-                     is_free_at, jordan_at_point, rank_vector_at, stable_type)
+                     are_free_at, complementary_check, generic_type,
+                     generically_free, is_free_at, jordan_at_point,
+                     rank_vector_at, rank_vectors_at, stable_type)
 from .partitions import (conjugate, contained_p, dim_specht, format_partition,
                          p_core_weight, parse_partition, partitions_of,
                          syt_count)
@@ -30,6 +31,7 @@ __all__ = [
     "GenericTypeReport",
     "JordanType",
     "RankVector",
+    "are_free_at",
     "classify",
     "classify_hypothesis",
     "classify_stable",
@@ -56,6 +58,7 @@ __all__ = [
     "phi_step",
     "predict",
     "rank_vector_at",
+    "rank_vectors_at",
     "restricted_actions",
     "stable_type",
     "sweep_rank_vectors",

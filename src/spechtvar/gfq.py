@@ -9,11 +9,17 @@ Products are one GF(p) matmul of the stacked slices, (k*d x d) times
 (d x k*d), whose k^2 blocks M_a N_b are summed along antidiagonals into
 the coefficients of t^0 .. t^(2k-2) and reduced by the modulus.
 
-Ranks have one elimination over GF(q), ``_rank_logs``: the slices become
-log codes (``FieldCtx.tables``) and a right-looking elimination on the
-d-by-d matrix adds rows with the Zech logarithm.  k = 1 stays on
-``gfp.rank``.  Fields above ``ffalg.TABLE_CAP`` (only GF(5^12) among the
-module primes) have no tables; there the rank is taken on the GF(p)
+Ranks have one elimination over GF(q), ``_rank_stack``: each matrix's
+slices become log codes (``prepare``, from ``FieldCtx.tables``), and a
+stack of B code matrices of one shape is eliminated together, column by
+column, adding rows with the Zech logarithm.  Per column the numpy
+passes are shared by the whole stack, so their call overhead is paid
+once for B matrices; generic points give one block's matrices the same
+nonzero pattern, so the stack's updates touch few columns beyond any one
+matrix's.  Callers hand ``ranks`` all their matrices of one shape at
+once; ``rank`` is one matrix.  k = 1 stays on ``gfp.rank``.  Fields above
+``ffalg.TABLE_CAP`` (only GF(5^12) among the module primes) have no
+tables; there the rank is taken one matrix at a time on the GF(p)
 companion blowup sum_c kron(M_c, tmats[c]), whose rank is k times the
 rank over GF(p^k).
 """
@@ -45,51 +51,100 @@ def matmul(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return out.reshape(k, m, n)
 
 
-def rank(slices: np.ndarray, ctx: FieldCtx, stop_at: int | None = None) -> int:
-    """Rank over GF(p^k) of the matrix with these slices.
-
-    With ``stop_at``, the elimination may return early once it reaches
-    that count.
-    """
-    if ctx.k == 1:
-        return gfp.rank(slices[0], ctx.p, stop_at=stop_at)
-    if ctx.q > TABLE_CAP:
-        return _blowup_rank(slices, ctx, stop_at)
+def prepare(slices: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """One matrix in the form ``ranks`` takes: int32 log codes (-1 for zero)
+    where the stacked elimination runs, else its slices unchanged."""
+    if ctx.k == 1 or ctx.q > TABLE_CAP:
+        return slices
     codes = np.tensordot(ctx.p ** np.arange(ctx.k), slices, axes=1)
-    return _rank_logs(ctx.tables.log[codes].astype(np.int64), ctx, stop_at)
+    return ctx.tables.log[codes]
 
 
-def _rank_logs(a: np.ndarray, ctx: FieldCtx, stop_at: int | None = None) -> int:
-    """Rank of a matrix of log codes (-1 for zero); overwrites ``a``.
+def rank(slices: np.ndarray, ctx: FieldCtx, stop_at: int | None = None) -> int:
+    """Rank over GF(p^k) of the matrix with these slices; ``ranks`` of one."""
+    return ranks([prepare(slices, ctx)], ctx, stop_at)[0]
 
-    Right-looking elimination, one pivot at a time: row i gains
-    -(a_ij / a_rj) times the pivot row r, on the rows below with a nonzero
-    in the pivot column and the columns where the pivot row is nonzero.
+
+def ranks(mats: list[np.ndarray], ctx: FieldCtx, stop_at=None) -> list[int]:
+    """Ranks over GF(p^k) of matrices of one shape, each from ``prepare``.
+
+    ``stop_at`` is None, one count for every matrix, or one per matrix
+    (None for no stop); an elimination may return early once it reaches
+    its count.  Where the field has tables and k > 1 the matrices are
+    ranked by one stacked elimination, ``_rank_stack``; k = 1 goes to
+    ``gfp.rank`` and fields above the table cap to ``_blowup_rank``, one
+    matrix at a time.
+    """
+    if stop_at is None or isinstance(stop_at, (int, np.integer)):
+        stop_at = [stop_at] * len(mats)
+    if ctx.k == 1:
+        return [gfp.rank(m[0], ctx.p, stop_at=s) for m, s in zip(mats, stop_at)]
+    if ctx.q > TABLE_CAP:
+        return [_blowup_rank(m, ctx, s) for m, s in zip(mats, stop_at)]
+    if not mats:
+        return []
+    stack = np.stack(mats)
+    rows = stack.shape[1]
+    limit = np.array([rows if s is None else min(s, rows) for s in stop_at])
+    return _rank_stack(stack, ctx, limit).tolist()
+
+
+def _rank_stack(a: np.ndarray, ctx: FieldCtx, limit: np.ndarray) -> np.ndarray:
+    """Ranks of a (B, m, n) stack of log-code matrices, each stopped at its
+    ``limit``; overwrites ``a``.
+
+    Right-looking elimination, one column at a time for the whole stack.
+    At column j every live matrix (rank below its limit) takes its first
+    free row with a nonzero there as the pivot row r, and each of its
+    free rows i below with a nonzero in column j gains -(a_ij / a_rj)
+    times row r.  The updates of all matrices are one set of numpy passes
+    on the (B*m, n) view, over the union of the pivot rows' nonzero
+    columns; a row is left alone where its own pivot row is zero.
     """
     tables = ctx.tables
     order, zech = tables.order, tables.zech
-    m, n = a.shape
-    r = 0
+    b, m, n = a.shape
+    flat = a.reshape(b * m, n)
+    base = np.arange(b) * m  # flat index of each matrix's first row
+    rank = np.zeros(b, dtype=np.intp)
+    row_index = np.arange(m)
     for j in range(n):
-        if r == m or (stop_at is not None and r >= stop_at):
+        live = np.flatnonzero(rank < limit)
+        if not live.size:
             break
-        nz = np.flatnonzero(a[r:, j] >= 0)
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        rows = r + 1 + np.flatnonzero(a[r + 1:, j] >= 0)
-        cols = j + 1 + np.flatnonzero(a[r, j + 1:] >= 0)
-        if rows.size and cols.size:
-            mult = (a[rows, j] - a[r, j] + tables.neg) % order
-            add = (mult[:, None] + a[r, cols]) % order
-            old = a[np.ix_(rows, cols)]
-            # old + add = add * (1 + old / add); zech is -1 where that is zero
-            z = zech[(old - add) % order]
-            new = np.where(z < 0, -1, (add + z) % order)
-            a[np.ix_(rows, cols)] = np.where(old < 0, add, new)
-        r += 1
-    return r
+        cand = (a[live, :, j] >= 0) & (row_index >= rank[live, None])
+        has = cand.any(axis=1)
+        if not has.all():
+            live, cand = live[has], cand[has]
+            if not live.size:
+                continue
+        first = cand.argmax(axis=1)
+        piv = base[live] + rank[live]
+        src = base[live] + first
+        moved = src != piv
+        if moved.any():
+            swap = np.concatenate([piv[moved], src[moved]])
+            flat[swap] = flat[np.concatenate([src[moved], piv[moved]])]
+        # the old pivot-position row, now at ``first``, is zero in column j
+        cand[np.arange(live.size), first] = False
+        owner, below = np.nonzero(cand)
+        if owner.size:
+            pivot_rows = flat[piv, j + 1:]
+            cols = j + 1 + np.flatnonzero((pivot_rows >= 0).any(axis=0))
+            if cols.size:
+                rows = base[live[owner]] + below
+                pvals = pivot_rows[:, cols - j - 1][owner]
+                mult = (flat[rows, j] - flat[piv[owner], j] + tables.neg) % order
+                add = (mult[:, None] + pvals) % order
+                old = flat[rows[:, None], cols]
+                # old + add = add * (1 + old / add); zech is -1 where that is
+                # zero, and a negative index old - add wraps to its residue
+                z = zech[old - add]
+                new = np.where(z < 0, -1, (add + z) % order)
+                new = np.where(old < 0, add, new)
+                flat[rows[:, None], cols] = np.where(pvals < 0, old, new)
+        rank[live] += 1
+    return rank
 
 
 def _blowup_rank(slices: np.ndarray, ctx: FieldCtx, stop_at: int | None = None) -> int:

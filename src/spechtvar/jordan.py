@@ -6,12 +6,17 @@ GF(p^k) come from ``gfq``.  The Jordan type is recovered from the rank
 vector (r_0, ..., r_p) by the second difference
 b_s = r_{s-1} - 2 r_s + r_{s+1}.
 
-Every evaluation walks the blocks of ``_blocks``: a permutation module
-splits into orbit blocks, identical ones computed once, and a Specht
-module is a single block.  Rank vectors add over blocks.  Freeness at a
-point is decided in one place, ``is_free_at``: a block of dimension d is
-free iff p | d and rank N^(p-1) = d/p, an elimination that stops once it
-reaches d/p, which the rank never exceeds.
+Points are evaluated many at a time: ``rank_vectors_at`` and
+``are_free_at`` form each point's operator and powers one point at a
+time, hold only their log codes, and rank each power across the points
+as one stacked elimination (``gfq.ranks``), in chunks of at most
+``_STACK_BYTES``.  ``rank_vector_at`` and ``is_free_at`` are the same at
+one point.  Every evaluation walks the blocks of ``_blocks``: a
+permutation module splits into orbit blocks, identical ones computed
+once, and a Specht module is a single block.  Rank vectors add over
+blocks.  Freeness is decided in one place, ``are_free_at``: a block of
+dimension d is free iff p | d and rank N^(p-1) = d/p, an elimination
+that stops once it reaches d/p, which the rank never exceeds.
 
 Generic types come in two modes: randomized sampling over GF(p^8) with
 entrywise-max certification (retried over GF(p^12)), and exact
@@ -166,47 +171,107 @@ def _powers(op: np.ndarray, ctx: FieldCtx):
     yield power
 
 
-def _rank_vector_of_operator(op: np.ndarray, ctx: FieldCtx) -> RankVector:
-    ranks = [op.shape[1]] + [gfq.rank(power, ctx) for power in _powers(op, ctx)]
-    return RankVector(ctx.p, tuple(ranks) + (0,))
+# Bytes of prepared powers (``gfq.prepare``) held at once; a larger set of
+# points is ranked in chunks of this size, which bounds the held codes and
+# the stacked elimination's temporaries whatever the number of points.
+_STACK_BYTES = 8 << 20
+
+
+def _held_powers(mats: list[np.ndarray], points: list, p: int, top_only: bool):
+    """Chunks (field, per-point prepared powers) of one block's points.
+
+    Each point's operator and powers are formed one point at a time, as
+    slice products; only the prepared powers are held, N .. N^(p-1), or
+    N^(p-1) alone with ``top_only``.  A chunk ends once it holds
+    ``_STACK_BYTES``, or where the next point lies in another field.
+    """
+    held, size, held_ctx = [], 0, None
+    for alpha in points:
+        op, ctx = _point_operator(mats, alpha, p)
+        if held and ctx is not held_ctx:
+            yield held_ctx, held
+            held, size = [], 0
+        powers = _powers(op, ctx)
+        if top_only:
+            *_, top = powers
+            powers = [top]
+        prepared = [gfq.prepare(power, ctx) for power in powers]
+        held.append(prepared)
+        held_ctx, size = ctx, size + sum(x.nbytes for x in prepared)
+        if size >= _STACK_BYTES:
+            yield held_ctx, held
+            held, size = [], 0
+    if held:
+        yield held_ctx, held
+
+
+def _block_ranks(mats: list[np.ndarray], points: list, p: int) -> np.ndarray:
+    """Ranks of N, .., N^(p-1) over GF(p^k) at each point of one block.
+
+    Shape (len(points), p - 1).  Each power is ranked across a chunk of
+    points as one stack (``gfq.ranks``).
+    """
+    out = np.zeros((len(points), p - 1), dtype=np.int64)
+    row = 0
+    for ctx, held in _held_powers(mats, points, p, top_only=False):
+        for s, power in enumerate(zip(*held)):
+            out[row:row + len(held), s] = gfq.ranks(list(power), ctx)
+        row += len(held)
+    return out
+
+
+def rank_vectors_at(acts, points) -> list[RankVector]:
+    """Rank vectors of N at many points, summed over the module's blocks."""
+    p, points = acts.p, list(points)
+    total = np.zeros((len(points), p + 1), dtype=np.int64)
+    for mats, mult in _blocks(acts):
+        total[:, 0] += mult * mats[0].shape[0]
+        total[:, 1:p] += mult * _block_ranks(mats, points, p)
+    return [RankVector(p, tuple(int(x) for x in row)) for row in total]
 
 
 def rank_vector_at(acts, alpha) -> RankVector:
     """Rank vector of N at one point, summed over the module's blocks."""
-    p = acts.p
-    total = np.zeros(p + 1, dtype=np.int64)
-    for mats, mult in _blocks(acts):
-        op, ctx = _point_operator(mats, alpha, p)
-        total += mult * np.array(_rank_vector_of_operator(op, ctx).ranks)
-    return RankVector(p, tuple(int(x) for x in total))
+    return rank_vectors_at(acts, [alpha])[0]
 
 
 def jordan_at_point(acts, alpha) -> JordanType:
     return JordanType.from_rank_vector(rank_vector_at(acts, alpha))
 
 
-def is_free_at(acts, alpha) -> bool:
-    """True iff the restriction along u_alpha is free, i.e. every block is.
+def are_free_at(acts, points) -> list[bool]:
+    """Whether the restriction along u_alpha is free, for many points.
 
-    The one place freeness at a point is decided.  A block of dimension d
-    is free iff p | d and rank N^(p-1) = d/p over GF(p^k).  That rank
-    counts the Jordan blocks of size p, so it never exceeds d/p, and the
-    GF(p^k) elimination of ``gfq.rank`` stops once it gets there.  Agrees
-    with ``RankVector.is_free`` of ``rank_vector_at``.
+    The one place freeness at a point is decided.  A module is free iff
+    every block is, and a block of dimension d is free iff p | d and
+    rank N^(p-1) = d/p over GF(p^k).  That rank counts the Jordan blocks
+    of size p, so it never exceeds d/p, and the stacked elimination of
+    ``gfq.ranks`` stops once it gets there.  A point stays in the stack
+    only while every block so far is free.  Agrees with
+    ``RankVector.is_free`` of ``rank_vector_at``.
     """
-    p = acts.p
+    p, points = acts.p, list(points)
     if acts.dim % p:
         warnings.warn(f"dim {acts.dim} not divisible by {p}; module cannot be free",
                       RuntimeWarning, stacklevel=2)
+    free = np.ones(len(points), dtype=bool)
     for mats, _ in _blocks(acts):
-        op, ctx = _point_operator(mats, alpha, p)  # validates alpha in every case
         d = mats[0].shape[0]
         if d % p:
-            return False
-        *_, top = _powers(op, ctx)
-        if gfq.rank(top, ctx, stop_at=d // p) != d // p:
-            return False
-    return True
+            for alpha in points:  # points are validated in every case
+                _coerce_point(alpha, acts.n, p)
+            return [False] * len(points)
+        idx = np.flatnonzero(free)
+        top = []
+        for ctx, held in _held_powers(mats, [points[i] for i in idx], p, top_only=True):
+            top += gfq.ranks([powers[0] for powers in held], ctx, stop_at=d // p)
+        free[idx] = np.array(top, dtype=np.int64) == d // p
+    return free.tolist()
+
+
+def is_free_at(acts, alpha) -> bool:
+    """True iff the restriction along u_alpha is free; ``are_free_at`` at one point."""
+    return are_free_at(acts, [alpha])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +308,8 @@ def generic_type(acts, mode: str = "randomized", seed: int = 0,
 
     Randomized mode samples nonzero points of GF(p^8)^n, takes the
     entrywise max of the rank vectors, and certifies only if one sample
-    attains the max everywhere (retrying over GF(p^12)).
+    attains the max everywhere (retrying over GF(p^12)).  A field's
+    samples are drawn first and ranked together (``rank_vectors_at``).
     """
     p = acts.p
     if mode == "exact":
@@ -259,9 +325,8 @@ def generic_type(acts, mode: str = "randomized", seed: int = 0,
     seen: list[RankVector] = []
     for k in (8, 12):
         ctx = FieldCtx.get(p, k)
-        for _ in range(samples):
-            point = ctx.random_point(rng, acts.n)
-            seen.append(rank_vector_at(acts, point))
+        seen += rank_vectors_at(acts, [ctx.random_point(rng, acts.n)
+                                       for _ in range(samples)])
         # The entrywise max of convex vectors need not be convex, so take
         # the max on raw tuples and look for a sample that attains it.
         best = tuple(max(rv.ranks[i] for rv in seen) for i in range(p + 1))

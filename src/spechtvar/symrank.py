@@ -170,26 +170,21 @@ def generic_rank(mat: np.ndarray, nvars: int, deg: int, p: int) -> int:
             m[[0, i0]] = m[[i0, 0]]
         if j0:
             m[:, [0, j0]] = m[:, [j0, 0]]
-        piv = m[0, 0].copy()
+        piv, top, col = m[0, 0].copy(), m[0, 1:].copy(), m[1:, 0].copy()
         nrow, ncol = m.shape[0] - 1, m.shape[1] - 1
-        p1 = _mul_many(m[1:, 1:].reshape(nrow * ncol, -1), piv,
-                       nvars, cur_deg, cur_deg, p)
-        p2 = np.empty_like(p1).reshape(nrow, ncol, -1)
+        # num = piv * m[1:, 1:] - m[1:, 0] m[0, 1:], reduced in place row by row
+        num = _mul_many(m[1:, 1:].reshape(nrow * ncol, -1), piv,
+                        nvars, cur_deg, cur_deg, p).reshape(nrow, ncol, -1)
+        del m  # only the pivot row and column are still needed
         for i in range(nrow):
-            p2[i] = _mul_many(m[0:1, 1:].reshape(ncol, -1), m[1 + i, 0],
-                              nvars, cur_deg, cur_deg, p)
-        num = (p1.reshape(nrow, ncol, -1) - p2) % p
+            num[i] -= _mul_many(top, col[i], nvars, cur_deg, cur_deg, p)
+            num[i] %= p
         num_deg = 2 * cur_deg
-        new_deg = num_deg - prev_deg
-        if prev is None:
-            quot = num
-        else:
-            quot = _divide_rows(num.reshape(nrow * ncol, -1), prev,
-                                nvars, num_deg, prev_deg, p)
-            quot = quot.reshape(nrow, ncol, -1)
-        prev, prev_deg = piv, cur_deg
-        cur_deg = new_deg
-        m = quot
+        if prev is not None:
+            num = _divide_rows(num.reshape(nrow * ncol, -1), prev,
+                               nvars, num_deg, prev_deg, p).reshape(nrow, ncol, -1)
+        prev, prev_deg, cur_deg = piv, cur_deg, num_deg - prev_deg
+        m = num
     return rk
 
 

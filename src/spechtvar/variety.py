@@ -24,8 +24,10 @@ coordinate-wise by GF(p)^*.  The rank vector is not: the conjugate
 operator is c A_i plus terms in J^2, not c A_i, and S^(3,3,3) over GF(9)
 has points whose rank vector changes when one coordinate is doubled.
 
-Freeness at a point is ``jordan.is_free_at``, rank vectors are
-``jordan.rank_vector_at``; both accept Specht and permutation modules.
+Freeness is ``jordan.are_free_at`` and rank vectors are
+``jordan.rank_vectors_at``: a sweep hands all its orbit representatives
+to one call, which ranks them as stacks.  Both accept Specht and
+permutation modules.
 Forms are evaluated on code tables (``_monomials_at``), not on
 ``FieldElement`` objects.
 """
@@ -35,13 +37,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import gfp
 from .errors import InconsistentCounts, TooManyPoints, ZeroPoint
 from .ffalg import TABLE_CAP, FieldCtx, FieldElement, MultiPoly
-from .jordan import is_free_at, rank_vector_at
+from .jordan import are_free_at, rank_vectors_at
 from .partitions import Partition
 from .spechtmod import RestrictedActions
 
@@ -136,13 +139,17 @@ def _frobenius(ctx: FieldCtx):
     return lambda c: (ctx.element(c) ** ctx.p).to_index()
 
 
-def _point_orbits(p: int, n: int, k: int, *, torus: bool = False):
+@lru_cache(maxsize=16)
+def _point_orbits(p: int, n: int, k: int, *, torus: bool = False
+                  ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Each orbit of projective points under Frobenius x S_n once.
 
-    The one sweep walk, and the one place ``_POINT_GATE`` is enforced.
-    An orbit is listed from its first point in ``projective_points``
-    order, the representative.  The Frobenius is a code lookup and keeps
-    normalization (1 is fixed); a transposed point is normalized again.
+    The one sweep walk, and the one place ``_POINT_GATE`` is enforced,
+    before any table is built.  An orbit is listed from its first point
+    in ``projective_points`` order, the representative.  The Frobenius is
+    a code lookup and keeps normalization (1 is fixed); a transposed point
+    is normalized again.  The orbits depend only on the arguments, so the
+    walk is kept once per process.
 
     With ``torus`` (freeness only, see the module docstring) the group
     also scales coordinates by GF(p)^*; with S_n it is generated by
@@ -162,7 +169,7 @@ def _point_orbits(p: int, n: int, k: int, *, torus: bool = False):
     if scale:
         t = ctx.tables
         exp, log, unit = t.exp.tolist(), t.log.tolist(), t.order // (p - 1)
-    seen = set()
+    seen, orbits = set(), []
     for pt in projective_points(ctx, n):
         if pt in seen:
             continue
@@ -182,29 +189,33 @@ def _point_orbits(p: int, n: int, k: int, *, torus: bool = False):
                     seen.add(img)
                     orbit.append(img)
                     todo.append(img)
-        yield orbit
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
+def _representatives(orbits, ctx: FieldCtx) -> list[tuple[FieldElement, ...]]:
+    """The first point of each orbit, as field elements."""
+    return [tuple(ctx.element(c) for c in orbit[0]) for orbit in orbits]
 
 
 def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
     """Sweep every projective point of GF(p^k)^n and keep the non-free ones.
 
     Freeness is decided once per orbit of Frobenius x S_n x the GF(p)^*
-    torus, so the locus is a union of such orbits.
+    torus, so the locus is a union of such orbits; the representatives
+    are decided together (``are_free_at``).
     """
     p, n, d = acts.p, acts.n, acts.dim
     key = (type(acts).__name__, acts.mu, n, p, k)
     if key in _LOCUS_MEMO:
         return _LOCUS_MEMO[key]
-    points, total = set(), 0
-    for orbit in _point_orbits(p, n, k, torus=True):
-        ctx = FieldCtx.get(p, k)  # cached; only reached past the gate
-        total += len(orbit)
-        # p must divide d for freeness anywhere; skipping also skips the warning
-        if d % p == 0 and is_free_at(acts, tuple(ctx.element(c) for c in orbit[0])):
-            continue
-        points.update(orbit)
+    orbits = _point_orbits(p, n, k, torus=True)
+    # p must divide d for freeness anywhere; skipping also skips the warning
+    free = (are_free_at(acts, _representatives(orbits, FieldCtx.get(p, k)))
+            if d % p == 0 else [False] * len(orbits))
+    points = {pt for orbit, f in zip(orbits, free) if not f for pt in orbit}
     sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
-                         total_projective_points=total)
+                         total_projective_points=sum(map(len, orbits)))
     _LOCUS_MEMO[key] = sample
     return sample
 
@@ -414,11 +425,12 @@ def sweep_rank_vectors(acts: RestrictedActions, k: int):
     """(point codes, free flag, rank vector) per projective point; CLI fodder.
 
     One rank vector per orbit of ``_point_orbits``, reported for each of
-    its points: the Frobenius and coordinate permutations keep it.
+    its points: the Frobenius and coordinate permutations keep it.  The
+    representatives are ranked together (``rank_vectors_at``).
     """
-    for orbit in _point_orbits(acts.p, acts.n, k):
-        ctx = FieldCtx.get(acts.p, k)  # cached; only reached past the gate
-        rv = rank_vector_at(acts, tuple(ctx.element(c) for c in orbit[0]))
+    orbits = _point_orbits(acts.p, acts.n, k)
+    rvs = rank_vectors_at(acts, _representatives(orbits, FieldCtx.get(acts.p, k)))
+    for orbit, rv in zip(orbits, rvs):
         for pt in orbit:
             yield pt, rv.is_free, rv
 

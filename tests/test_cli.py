@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,3 +198,22 @@ def test_parser_has_all_subcommands():
     expected = {"info", "phi", "predict", "jordan", "variety", "table9",
                 "young", "verify"}
     assert expected <= set(subs.choices)
+
+
+@pytest.mark.parametrize("argv", [
+    ["jordan", "--mu", "(5,2,2)", "--p", "3"],
+    ["variety", "--mu", "(3,3,3)", "--p", "3", "--ext", "3", "--out", "json"],
+], ids=["jordan", "variety"])
+def test_output_is_the_same_under_python_O(argv):
+    # invariants are typed errors, not asserts, so -O changes nothing
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SPECHTVAR_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    code = "import sys; from spechtvar.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = [subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env,
+                           capture_output=True, timeout=300)
+            for flags in ([], ["-O"])]
+    for run in runs:
+        assert run.returncode == 0, run.stderr.decode()
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout

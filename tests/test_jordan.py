@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from spechtvar.errors import (ArityMismatch, PreconditionViolated, RankCheckFailed,
                               ZeroPoint)
 from spechtvar.ffalg import FieldCtx
-from spechtvar.jordan import (JordanType, RankVector, complementary_check,
-                              generic_type, is_free_at, jordan_at_point,
-                              rank_vector_at, stable_type)
+from spechtvar.jordan import (JordanType, RankVector, are_free_at,
+                              complementary_check, generic_type, is_free_at,
+                              jordan_at_point, rank_vector_at, rank_vectors_at,
+                              stable_type)
 from spechtvar.partitions import p_core_weight, partitions_of
 from spechtvar.phimap import find_ab
 from spechtvar.spechtmod import (PermutationActions, perm_module_actions,
@@ -93,6 +96,31 @@ def test_531_is_free_at_extension_points():
         ctx.random_point(rng, 3),
     ]
     assert all(is_free_at(acts, pt) for pt in pts)
+
+
+@pytest.mark.parametrize("mu", [(3, 3, 3), (8, 1)], ids=["p|dim", "p!|dim"])
+def test_many_point_functions_validate_every_point(mu):
+    acts = restricted_actions(mu, 3, 3)
+    for bad, err in (((0, 0, 0), ZeroPoint), ((1, 1), ArityMismatch)):
+        with pytest.raises(err):
+            rank_vectors_at(acts, [(1, 0, 0), bad])
+        with pytest.raises(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            are_free_at(acts, [(1, 0, 0), bad])
+
+
+def test_many_points_match_one_point_at_a_time():
+    # points of two fields in one call, on a module with 10 distinct blocks
+    # whose locus is the union of the coordinate planes
+    acts = perm_module_actions((3, 2, 1), 3, 2)
+    ctx = FieldCtx.get(2, 3)
+    rng = np.random.default_rng(5)
+    pts = [(1, 0, 0), (1, 1, 1)] + [ctx.random_point(rng, 3) for _ in range(4)]
+    pts.insert(3, (0, 1, 1))
+    free = are_free_at(acts, pts)
+    assert free == [is_free_at(acts, pt) for pt in pts] and any(free) and not all(free)
+    assert rank_vectors_at(acts, pts) == [rank_vector_at(acts, pt) for pt in pts]
+    assert rank_vectors_at(acts, []) == [] and are_free_at(acts, []) == []
 
 
 def test_is_free_warns_when_dim_not_divisible():

@@ -80,24 +80,39 @@ def _calls_method(node: ast.Call, name: str) -> bool:
 def test_one_blowup_and_one_freeness_elimination():
     # one companion blowup, in the rank path for fields above the table
     # cap, and one early-stopping elimination outside the kernels: the one
-    # place that decides freeness at a point
+    # place that decides freeness, for many points at once
     assert _calls(lambda mod, node: _is_attr_call(node, "np", "kron")) == [
         "gfq._blowup_rank"]
     assert _calls(lambda mod, node: mod not in ("gfp", "gfq")
-                  and (_is_attr_call(node, "gfp", "rank")
-                       or _is_attr_call(node, "gfq", "rank"))
+                  and any(_is_attr_call(node, owner, name) for owner, name in
+                          (("gfp", "rank"), ("gfq", "rank"), ("gfq", "ranks")))
                   and (len(node.args) > 2
                        or any(kw.arg == "stop_at" for kw in node.keywords))) == [
-        "jordan.is_free_at"]
+        "jordan.are_free_at"]
 
 
 def test_one_extension_field_elimination():
-    # the Zech table is read only by the one GF(q) elimination, and only
-    # gfq.rank calls that
+    # the Zech table is read only by the one GF(q) elimination, the stack
+    # kernel, and only gfq.ranks calls that
     assert _scopes(lambda mod, node: isinstance(node, ast.Attribute)
-                   and node.attr == "zech") == ["gfq._rank_logs"]
-    assert _calls(lambda mod, node: getattr(node.func, "id", None) == "_rank_logs") == [
-        "gfq.rank"]
+                   and node.attr == "zech") == ["gfq._rank_stack"]
+    assert _calls(lambda mod, node: getattr(node.func, "id", None) == "_rank_stack") == [
+        "gfq.ranks"]
+
+
+def test_sweeps_and_generic_types_hand_over_stacks():
+    # the many-point callers rank their points together: no per-point
+    # rank_vector_at / is_free_at call inside them
+    def per_point(mod, node):
+        f = node.func
+        return getattr(f, "id", getattr(f, "attr", None)) in ("rank_vector_at", "is_free_at")
+    callers = set(_calls(per_point))
+    hot = {"jordan.generic_type", "variety.enumerate_locus", "variety.sweep_rank_vectors"}
+    assert not callers & hot, callers & hot
+    def names(name):
+        return set(_calls(lambda mod, node: getattr(node.func, "id", None) == name))
+    assert names("rank_vectors_at") >= {"jordan.generic_type", "variety.sweep_rank_vectors"}
+    assert names("are_free_at") >= {"variety.enumerate_locus"}
 
 
 def test_point_operator_builds_no_blowup():

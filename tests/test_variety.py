@@ -209,6 +209,22 @@ def test_point_gate():
         enumerate_locus(acts, 13)
 
 
+def test_point_gate_comes_before_any_field(monkeypatch):
+    # GF(3^9) is a valid field; the gate must refuse its 3-space before
+    # any context or table is looked up
+    monkeypatch.setattr(variety, "FieldCtx", None)
+    with pytest.raises(TooManyPoints):
+        variety._point_orbits(3, 3, 9)
+
+
+@pytest.mark.parametrize("p, n, k, torus", [
+    (3, 3, 3, True), (3, 3, 2, False), (2, 4, 3, False), (5, 2, 2, True)])
+def test_kept_orbit_walk_matches_a_fresh_walk(p, n, k, torus):
+    kept = variety._point_orbits(p, n, k, torus=torus)
+    assert variety._point_orbits(p, n, k, torus=torus) is kept
+    assert kept == variety._point_orbits.__wrapped__(p, n, k, torus=torus)
+
+
 def test_sweep_rank_vectors_333():
     acts = restricted_actions((3, 3, 3), 3, 3)
     rows = list(sweep_rank_vectors(acts, 1))
