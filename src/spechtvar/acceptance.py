@@ -18,7 +18,7 @@ import numpy as np
 
 from .ffalg import FieldCtx, MultiPoly
 from .jordan import (JordanType, complementary_check, generic_type,
-                     rank_vector_at, stable_type)
+                     rank_vectors_at, stable_type)
 from .partitions import (Partition, branching_set, conjugate, contained_p,
                          dim_specht, format_partition, p_core_weight,
                          partitions_of, syt_count)
@@ -251,6 +251,21 @@ _EXACT_SPECHT = (((9,), 3, 3), ((8, 1), 3, 3), ((7, 2), 3, 3),
 _EXACT_PERM = (((9,), 3, 3), ((3, 3), 2, 3), ((4, 2), 3, 2))
 
 
+def _first_change(roster, trials) -> int | None:
+    """Index of the first trial (point, image) whose two rank vectors differ.
+
+    Trial i is on ``roster[i % len(roster)]``; each module's points and
+    images are ranked in one ``rank_vectors_at`` call.
+    """
+    changed = []
+    for m, acts in enumerate(roster):
+        pairs = trials[m::len(roster)]
+        rvs = rank_vectors_at(acts, [a for a, _ in pairs] + [b for _, b in pairs])
+        changed += [m + j * len(roster)
+                    for j, (a, b) in enumerate(zip(rvs, rvs[len(pairs):])) if a != b]
+    return min(changed, default=None)
+
+
 @lru_cache(maxsize=None)
 def property_suites() -> tuple[bool, str]:
     """Randomized invariants of rank vectors and generic types."""
@@ -259,12 +274,17 @@ def property_suites() -> tuple[bool, str]:
     roster = dense + [perm_module_actions((6, 3), 3, 3),
                       perm_module_actions((4, 2), 3, 2)]
     # validity: the RankVector constructor rejects non-monotone or
-    # non-convex profiles, so surviving 500 evaluations is the check
+    # non-convex profiles, so surviving 500 evaluations is the check; the
+    # points are drawn in trial order and ranked per (module, field)
+    groups: dict[tuple[int, int], list] = {}
     for i in range(500):
-        acts = roster[i % len(roster)]
-        ctx = FieldCtx.get(acts.p, 1 + i % 3)
-        rv = rank_vector_at(acts, ctx.random_point(rng, acts.n))
-        JordanType.from_rank_vector(rv)
+        m = i % len(roster)
+        ctx = FieldCtx.get(roster[m].p, 1 + i % 3)
+        groups.setdefault((m, ctx.k), []).append(ctx.random_point(rng, roster[m].n))
+    for (m, _), points in groups.items():
+        for rv in rank_vectors_at(roster[m], points):
+            JordanType.from_rank_vector(rv)
+    scaled, permuted = [], []
     for i in range(100):
         acts = dense[i % len(dense)]
         ctx = FieldCtx.get(acts.p, 2)
@@ -272,17 +292,18 @@ def property_suites() -> tuple[bool, str]:
         lam = ctx.random_element(rng)
         while not lam:
             lam = ctx.random_element(rng)
-        if rank_vector_at(acts, pt) != rank_vector_at(acts, tuple(x * lam for x in pt)):
-            return False, (f"scaling changed the rank vector for "
-                           f"{format_partition(acts.mu)} at trial {i}")
+        scaled.append((pt, tuple(x * lam for x in pt)))
     for i in range(100):
         acts = dense[i % len(dense)]
         ctx = FieldCtx.get(acts.p, 2)
         pt = ctx.random_point(rng, acts.n)
         sigma = rng.permutation(acts.n)
-        if rank_vector_at(acts, pt) != rank_vector_at(acts, tuple(pt[j] for j in sigma)):
-            return False, (f"coordinate permutation changed the rank vector "
-                           f"for {format_partition(acts.mu)} at trial {i}")
+        permuted.append((pt, tuple(pt[j] for j in sigma)))
+    for what, trials in (("scaling", scaled), ("coordinate permutation", permuted)):
+        i = _first_change(dense, trials)
+        if i is not None:
+            return False, (f"{what} changed the rank vector for "
+                           f"{format_partition(dense[i % len(dense)].mu)} at trial {i}")
     for mu, n, p in _EXACT_SPECHT:
         acts = restricted_actions(mu, n, p)
         exact = generic_type(acts, mode="exact").rank_vector

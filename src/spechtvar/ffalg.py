@@ -245,8 +245,6 @@ class FieldCtx:
             return value
         if isinstance(value, (int, np.integer)):
             value = int(value)
-            if self.k == 1:
-                return FieldElement(self, (value % self.p,))
             if not 0 <= value < self.q:
                 value %= self.p  # scalars embed via the prime subfield
                 return FieldElement(self, (value,) + (0,) * (self.k - 1))
@@ -365,8 +363,6 @@ class FieldElement:
     def __mul__(self, other):
         o = self._lift(other)
         p, k = self.ctx.p, self.ctx.k
-        if k == 1:
-            return FieldElement(self.ctx, ((self.coeffs[0] * o.coeffs[0]) % p,))
         raw = [0] * (2 * k - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -512,20 +508,3 @@ class MultiPoly:
                             for i, e in enumerate(exps) if e)
             bits.append(f"{c}*{mono}" if mono else str(c))
         return " + ".join(bits)
-
-
-def poly_eval(f: MultiPoly, point: Sequence[FieldElement]) -> FieldElement:
-    """Evaluate f at a point with coordinates in one field."""
-    if len(point) != f.nvars:
-        raise ArityMismatch(f"point has {len(point)} coordinates, poly has {f.nvars}")
-    ctx = point[0].ctx
-    if ctx.p != f.p:
-        raise ArityMismatch("characteristic mismatch")
-    total = ctx.zero
-    for exps, c in f.terms.items():
-        term = ctx.element(c)
-        for x, e in zip(point, exps):
-            if e:
-                term = term * x**e
-        total = total + term
-    return total

@@ -40,14 +40,12 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _echelon(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
+def _echelon(a: np.ndarray, p: int) -> list[int]:
     """In-place forward elimination; returns the pivot column list.
 
     `a` must be int64 with entries already reduced mod p.  Afterwards the
     first len(pivots) rows are an (unnormalized) row echelon form and the
-    rows below are zero on the processed columns.  When `stop_at` is given,
-    elimination halts as soon as that many pivots are found; the matrix is
-    then left partially processed and only the pivot count is meaningful.
+    rows below are zero.
     """
     m, n = a.shape
     inv = inverse_table(p)
@@ -55,8 +53,6 @@ def _echelon(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
     r = 0
     col = 0
     while col < n and r < m:
-        if stop_at is not None and r >= stop_at:
-            return pivots
         width = min(_PANEL, n - col)
         piv_local: list[int] = []
         k = 0
@@ -77,10 +73,7 @@ def _echelon(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
             a[r + k + 1:, j] = mult  # stash multipliers in the cleared slot
             piv_local.append(j)
             k += 1
-            if stop_at is not None and r + k >= stop_at:
-                break
-        done = stop_at is not None and r + k >= stop_at
-        if k and col + width < n and not done:
+        if k and col + width < n:
             piv_idx = np.array(piv_local)
             # pivot rows first: row_i -= sum_{j<i} m_ij * row_j (final values)
             mults = a[r: r + k, piv_idx]
@@ -102,10 +95,10 @@ def _echelon(a: np.ndarray, p: int, stop_at: int | None = None) -> list[int]:
     return pivots
 
 
-def rank(a: np.ndarray, p: int, stop_at: int | None = None) -> int:
-    """Rank of `a` over GF(p); with `stop_at`, may return early at that count."""
+def rank(a: np.ndarray, p: int) -> int:
+    """Rank of `a` over GF(p)."""
     work = np.array(a, dtype=np.int64) % p
-    return len(_echelon(work, p, stop_at=stop_at))
+    return len(_echelon(work, p))
 
 
 def _reduce(work: np.ndarray, p: int) -> list[int]:

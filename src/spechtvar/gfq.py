@@ -9,19 +9,19 @@ Products are one GF(p) matmul of the stacked slices, (k*d x d) times
 (d x k*d), whose k^2 blocks M_a N_b are summed along antidiagonals into
 the coefficients of t^0 .. t^(2k-2) and reduced by the modulus.
 
-Ranks have one elimination over GF(q), ``_rank_stack``: each matrix's
-slices become log codes (``prepare``, from ``FieldCtx.tables``), and a
-stack of B code matrices of one shape is eliminated together, column by
-column, adding rows with the Zech logarithm.  Per column the numpy
-passes are shared by the whole stack, so their call overhead is paid
-once for B matrices; generic points give one block's matrices the same
-nonzero pattern, so the stack's updates touch few columns beyond any one
-matrix's.  Callers hand ``ranks`` all their matrices of one shape at
-once; ``rank`` is one matrix.  k = 1 stays on ``gfp.rank``.  Fields above
-``ffalg.TABLE_CAP`` (only GF(5^12) among the module primes) have no
-tables; there the rank is taken one matrix at a time on the GF(p)
-companion blowup sum_c kron(M_c, tmats[c]), whose rank is k times the
-rank over GF(p^k).
+Ranks have one elimination over GF(q), ``_rank_stack``, for every
+field with tables, the prime fields GF(p) = GF(p^1) included: each
+matrix's slices become log codes (``prepare``, from ``FieldCtx.tables``),
+and a stack of B code matrices of one shape is eliminated together,
+column by column, adding rows with the Zech logarithm.  Per column the
+numpy passes are shared by the whole stack, so their call overhead is
+paid once for B matrices; generic points give one block's matrices the
+same nonzero pattern, so the stack's updates touch few columns beyond
+any one matrix's.  Callers hand ``ranks`` all their matrices of one
+shape at once; ``rank`` is one matrix.  Fields above ``ffalg.TABLE_CAP``
+(only GF(5^12) among the module primes) have no tables; there the rank
+is taken one matrix at a time on the GF(p) companion blowup
+sum_c kron(M_c, tmats[c]), whose rank is k times the rank over GF(p^k).
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ def matmul(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     k, m, inner = x.shape
     n = y.shape[2]
     p = ctx.p
-    if k == 1:
-        return gfp.mod_matmul(x[0], y[0], p)[None]
     blocks = gfp.mod_matmul(x.reshape(k * m, inner),
                             y.transpose(1, 0, 2).reshape(inner, k * n), p)
     blocks = blocks.reshape(k, m, k, n).transpose(0, 2, 1, 3)  # [a, b] = X_a Y_b
@@ -53,8 +51,8 @@ def matmul(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
 def prepare(slices: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """One matrix in the form ``ranks`` takes: int32 log codes (-1 for zero)
-    where the stacked elimination runs, else its slices unchanged."""
-    if ctx.k == 1 or ctx.q > TABLE_CAP:
+    where the field has tables, else its slices unchanged."""
+    if ctx.q > TABLE_CAP:
         return slices
     codes = np.tensordot(ctx.p ** np.arange(ctx.k), slices, axes=1)
     return ctx.tables.log[codes]
@@ -69,18 +67,16 @@ def ranks(mats: list[np.ndarray], ctx: FieldCtx, stop_at=None) -> list[int]:
     """Ranks over GF(p^k) of matrices of one shape, each from ``prepare``.
 
     ``stop_at`` is None, one count for every matrix, or one per matrix
-    (None for no stop); an elimination may return early once it reaches
-    its count.  Where the field has tables and k > 1 the matrices are
-    ranked by one stacked elimination, ``_rank_stack``; k = 1 goes to
-    ``gfp.rank`` and fields above the table cap to ``_blowup_rank``, one
-    matrix at a time.
+    (None for no stop).  Where the field has tables the matrices are
+    ranked by one stacked elimination, ``_rank_stack``, which stops a
+    matrix at its count and so returns min(rank, count).  Fields above
+    the table cap go to ``_blowup_rank``, one matrix at a time, which
+    returns the full rank.
     """
+    if ctx.q > TABLE_CAP:
+        return [_blowup_rank(m, ctx) for m in mats]
     if stop_at is None or isinstance(stop_at, (int, np.integer)):
         stop_at = [stop_at] * len(mats)
-    if ctx.k == 1:
-        return [gfp.rank(m[0], ctx.p, stop_at=s) for m, s in zip(mats, stop_at)]
-    if ctx.q > TABLE_CAP:
-        return [_blowup_rank(m, ctx, s) for m, s in zip(mats, stop_at)]
     if not mats:
         return []
     stack = np.stack(mats)
@@ -147,7 +143,7 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx, limit: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _blowup_rank(slices: np.ndarray, ctx: FieldCtx, stop_at: int | None = None) -> int:
+def _blowup_rank(slices: np.ndarray, ctx: FieldCtx) -> int:
     """Rank over GF(p^k) from the GF(p) companion blowup of the slices.
 
     Replacing each entry by its multiplication matrix is a ring
@@ -156,7 +152,7 @@ def _blowup_rank(slices: np.ndarray, ctx: FieldCtx, stop_at: int | None = None) 
     """
     k, p = ctx.k, ctx.p
     big = sum(np.kron(s, ctx.tmats[c]) for c, s in enumerate(slices)) % p
-    r = gfp.rank(big, p, stop_at=None if stop_at is None else k * stop_at)
+    r = gfp.rank(big, p)
     if r % k:
         raise RankCheckFailed(f"blowup rank {r} is not a multiple of {k}")
     return r // k

@@ -15,8 +15,9 @@ one point.  Every evaluation walks the blocks of ``_blocks``: a
 permutation module splits into orbit blocks, identical ones computed
 once, and a Specht module is a single block.  Rank vectors add over
 blocks.  Freeness is decided in one place, ``are_free_at``: a block of
-dimension d is free iff p | d and rank N^(p-1) = d/p, an elimination
-that stops once it reaches d/p, which the rank never exceeds.
+dimension d is free iff p | d and rank N^(p-1) = d/p, which the rank
+never exceeds, so the stacked elimination may stop once it gets there.
+GF(p) points are the case k = 1 and take the same path.
 
 Generic types come in two modes: randomized sampling over GF(p^8) with
 entrywise-max certification (retried over GF(p^12)), and exact
@@ -245,10 +246,9 @@ def are_free_at(acts, points) -> list[bool]:
     The one place freeness at a point is decided.  A module is free iff
     every block is, and a block of dimension d is free iff p | d and
     rank N^(p-1) = d/p over GF(p^k).  That rank counts the Jordan blocks
-    of size p, so it never exceeds d/p, and the stacked elimination of
-    ``gfq.ranks`` stops once it gets there.  A point stays in the stack
-    only while every block so far is free.  Agrees with
-    ``RankVector.is_free`` of ``rank_vector_at``.
+    of size p, so it never exceeds d/p, and ``gfq.ranks`` may stop once
+    it gets there.  A point stays in the stack only while every block so
+    far is free.  Agrees with ``RankVector.is_free`` of ``rank_vector_at``.
     """
     p, points = acts.p, list(points)
     if acts.dim % p:

@@ -92,10 +92,6 @@ class LocusSample:
     def is_full(self) -> bool:
         return len(self.points) == self.total_projective_points
 
-    def decoded(self) -> list[tuple[FieldElement, ...]]:
-        ctx = FieldCtx.get(self.p, self.k)
-        return [tuple(ctx.element(c) for c in pt) for pt in sorted(self.points)]
-
 
 @dataclass(frozen=True)
 class VarietyClass:

@@ -3,7 +3,7 @@ import pytest
 
 from spechtvar import gfp, gfq
 from spechtvar.errors import ArityMismatch
-from spechtvar.ffalg import FieldCtx, MultiPoly, poly_eval
+from spechtvar.ffalg import FieldCtx, MultiPoly
 from spechtvar.jordan import _point_operator
 
 
@@ -184,17 +184,3 @@ def test_multipoly_arity_checks():
         _ = f + g
     with pytest.raises(ArityMismatch):
         MultiPoly(3, 2, {(1, 0, 0): 1})
-
-
-def test_poly_eval_matches_direct_expansion():
-    ctx = FieldCtx.get(3, 2)
-    f = MultiPoly(3, 3, {(2, 1, 0): 2, (0, 0, 3): 1, (1, 1, 1): 1})
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        pt = [ctx.random_element(rng) for _ in range(3)]
-        direct = ctx.zero
-        for (e1, e2, e3), c in f.terms.items():
-            direct = direct + ctx.element(c) * pt[0]**e1 * pt[1]**e2 * pt[2]**e3
-        assert poly_eval(f, pt) == direct
-    with pytest.raises(ArityMismatch):
-        poly_eval(f, pt[:2])

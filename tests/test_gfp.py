@@ -55,14 +55,6 @@ def test_rank_spans_blocked_panel_boundaries():
     assert gfp.rank(a, 3) == naive_rank(a, 3)
 
 
-def test_rank_stop_at_early_exit():
-    rng = np.random.default_rng(11)
-    a = rng.integers(0, 3, (100, 100))
-    full = gfp.rank(a, 3)
-    assert gfp.rank(a, 3, stop_at=10) == 10
-    assert gfp.rank(a, 3, stop_at=full + 50) == full
-
-
 def test_rref_is_reduced():
     rng = np.random.default_rng(5)
     a = rng.integers(0, 5, (30, 45))

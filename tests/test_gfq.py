@@ -1,9 +1,10 @@
 """The GF(q) kernel (stacked log/Zech elimination, slice products) against oracles.
 
 ``gfq._blowup_rank`` is the rank path for fields above the table cap; it
-is called directly here as the oracle.  ``rank_logs`` below is the
-one-matrix-at-a-time log/Zech elimination that the stack kernel
-replaced, kept as the stack's oracle.
+is called directly here as the oracle, and at k = 1 it is ``gfp.rank`` of
+the matrix itself.  ``rank_logs`` below is the one-matrix-at-a-time
+log/Zech elimination that the stack kernel replaced, kept as the stack's
+oracle.  The prime fields GF(p) = GF(p^1) are ranked by the same stack.
 """
 
 import itertools
@@ -17,11 +18,13 @@ from spechtvar import gfp, gfq, jordan
 from spechtvar.errors import PreconditionViolated
 from spechtvar.ffalg import FieldCtx
 from spechtvar.jordan import (GenericTypeReport, JordanType, RankVector, _blocks,
-                              _point_operator, _powers, generic_type, is_free_at,
-                              rank_vector_at)
-from spechtvar.spechtmod import perm_module_actions, restricted_actions
+                              _point_operator, _powers, are_free_at, generic_type,
+                              is_free_at, rank_vector_at, rank_vectors_at)
+from spechtvar.spechtmod import PermutationActions, perm_module_actions, restricted_actions
+from spechtvar.variety import projective_points
 
-FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8), (3, 8), (5, 8)]
+FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 8), (3, 8),
+          (5, 8)]
 
 
 def random_slices(ctx, rows, cols, rng, density=1.0):
@@ -81,7 +84,7 @@ def capped(rank, stop):
 
 # -- tables --------------------------------------------------------------------
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 3), (3, 8)])
+@pytest.mark.parametrize("p,k", [(2, 1), (5, 1), (2, 2), (3, 3), (3, 8)])
 def test_tables_agree_with_field_arithmetic(p, k):
     ctx = FieldCtx.get(p, k)
     t = ctx.tables
@@ -129,7 +132,6 @@ def test_rank_and_stop_at_match_blowup(p, k):
             for stop in (1, planted // 2 + 1, want, d):
                 got = gfq.rank(m, ctx, stop_at=stop)
                 assert got == min(stop, want), (planted, density, stop)
-                assert gfq._blowup_rank(m, ctx, stop_at=stop) == got
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -147,7 +149,9 @@ def test_stack_matches_per_matrix_kernel(p, k):
         assert all(c.dtype == np.int32 and c.shape == (rows, cols) for c in codes)
         want = [rank_logs(c.astype(np.int64), ctx) for c in codes]
         assert want == [gfq._blowup_rank(m, ctx) for m in mats]
-        assert want[0] == want[5] == 0 and want[3] >= full - 2
+        # a product of two random full-rank-size factors; over GF(2) each
+        # factor is singular more often, so it may lose a little more rank
+        assert want[0] == want[5] == 0 and want[3] >= full - (2 if ctx.q > 2 else 4)
         kept = [c.copy() for c in codes]
         assert gfq.ranks(codes, ctx) == want
         assert all(np.array_equal(c, c0) for c, c0 in zip(codes, kept))  # inputs kept
@@ -183,7 +187,7 @@ def test_stack_matches_per_matrix_kernel_on_small_stacks(field, rows, cols, mats
     assert gfq.ranks(codes, ctx, stop_at=stops) == want
 
 
-@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 2), (3, 8), (5, 8)])
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 3), (3, 2), (5, 2), (3, 8), (5, 8)])
 def test_slice_product_matches_blowup_product(p, k):
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(p + 10 * k)
@@ -235,6 +239,46 @@ def test_point_operators_match_blowup(module, k, points):
         want = blowup_rank_vector(acts, pt)
         assert rank_vector_at(acts, pt) == want, pt
         assert is_free_at(acts, pt) == want.is_free, pt
+
+
+def module_matrices(acts):
+    """The A_i on the whole module: a Specht module's, or g_i - 1 on tabloids."""
+    if not isinstance(acts, PermutationActions):
+        return acts.A
+    eye = np.eye(acts.dim, dtype=np.int64)
+    return [(eye[:, pi] - eye) % acts.p for pi in acts.perms]
+
+
+def prime_field_rank_vector(acts, alpha) -> RankVector:
+    """Rank vector at an integer point: ``gfp.rank`` of the ``mod_matmul``
+    powers of N on the whole module, the GF(p) path the stack replaced."""
+    p = acts.p
+    op = sum(int(a) * m for a, m in zip(alpha, module_matrices(acts))) % p
+    ranks, power = [acts.dim], op
+    for _ in range(p - 1):
+        ranks.append(gfp.rank(power, p))
+        power = gfp.mod_matmul(power, op, p)
+    assert not power.any()  # N^p = 0
+    return RankVector(p, tuple(ranks) + (0,))
+
+
+@pytest.mark.parametrize("module", [
+    lambda: restricted_actions((7, 2), 3, 3),
+    lambda: restricted_actions((6, 2, 2), 5, 2),
+    lambda: restricted_actions((8, 2), 2, 5),
+    lambda: perm_module_actions((4, 2), 3, 2),
+], ids=["S(7,2)-p3", "S(6,2,2)-p2", "S(8,2)-p5", "M(4,2)-p2"])
+@pytest.mark.filterwarnings("ignore:dim .* not divisible:RuntimeWarning")
+def test_prime_field_points_match_gfp_rank(module):
+    # every projective point of GF(p)^n as integers, then the same points
+    # scaled by -1 and written with entries >= p
+    acts = module()
+    p = acts.p
+    pts = list(projective_points(FieldCtx.get(p, 1), acts.n))
+    pts += [tuple((p - 1) * c + p for c in pt) for pt in pts]
+    want = [prime_field_rank_vector(acts, pt) for pt in pts]
+    assert rank_vectors_at(acts, pts) == want
+    assert are_free_at(acts, pts) == [rv.is_free for rv in want]
 
 
 def test_above_cap_point_over_prime_field():

@@ -91,6 +91,28 @@ def test_one_blowup_and_one_freeness_elimination():
         "jordan.are_free_at"]
 
 
+def test_one_rank_route_per_field():
+    # GF(p) is GF(p^1): every field with tables is ranked by the stack
+    # kernel, and only the blowup above the table cap ranks over GF(p)
+    assert _calls(lambda mod, node: _is_attr_call(node, "gfp", "rank")
+                  or (mod == "gfp" and getattr(node.func, "id", None) == "rank")) == [
+        "gfq._blowup_rank"]
+    assert _calls(lambda mod, node: getattr(node.func, "id", None) == "_blowup_rank") == [
+        "gfq.ranks"]
+
+    def is_k_one(mod, node):
+        if mod != "gfq" or not isinstance(node, ast.Compare):
+            return False
+        sides = [node.left, *node.comparators]
+        return (any(isinstance(x, ast.Constant) and x.value == 1 for x in sides)
+                and any(getattr(x, "attr", getattr(x, "id", None)) == "k" for x in sides))
+    assert _scopes(is_k_one) == []
+    # the GF(p) eliminator always runs to the full rank
+    assert _scopes(lambda mod, node: mod == "gfp" and (
+        (isinstance(node, ast.arg) and node.arg == "stop_at")
+        or (isinstance(node, ast.Name) and node.id == "stop_at"))) == []
+
+
 def test_one_extension_field_elimination():
     # the Zech table is read only by the one GF(q) elimination, the stack
     # kernel, and only gfq.ranks calls that

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spechtvar import spechtmod, variety
-from spechtvar.errors import InconsistentCounts, TooManyPoints, ZeroPoint
-from spechtvar.ffalg import FieldCtx, MultiPoly, poly_eval
+from spechtvar.errors import ArityMismatch, InconsistentCounts, TooManyPoints, ZeroPoint
+from spechtvar.ffalg import FieldCtx, MultiPoly
 from spechtvar.jordan import is_free_at, rank_vector_at
 from spechtvar.spechtmod import perm_module_actions, restricted_actions
 from spechtvar.variety import (CATALOGUE_P3_9, classify, classify_stable,
@@ -15,6 +15,24 @@ from spechtvar.variety import (CATALOGUE_P3_9, classify, classify_stable,
                                sweep_rank_vectors, template_check)
 
 QUARTIC = MultiPoly(p=3, nvars=3, terms={(2, 2, 0): 1, (0, 2, 2): 1, (2, 0, 2): 1})
+
+
+def poly_eval(f, point):
+    """f at a point with coordinates in one field, by ``FieldElement``
+    arithmetic: the oracle of the code-table evaluation ``_monomials_at``."""
+    if len(point) != f.nvars:
+        raise ArityMismatch(f"point has {len(point)} coordinates, poly has {f.nvars}")
+    ctx = point[0].ctx
+    if ctx.p != f.p:
+        raise ArityMismatch("characteristic mismatch")
+    total = ctx.zero
+    for exps, c in f.terms.items():
+        term = ctx.element(c)
+        for x, e in zip(point, exps):
+            if e:
+                term = term * x**e
+        total = total + term
+    return total
 
 
 def test_projective_points_are_normalized_and_counted():
@@ -277,6 +295,20 @@ def test_is_free_at_matches_rank_vectors(monkeypatch, build, mu, n, p, k, locus)
 def _random_form(rng, p, n, terms, max_degree):
     exps = [tuple(int(e) for e in rng.integers(0, max_degree + 1, n)) for _ in range(terms)]
     return MultiPoly(p=p, nvars=n, terms={e: int(rng.integers(1, p)) for e in exps})
+
+
+def test_poly_eval_matches_direct_expansion():
+    ctx = FieldCtx.get(3, 2)
+    f = MultiPoly(3, 3, {(2, 1, 0): 2, (0, 0, 3): 1, (1, 1, 1): 1})
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        pt = [ctx.random_element(rng) for _ in range(3)]
+        direct = ctx.zero
+        for (e1, e2, e3), c in f.terms.items():
+            direct = direct + ctx.element(c) * pt[0]**e1 * pt[1]**e2 * pt[2]**e3
+        assert poly_eval(f, pt) == direct
+    with pytest.raises(ArityMismatch):
+        poly_eval(f, pt[:2])
 
 
 @pytest.mark.parametrize("k, affine", [(2, True), (3, False)], ids=["GF9", "GF27"])
