@@ -28,13 +28,16 @@ def inverse_table(p: int) -> np.ndarray:
     return table
 
 
+def exact_float(inner: int, p: int) -> type:
+    """The float type in which inner-products of length ``inner`` of
+    residues mod p are exact: float32 below 2**24, else float64."""
+    return np.float32 if inner * (p - 1) ** 2 < 2**24 else np.float64
+
+
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p via float BLAS."""
-    inner = a.shape[-1]
-    if inner * (p - 1) ** 2 < 2**24:
-        prod = a.astype(np.float32) @ b.astype(np.float32)
-    else:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
+    ftype = exact_float(a.shape[-1], p)
+    prod = a.astype(ftype) @ b.astype(ftype)
     out = prod.astype(np.int64)
     out %= p
     return out

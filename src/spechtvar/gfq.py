@@ -7,7 +7,8 @@ are born in this form: slice c of sum_i alpha_i A_i is sum_i alpha_i[c] A_i.
 
 Products are one GF(p) matmul of the stacked slices, (k*d x d) times
 (d x k*d), whose k^2 blocks M_a N_b are summed along antidiagonals into
-the coefficients of t^0 .. t^(2k-2) and reduced by the modulus.
+the coefficients of t^0 .. t^(2k-2) and reduced by the modulus; over
+GF(p) itself (k = 1) that is the one GF(p) product.
 
 Ranks have one elimination over GF(q), ``_rank_stack``, for every
 field with tables, the prime fields GF(p) = GF(p^1) included: each
@@ -38,6 +39,8 @@ def matmul(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     k, m, inner = x.shape
     n = y.shape[2]
     p = ctx.p
+    if k == 1:  # GF(p): the slice product is the product, nothing to fold
+        return gfp.mod_matmul(x[0], y[0], p)[None]
     blocks = gfp.mod_matmul(x.reshape(k * m, inner),
                             y.transpose(1, 0, 2).reshape(inner, k * n), p)
     blocks = blocks.reshape(k, m, k, n).transpose(0, 2, 1, 3)  # [a, b] = X_a Y_b

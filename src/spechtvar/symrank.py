@@ -16,7 +16,18 @@ matrix can produce.
 The exact division by the previous pivot solves a triangular linear system
 on coefficients: with LM the pivot's leading monomial (largest code),
 S[b, a] = prev[m_a + LM - m_b] is upper triangular with the pivot's leading
-coefficient on the diagonal, and the quotient rows are num_sub @ S^{-1}.
+coefficient on the diagonal, and the quotient rows are num_sub @ S^{-1},
+where num_sub holds the numerator's coefficients at m_a + LM only.
+
+So a step never forms the whole numerator num = piv*M - col (x) top of
+degree 2c: ``_step_plan`` sends each product pair of degree-c monomials to
+the quotient column it lands in (or drops it), cached per (variables,
+degree, previous degree, LM code) within ``_PLAN_CACHE_BYTES``, and per
+block of rows the two products
+are GEMMs against convolution matrices gathered onto those columns alone
+(at (5,3), p = 2, 816 of 4,495 columns).  The first step has no divisor,
+and its plan covers every column of degree 2c.  Entries are held as exact
+floats below p, in float32 wherever the products' sums stay below 2**24.
 """
 
 from __future__ import annotations
@@ -31,6 +42,10 @@ from .errors import PreconditionViolated, TooLarge
 _RADIX = 512
 MAX_EXACT_DIM = 32
 _MAX_VARS = 7
+_CHUNK_BYTES = 8 * 2**20  # bound on one block's gathered convolution
+_LOOKUP_BLOCK = 2**16  # code lookups per block in _sum_positions
+_PLAN_CACHE_BYTES = 32 * 2**20
+_PLANS: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -59,28 +74,32 @@ def _lookup(codes_desc: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.where(ok, len(asc) - 1 - safe, -1)
 
 
+def _sum_positions(codes_desc: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Positions in a descending code list of the codes x[i] + y[j].
+
+    A (len(x), len(y)) array, -1 where absent, of int16 where the list
+    is short enough (halving the cached step plans), looked up in blocks
+    of rows so that the lookup's temporaries stay small.
+    """
+    dtype = np.int16 if len(codes_desc) < 2**15 else np.int32
+    out = np.empty((len(x), len(y)), dtype=dtype)
+    step = max(1, _LOOKUP_BLOCK // len(y))
+    for i in range(0, len(x), step):
+        out[i:i + step] = _lookup(codes_desc, x[i:i + step, None] + y[None, :])
+    return out
+
+
 @lru_cache(maxsize=4)
 def _pair_targets(nvars: int, d1: int, d2: int) -> np.ndarray:
     """(T1, T2) indices of m_a * m_b inside monomials(nvars, d1 + d2)."""
     codes1 = monomials(nvars, d1)[1]
     codes2 = monomials(nvars, d2)[1]
     codes12 = monomials(nvars, d1 + d2)[1]
-    idx = _lookup(codes12, (codes1[:, None] + codes2[None, :]).ravel())
+    idx = _sum_positions(codes12, codes1, codes2)
     if (idx < 0).any():
         raise PreconditionViolated(f"monomial products of degrees {d1}, {d2} "
                                    f"missing from degree {d1 + d2}")
-    return idx.reshape(len(codes1), len(codes2)).astype(np.int64)
-
-
-def _mul_many(vecs: np.ndarray, poly: np.ndarray, nvars: int,
-              d1: int, d2: int, p: int) -> np.ndarray:
-    """Multiply each degree-d1 row of vecs by a fixed degree-d2 poly."""
-    pairs = _pair_targets(nvars, d1, d2)
-    t1 = vecs.shape[1]
-    t12 = len(monomials(nvars, d1 + d2)[1])
-    conv = np.zeros((t1, t12), dtype=np.int64)
-    conv[np.arange(t1)[:, None], pairs] = poly[None, :]
-    return gfp.mod_matmul(vecs, conv, p)
+    return idx
 
 
 @lru_cache(maxsize=4)
@@ -106,8 +125,13 @@ def sym_matmul(a: np.ndarray, b: np.ndarray, nvars: int,
 
 
 def tri_inv_mod(s: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of an upper-triangular matrix mod p (unit-free diagonal)."""
+    """Inverse of an upper-triangular matrix mod p.
+
+    Raises PreconditionViolated if a diagonal entry is 0 mod p.
+    """
     n = s.shape[0]
+    if not (np.diagonal(s) % p).all():
+        raise PreconditionViolated("triangular matrix has a zero diagonal entry mod p")
     if n <= 64:
         tab = gfp.inverse_table(p)
         inv = np.zeros_like(s)
@@ -128,23 +152,109 @@ def tri_inv_mod(s: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _divide_rows(num: np.ndarray, prev: np.ndarray, nvars: int,
-                 dnum: int, dprev: int, p: int) -> np.ndarray:
-    """Exact division of homogeneous rows of num by prev; returns quotients."""
-    dq = dnum - dprev
-    codes_q = monomials(nvars, dq)[1]
-    codes_num = monomials(nvars, dnum)[1]
-    codes_prev = monomials(nvars, dprev)[1]
-    lm_code = int(codes_prev[int(np.flatnonzero(prev)[0])])
-    cols = _lookup(codes_num, codes_q + lm_code)
-    if (cols < 0).any():
-        raise PreconditionViolated(f"quotient monomials of degree {dq} times the "
-                                   f"leading monomial missing from degree {dnum}")
-    num_sub = num[:, cols]
-    tgt = codes_q[None, :] + lm_code - codes_q[:, None]
-    idx = _lookup(codes_prev, tgt.ravel()).reshape(len(codes_q), len(codes_q))
-    s = np.where(idx >= 0, prev[np.maximum(idx, 0)], 0)
-    return gfp.mod_matmul(num_sub, tri_inv_mod(s, p), p)
+def _step_plan(nvars: int, deg: int, prev_deg: int,
+               lm_code: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_build_step_plan``, kept in a least-recently-used cache of at most
+    ``_PLAN_CACHE_BYTES``."""
+    key = (nvars, deg, prev_deg, lm_code)
+    plan = _PLANS.pop(key, None)
+    if plan is None:
+        plan = _build_step_plan(*key)
+    _PLANS[key] = plan
+    while sum(a.nbytes + b.nbytes for a, b in _PLANS.values()) > _PLAN_CACHE_BYTES:
+        del _PLANS[next(iter(_PLANS))]
+    return plan
+
+
+def _build_step_plan(nvars: int, deg: int, prev_deg: int,
+                     lm_code: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices of one Bareiss step, restricted to the quotient's columns.
+
+    The quotient by the previous pivot (leading monomial code ``lm_code``,
+    degree ``prev_deg``) has degree q = 2*deg - prev_deg, and its
+    coefficient at m_j is solved from the coefficients at m_j + LM alone.
+    Returns ``pairs`` (T(q), T(deg)): pairs[j, b] is the position a in
+    monomials(nvars, deg) with m_a + m_b = m_j + LM; and ``divisor``
+    (T(q), T(q)): divisor[b, a] is the position of m_a + LM - m_b in
+    monomials(nvars, prev_deg).  Either is -1 where there is no such
+    monomial, which reads the zero that ``_padded`` appends.
+    """
+    codes = monomials(nvars, deg)[1]
+    codes_q = monomials(nvars, 2 * deg - prev_deg)[1]
+    codes_prev = monomials(nvars, prev_deg)[1]
+    pairs = _sum_positions(codes, codes_q + lm_code, -codes)
+    divisor = _sum_positions(codes_prev, -codes_q, codes_q + lm_code)
+    pairs.flags.writeable = divisor.flags.writeable = False  # shared by the cache
+    return pairs, divisor
+
+
+def _padded(vecs: np.ndarray) -> np.ndarray:
+    """vecs with a zero appended along the last axis, the target of index -1."""
+    out = np.zeros(vecs.shape[:-1] + (vecs.shape[-1] + 1,), dtype=vecs.dtype)
+    out[..., :-1] = vecs
+    return out
+
+
+def _reduce_floats(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float array of integers whose magnitude stays
+    below 2**24 - p (float32) or 2**53 - p (float64): x/p is then rounded
+    less than 1/p away, so its floor and p times it are exact."""
+    x -= p * np.floor(x / p)
+    return x
+
+
+def _bareiss_step(m: np.ndarray, prev: np.ndarray | None, nvars: int,
+                  deg: int, prev_deg: int, p: int) -> np.ndarray:
+    """One fraction-free step with the pivot at m[0, 0].
+
+    Returns the coefficients of (piv * m[i, j] - m[i, 0] * m[0, j]) / prev
+    for i, j >= 1; at the first step prev is None and nothing is divided.
+    Only the numerator's coefficients that the division reads are formed:
+    per block of rows (split by quotient columns too where one row's
+    gather would pass ``_CHUNK_BYTES``), one GEMM against the pivot's
+    convolution restricted to the quotient's columns and one against the
+    gathered convolutions of the block's pivot-column entries.  m holds
+    degree-deg entries as floats below p; the result holds degree
+    2*deg - prev_deg entries the same way.
+    """
+    lm_code = 0
+    if prev is not None:
+        lm_code = int(monomials(nvars, prev_deg)[1][int(np.flatnonzero(prev)[0])])
+    pairs, divisor = _step_plan(nvars, deg, prev_deg, lm_code)
+    tq, t = pairs.shape
+    # one spare term of headroom: products below 2**24 - p (_reduce_floats)
+    ftype = gfp.exact_float(t + 1, p)
+    m = m.astype(ftype, copy=False)
+    nrow, ncol = m.shape[0] - 1, m.shape[1] - 1
+    piv = _padded(m[0, 0])
+    col = _padded(m[1:, 0])
+    top = m[0, 1:]
+    rest = m[1:, 1:]
+    sinv = None
+    if prev is not None:
+        s = np.take(_padded(prev.astype(np.int64)), divisor)
+        sinv = tri_inv_mod(s, p).astype(gfp.exact_float(tq + 1, p))
+    out = np.empty((nrow, ncol, tq), dtype=ftype)
+    # blocks of rows, and of quotient columns once one row's gather is too big
+    row_bytes = t * tq * m.itemsize
+    rows_per = max(1, _CHUNK_BYTES // row_bytes)
+    cols_per = max(1, _CHUNK_BYTES // (t * m.itemsize)) if row_bytes > _CHUNK_BYTES else tq
+    for r0 in range(0, nrow, rows_per):
+        rows = min(rows_per, nrow - r0)
+        block = rest[r0:r0 + rows].reshape(-1, t)
+        num = out[r0:r0 + rows]
+        for j0 in range(0, tq, cols_per):
+            idx = pairs[j0:j0 + cols_per]
+            width = len(idx)
+            # conv[i, j, b] = m[i, 0] at the partner of m_b for quotient column j
+            conv = np.take(col[r0:r0 + rows], idx, axis=1).reshape(-1, t)
+            num[:, :, j0:j0 + width] = (
+                (block @ np.take(piv, idx).T).reshape(rows, ncol, width)
+                - (conv @ top.T).reshape(rows, width, ncol).transpose(0, 2, 1))
+        _reduce_floats(num, p)
+        if sinv is not None:
+            num[:] = _reduce_floats((num.reshape(-1, tq) @ sinv).reshape(rows, ncol, tq), p)
+    return out
 
 
 def generic_rank(mat: np.ndarray, nvars: int, deg: int, p: int) -> int:
@@ -170,21 +280,9 @@ def generic_rank(mat: np.ndarray, nvars: int, deg: int, p: int) -> int:
             m[[0, i0]] = m[[i0, 0]]
         if j0:
             m[:, [0, j0]] = m[:, [j0, 0]]
-        piv, top, col = m[0, 0].copy(), m[0, 1:].copy(), m[1:, 0].copy()
-        nrow, ncol = m.shape[0] - 1, m.shape[1] - 1
-        # num = piv * m[1:, 1:] - m[1:, 0] m[0, 1:], reduced in place row by row
-        num = _mul_many(m[1:, 1:].reshape(nrow * ncol, -1), piv,
-                        nvars, cur_deg, cur_deg, p).reshape(nrow, ncol, -1)
-        del m  # only the pivot row and column are still needed
-        for i in range(nrow):
-            num[i] -= _mul_many(top, col[i], nvars, cur_deg, cur_deg, p)
-            num[i] %= p
-        num_deg = 2 * cur_deg
-        if prev is not None:
-            num = _divide_rows(num.reshape(nrow * ncol, -1), prev,
-                               nvars, num_deg, prev_deg, p).reshape(nrow, ncol, -1)
-        prev, prev_deg, cur_deg = piv, cur_deg, num_deg - prev_deg
-        m = num
+        piv = m[0, 0].copy()
+        m = _bareiss_step(m, prev, nvars, cur_deg, prev_deg, p)
+        prev, prev_deg, cur_deg = piv, cur_deg, 2 * cur_deg - prev_deg
     return rk
 
 

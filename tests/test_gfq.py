@@ -197,6 +197,35 @@ def test_slice_product_matches_blowup_product(p, k):
                           gfp.mod_matmul(blowup(ctx, x), blowup(ctx, y), p))
 
 
+def folded_product(x, y, ctx):
+    """The general slice product: antidiagonal sums of the k^2 block
+    products, folded by ``reduction``; ``gfq.matmul`` skips the fold at k = 1."""
+    k, m, inner = x.shape
+    n = y.shape[2]
+    blocks = gfp.mod_matmul(x.reshape(k * m, inner),
+                            y.transpose(1, 0, 2).reshape(inner, k * n), ctx.p)
+    blocks = blocks.reshape(k, m, k, n).transpose(0, 2, 1, 3)
+    wide = np.zeros((2 * k - 1, m, n), dtype=np.int64)
+    for a in range(k):
+        wide[a:a + k] += blocks[a]
+    out = gfp.mod_matmul(ctx.reduction, (wide % ctx.p).reshape(2 * k - 1, m * n), ctx.p)
+    return out.reshape(k, m, n)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 3)])
+def test_slice_product_matches_the_general_fold(p, k):
+    ctx = FieldCtx.get(p, k)
+    rng = np.random.default_rng(7 * p + k)
+    for rows, inner, cols in [(1, 1, 1), (7, 5, 6), (35, 35, 35)]:
+        x = random_slices(ctx, rows, inner, rng)
+        y = random_slices(ctx, inner, cols, rng)
+        got = gfq.matmul(x, y, ctx)
+        assert got.shape == (k, rows, cols)
+        assert np.array_equal(got, folded_product(x, y, ctx))
+        if k == 1:
+            assert np.array_equal(got[0], gfp.mod_matmul(x[0], y[0], p))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(field=st.sampled_from(FIELDS), d=st.integers(1, 6), planted=st.integers(0, 6),
        seed=st.integers(0, 2**32 - 1), stop=st.integers(1, 7))

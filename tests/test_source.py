@@ -106,7 +106,9 @@ def test_one_rank_route_per_field():
         sides = [node.left, *node.comparators]
         return (any(isinstance(x, ast.Constant) and x.value == 1 for x in sides)
                 and any(getattr(x, "attr", getattr(x, "id", None)) == "k" for x in sides))
-    assert _scopes(is_k_one) == []
+    # the one k == 1 branch is the product's: over GF(p) the slice product
+    # is the product, and it has nothing to fold
+    assert _scopes(is_k_one) == ["gfq.matmul"]
     # the GF(p) eliminator always runs to the full rank
     assert _scopes(lambda mod, node: mod == "gfp" and (
         (isinstance(node, ast.arg) and node.arg == "stop_at")
@@ -162,3 +164,21 @@ def test_variety_evaluates_forms_on_code_tables():
         f = node.func
         return mod == "variety" and getattr(f, "id", getattr(f, "attr", None)) == "poly_eval"
     assert _calls(names_poly_eval) == []
+
+
+def test_bareiss_steps_take_blocks_of_rows():
+    # exact mode forms each fraction-free step for blocks of rows at once:
+    # no loop of the elimination walks the rows one by one, and the
+    # per-row product helper it replaced is gone (it is the tests' oracle)
+    def row_loop(mod, node):
+        if mod != "symrank" or not isinstance(node, ast.For):
+            return False
+        it = node.iter
+        blocked = (isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range"
+                   and len(it.args) == 3 and not isinstance(it.args[2], ast.Constant))
+        return not blocked
+    elimination = {"symrank.generic_rank", "symrank._bareiss_step"}
+    assert not elimination & set(_scopes(row_loop))
+    assert _scopes(lambda mod, node: isinstance(node, ast.FunctionDef)
+                   and node.name == "_mul_many") == []
+    assert _calls(lambda mod, node: getattr(node.func, "id", None) == "_mul_many") == []

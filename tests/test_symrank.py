@@ -1,12 +1,108 @@
+"""Exact mode (``symrank``) against the per-row Bareiss elimination it
+replaced and against ranks at random points.
+
+``oracle_generic_rank`` is the previous elimination, kept as the oracle:
+each step forms the whole numerator piv*M - col (x) top with one fresh
+convolution matrix per row (``_mul_many``), then divides it by the
+previous pivot (``_divide_rows``).  The restricted step reads only the
+numerator's coefficients that the division reads, so its quotients must be
+bit-identical.
+"""
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spechtvar import gfp, gfq
-from spechtvar.errors import TooLarge
+from spechtvar import gfp, gfq, symrank
+from spechtvar.errors import PreconditionViolated, TooLarge
 from spechtvar.ffalg import FieldCtx
 from spechtvar.jordan import _point_operator
-from spechtvar.symrank import (generic_power_ranks, monomials, sym_matmul,
-                               tri_inv_mod, _divide_rows, _mul_many)
+from spechtvar.symrank import (_bareiss_step, _lookup, _pair_targets,
+                               generic_power_ranks, monomials, sym_matmul,
+                               tri_inv_mod)
+
+
+def _mul_many(vecs, poly, nvars, d1, d2, p):
+    """Multiply each degree-d1 row of vecs by a fixed degree-d2 poly."""
+    pairs = _pair_targets(nvars, d1, d2)
+    t1 = vecs.shape[1]
+    t12 = len(monomials(nvars, d1 + d2)[1])
+    conv = np.zeros((t1, t12), dtype=np.int64)
+    conv[np.arange(t1)[:, None], pairs] = poly[None, :]
+    return gfp.mod_matmul(vecs, conv, p)
+
+
+def _divide_rows(num, prev, nvars, dnum, dprev, p):
+    """Exact division of homogeneous rows of num by prev; returns quotients."""
+    dq = dnum - dprev
+    codes_q = monomials(nvars, dq)[1]
+    codes_num = monomials(nvars, dnum)[1]
+    codes_prev = monomials(nvars, dprev)[1]
+    lm_code = int(codes_prev[int(np.flatnonzero(prev)[0])])
+    cols = _lookup(codes_num, codes_q + lm_code)
+    assert (cols >= 0).all()
+    num_sub = num[:, cols]
+    tgt = codes_q[None, :] + lm_code - codes_q[:, None]
+    idx = _lookup(codes_prev, tgt.ravel()).reshape(len(codes_q), len(codes_q))
+    s = np.where(idx >= 0, prev[np.maximum(idx, 0)], 0)
+    return gfp.mod_matmul(num_sub, tri_inv_mod(s, p), p)
+
+
+def oracle_step(m, prev, nvars, deg, prev_deg, p):
+    """One Bareiss step with the pivot at m[0, 0], the numerator built whole."""
+    piv, top, col = m[0, 0], m[0, 1:], m[1:, 0]
+    nrow, ncol = m.shape[0] - 1, m.shape[1] - 1
+    # num = piv * m[1:, 1:] - m[1:, 0] m[0, 1:], reduced in place row by row
+    num = _mul_many(m[1:, 1:].reshape(nrow * ncol, -1), piv,
+                    nvars, deg, deg, p).reshape(nrow, ncol, -1)
+    for i in range(nrow):
+        num[i] -= _mul_many(top, col[i], nvars, deg, deg, p)
+        num[i] %= p
+    if prev is None:
+        return num
+    return _divide_rows(num.reshape(nrow * ncol, -1), prev,
+                        nvars, 2 * deg, prev_deg, p).reshape(nrow, ncol, -1)
+
+
+def oracle_generic_rank(mat, nvars, deg, p):
+    """Rank over GF(p)(t_1..t_n), eliminating with ``oracle_step``."""
+    m = np.array(mat, dtype=np.int64) % p
+    cur_deg, prev_deg = deg, 0
+    prev = None
+    rk = 0
+    while m.shape[0] and m.shape[1]:
+        nz = (m != 0).any(axis=2)
+        if not nz.any():
+            break
+        rk += 1
+        if m.shape[0] == 1 or m.shape[1] == 1:
+            break
+        counts = (m != 0).sum(axis=2)
+        counts[~nz] = 1 << 60
+        i0, j0 = divmod(int(np.argmin(counts)), m.shape[1])
+        if i0:
+            m[[0, i0]] = m[[i0, 0]]
+        if j0:
+            m[:, [0, j0]] = m[:, [j0, 0]]
+        piv = m[0, 0].copy()
+        m = oracle_step(m, prev, nvars, cur_deg, prev_deg, p)
+        prev, prev_deg, cur_deg = piv, cur_deg, 2 * cur_deg - prev_deg
+    return rk
+
+
+def oracle_power_ranks(gens, p, powers):
+    """``generic_power_ranks`` with ``oracle_generic_rank``."""
+    nvars = len(gens)
+    exps = monomials(nvars, 1)[0]
+    lin = np.stack([gens[int(np.flatnonzero(e)[0])] % p for e in exps], axis=2)
+    ranks = []
+    cur = lin
+    for s in range(1, powers + 1):
+        if s > 1:
+            cur = sym_matmul(cur, lin, nvars, s - 1, 1, p)
+        ranks.append(oracle_generic_rank(cur, nvars, s, p))
+    return ranks
 
 
 def test_monomials_count_and_order():
@@ -27,6 +123,17 @@ def test_tri_inv_mod_small_and_blocked():
             assert np.array_equal((s @ inv) % p, np.eye(n, dtype=np.int64))
 
 
+def test_tri_inv_mod_rejects_a_zero_diagonal():
+    s = np.triu(np.ones((5, 5), dtype=np.int64))
+    s[3, 3] = 3
+    with pytest.raises(PreconditionViolated):
+        tri_inv_mod(s, 3)
+    big = np.eye(100, dtype=np.int64)
+    big[80, 80] = 0  # a matrix above 64 rows, inverted by blocks
+    with pytest.raises(PreconditionViolated):
+        tri_inv_mod(big, 2)
+
+
 def test_divide_rows_recovers_planted_quotient():
     rng = np.random.default_rng(4)
     p, nvars = 3, 3
@@ -39,6 +146,45 @@ def test_divide_rows_recovers_planted_quotient():
     num = _mul_many(quot, prev, nvars, dq, dprev, p)
     got = _divide_rows(num, prev, nvars, dq + dprev, dprev, p)
     assert np.array_equal(got, quot % p)
+
+
+def test_step_divides_out_a_planted_pivot():
+    # with a zero pivot row the numerator is piv * M; for piv = prev * u
+    # the step's quotients are u * M
+    rng = np.random.default_rng(6)
+    p, nvars, s, prev_deg = 5, 3, 2, 4
+    deg = prev_deg + s
+    prev = rng.integers(0, p, len(monomials(nvars, prev_deg)[1]))
+    prev[rng.integers(0, len(prev))] = 1
+    u = rng.integers(1, p, len(monomials(nvars, s)[1]))
+    body = rng.integers(0, p, (4, 5, len(monomials(nvars, deg)[1])))
+    m = np.zeros((5, 6, body.shape[2]), dtype=np.int64)
+    m[1:, 1:] = body
+    m[1:, 0] = rng.integers(0, p, (4, body.shape[2]))
+    m[0, 0] = _mul_many(prev[None], u, nvars, prev_deg, s, p)[0]
+    got = _bareiss_step(m, prev, nvars, deg, prev_deg, p)
+    want = _mul_many(body.reshape(20, -1), u, nvars, deg, s, p).reshape(4, 5, -1)
+    assert got.dtype.kind == "f"
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,nvars,deg,prev_deg,shape", [
+    (2, 4, 1, 0, (6, 5)), (3, 3, 2, 0, (4, 7)), (2, 4, 6, 5, (7, 7)),
+    (3, 3, 6, 4, (5, 3)), (5, 2, 12, 8, (6, 6)), (2, 1, 9, 8, (3, 4)),
+    (3, 2, 30, 28, (40, 3)),
+])
+def test_step_is_bit_identical_to_the_whole_numerator(p, nvars, deg, prev_deg, shape):
+    # random entries need not be divisible: the division reads the same
+    # numerator coefficients either way, so the quotients must agree
+    rng = np.random.default_rng(p * 100 + deg)
+    m = rng.integers(0, p, shape + (len(monomials(nvars, deg)[1]),))
+    prev = None
+    if prev_deg:
+        prev = rng.integers(0, p, len(monomials(nvars, prev_deg)[1]))
+        prev[: rng.integers(0, len(prev))] = 0
+        prev[-1] = 1
+    got = _bareiss_step(m.copy(), prev, nvars, deg, prev_deg, p)
+    assert np.array_equal(got, oracle_step(m, prev, nvars, deg, prev_deg, p))
 
 
 def eval_rank_oracle(gens, p, power, trials=6, seed=0):
@@ -92,6 +238,50 @@ def test_generic_ranks_match_random_evaluation(p, d, nvars, seed):
     for s in range(1, p):
         oracle = eval_rank_oracle(gens, p, s, seed=seed + 10)
         assert got[s - 1] == oracle, (s, got, oracle)
+
+
+_ORACLE_TERMS = 1500  # monomials of the oracle's widest numerator
+
+
+@st.composite
+def low_rank_pencils(draw):
+    """(gens, p, powers): d x d generators of rank <= r over GF(p), with r
+    capped so that the last Bareiss degree, powers * rank N <= powers * n * r,
+    keeps the oracle's numerators within _ORACLE_TERMS monomials."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nvars = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 14))
+    powers = draw(st.integers(1, p - 1))
+    fits = [r for r in range(4)
+            if len(monomials(nvars, 2 * powers * min(d, nvars * r))[1]) <= _ORACLE_TERMS]
+    r = draw(st.sampled_from(fits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = [(rng.integers(0, p, (d, r)) @ rng.integers(0, p, (r, d))) % p
+            for _ in range(nvars)]
+    return gens, p, powers
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(low_rank_pencils())
+def test_generic_ranks_match_the_oracle_and_bound_point_ranks(case):
+    gens, p, powers = case
+    got = generic_power_ranks(gens, p, powers)
+    assert got == oracle_power_ranks(gens, p, powers)
+    for s in range(1, powers + 1):
+        assert got[s - 1] >= eval_rank_oracle(gens, p, s, trials=2)
+
+
+@pytest.mark.parametrize("budget", [1, 4096, 2**20])
+def test_row_chunks_do_not_change_the_step(monkeypatch, budget):
+    # the chunk budget sets how many rows share one gathered convolution
+    monkeypatch.setattr(symrank, "_CHUNK_BYTES", budget)
+    rng = np.random.default_rng(budget)
+    p, nvars, deg, prev_deg = 2, 4, 8, 7
+    m = rng.integers(0, p, (9, 4, len(monomials(nvars, deg)[1])))
+    prev = rng.integers(0, p, len(monomials(nvars, prev_deg)[1]))
+    prev[0] = 1
+    got = _bareiss_step(m.copy(), prev, nvars, deg, prev_deg, p)
+    assert np.array_equal(got, oracle_step(m, prev, nvars, deg, prev_deg, p))
 
 
 def test_generic_ranks_respect_caps():
