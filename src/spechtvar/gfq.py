@@ -19,9 +19,11 @@ numpy passes are shared by the whole stack, so their call overhead is
 paid once for B matrices; generic points give one block's matrices the
 same nonzero pattern, so the stack's updates touch few columns beyond
 any one matrix's.  Callers hand ``ranks`` all their matrices of one
-shape at once; ``rank`` is one matrix.  Fields above ``ffalg.TABLE_CAP``
-(only GF(5^12) among the module primes) have no tables; there the rank
-is taken one matrix at a time on the GF(p) companion blowup
+shape at once; ``rank`` is one matrix.  Every rank is taken in full:
+freeness needs only rank N (``jordan.are_free_at``), so nothing stops
+early.  Fields above ``ffalg.TABLE_CAP`` (only GF(5^12) among the module
+primes) have no tables; there the rank is taken one matrix at a time on
+the GF(p) companion blowup
 sum_c kron(M_c, tmats[c]), whose rank is k times the rank over GF(p^k).
 """
 
@@ -61,39 +63,30 @@ def prepare(slices: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return ctx.tables.log[codes]
 
 
-def rank(slices: np.ndarray, ctx: FieldCtx, stop_at: int | None = None) -> int:
+def rank(slices: np.ndarray, ctx: FieldCtx) -> int:
     """Rank over GF(p^k) of the matrix with these slices; ``ranks`` of one."""
-    return ranks([prepare(slices, ctx)], ctx, stop_at)[0]
+    return ranks([prepare(slices, ctx)], ctx)[0]
 
 
-def ranks(mats: list[np.ndarray], ctx: FieldCtx, stop_at=None) -> list[int]:
+def ranks(mats: list[np.ndarray], ctx: FieldCtx) -> list[int]:
     """Ranks over GF(p^k) of matrices of one shape, each from ``prepare``.
 
-    ``stop_at`` is None, one count for every matrix, or one per matrix
-    (None for no stop).  Where the field has tables the matrices are
-    ranked by one stacked elimination, ``_rank_stack``, which stops a
-    matrix at its count and so returns min(rank, count).  Fields above
-    the table cap go to ``_blowup_rank``, one matrix at a time, which
-    returns the full rank.
+    Where the field has tables the matrices are ranked by one stacked
+    elimination, ``_rank_stack``; fields above the table cap go to
+    ``_blowup_rank``, one matrix at a time.  Every rank is the full rank.
     """
     if ctx.q > TABLE_CAP:
         return [_blowup_rank(m, ctx) for m in mats]
-    if stop_at is None or isinstance(stop_at, (int, np.integer)):
-        stop_at = [stop_at] * len(mats)
     if not mats:
         return []
-    stack = np.stack(mats)
-    rows = stack.shape[1]
-    limit = np.array([rows if s is None else min(s, rows) for s in stop_at])
-    return _rank_stack(stack, ctx, limit).tolist()
+    return _rank_stack(np.stack(mats), ctx).tolist()
 
 
-def _rank_stack(a: np.ndarray, ctx: FieldCtx, limit: np.ndarray) -> np.ndarray:
-    """Ranks of a (B, m, n) stack of log-code matrices, each stopped at its
-    ``limit``; overwrites ``a``.
+def _rank_stack(a: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Ranks of a (B, m, n) stack of log-code matrices; overwrites ``a``.
 
     Right-looking elimination, one column at a time for the whole stack.
-    At column j every live matrix (rank below its limit) takes its first
+    At column j every live matrix (rank below m) takes its first
     free row with a nonzero there as the pivot row r, and each of its
     free rows i below with a nonzero in column j gains -(a_ij / a_rj)
     times row r.  The updates of all matrices are one set of numpy passes
@@ -108,7 +101,7 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx, limit: np.ndarray) -> np.ndarray:
     rank = np.zeros(b, dtype=np.intp)
     row_index = np.arange(m)
     for j in range(n):
-        live = np.flatnonzero(rank < limit)
+        live = np.flatnonzero(rank < m)
         if not live.size:
             break
         cand = (a[live, :, j] >= 0) & (row_index >= rank[live, None])

@@ -7,17 +7,18 @@ vector (r_0, ..., r_p) by the second difference
 b_s = r_{s-1} - 2 r_s + r_{s+1}.
 
 Points are evaluated many at a time: ``rank_vectors_at`` and
-``are_free_at`` form each point's operator and powers one point at a
-time, hold only their log codes, and rank each power across the points
-as one stacked elimination (``gfq.ranks``), in chunks of at most
-``_STACK_BYTES``.  ``rank_vector_at`` and ``is_free_at`` are the same at
-one point.  Every evaluation walks the blocks of ``_blocks``: a
+``are_free_at`` form each point's operator and the powers they need one
+point at a time, hold only their log codes, and rank each power across
+the points as one stacked elimination (``gfq.ranks``), in chunks of at
+most ``_STACK_BYTES``.  ``rank_vector_at`` and ``is_free_at`` are the
+same at one point.  Every evaluation walks the blocks of ``_blocks``: a
 permutation module splits into orbit blocks, identical ones computed
 once, and a Specht module is a single block.  Rank vectors add over
-blocks.  Freeness is decided in one place, ``are_free_at``: a block of
-dimension d is free iff p | d and rank N^(p-1) = d/p, which the rank
-never exceeds, so the stacked elimination may stop once it gets there.
-GF(p) points are the case k = 1 and take the same path.
+blocks.  Freeness is decided in one place, ``are_free_at``, from rank N
+alone: N has d - rank N Jordan blocks, each of size at most p, so a
+block of dimension d is free iff p | d and rank N = d - d/p.  No power
+of N is formed for it.  GF(p) points are the case k = 1 and take the
+same path.
 
 Generic types come in two modes: randomized sampling over GF(p^8) with
 entrywise-max certification (retried over GF(p^12)), and exact
@@ -28,6 +29,7 @@ dimensions.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -65,8 +67,9 @@ class RankVector:
     def is_free(self) -> bool:
         """Free over <u_alpha>: every Jordan block has size p.
 
-        That holds iff p divides the dimension and rank(N^(p-1)) = dim/p;
-        this is the one definition of freeness the package uses.
+        That holds iff p divides the dimension and rank(N^(p-1)) = dim/p,
+        read off the whole rank vector.  ``are_free_at`` decides the same
+        from rank N alone; this is the reference the tests hold it to.
         """
         return self.dim % self.p == 0 and self.ranks[self.p - 1] == self.dim // self.p
 
@@ -178,13 +181,13 @@ def _powers(op: np.ndarray, ctx: FieldCtx):
 _STACK_BYTES = 8 << 20
 
 
-def _held_powers(mats: list[np.ndarray], points: list, p: int, top_only: bool):
+def _held_powers(mats: list[np.ndarray], points: list, p: int, count: int):
     """Chunks (field, per-point prepared powers) of one block's points.
 
-    Each point's operator and powers are formed one point at a time, as
-    slice products; only the prepared powers are held, N .. N^(p-1), or
-    N^(p-1) alone with ``top_only``.  A chunk ends once it holds
-    ``_STACK_BYTES``, or where the next point lies in another field.
+    Each point's operator and its first ``count`` powers N .. N^count are
+    formed one point at a time, as slice products, and only their prepared
+    forms are held; N^(count+1) is never formed.  A chunk ends once it
+    holds ``_STACK_BYTES``, or where the next point lies in another field.
     """
     held, size, held_ctx = [], 0, None
     for alpha in points:
@@ -192,11 +195,8 @@ def _held_powers(mats: list[np.ndarray], points: list, p: int, top_only: bool):
         if held and ctx is not held_ctx:
             yield held_ctx, held
             held, size = [], 0
-        powers = _powers(op, ctx)
-        if top_only:
-            *_, top = powers
-            powers = [top]
-        prepared = [gfq.prepare(power, ctx) for power in powers]
+        prepared = [gfq.prepare(power, ctx)
+                    for power in itertools.islice(_powers(op, ctx), count)]
         held.append(prepared)
         held_ctx, size = ctx, size + sum(x.nbytes for x in prepared)
         if size >= _STACK_BYTES:
@@ -206,15 +206,15 @@ def _held_powers(mats: list[np.ndarray], points: list, p: int, top_only: bool):
         yield held_ctx, held
 
 
-def _block_ranks(mats: list[np.ndarray], points: list, p: int) -> np.ndarray:
-    """Ranks of N, .., N^(p-1) over GF(p^k) at each point of one block.
+def _block_ranks(mats: list[np.ndarray], points: list, p: int, count: int) -> np.ndarray:
+    """Ranks of N, .., N^count over GF(p^k) at each point of one block.
 
-    Shape (len(points), p - 1).  Each power is ranked across a chunk of
+    Shape (len(points), count).  Each power is ranked across a chunk of
     points as one stack (``gfq.ranks``).
     """
-    out = np.zeros((len(points), p - 1), dtype=np.int64)
+    out = np.zeros((len(points), count), dtype=np.int64)
     row = 0
-    for ctx, held in _held_powers(mats, points, p, top_only=False):
+    for ctx, held in _held_powers(mats, points, p, count):
         for s, power in enumerate(zip(*held)):
             out[row:row + len(held), s] = gfq.ranks(list(power), ctx)
         row += len(held)
@@ -227,7 +227,7 @@ def rank_vectors_at(acts, points) -> list[RankVector]:
     total = np.zeros((len(points), p + 1), dtype=np.int64)
     for mats, mult in _blocks(acts):
         total[:, 0] += mult * mats[0].shape[0]
-        total[:, 1:p] += mult * _block_ranks(mats, points, p)
+        total[:, 1:p] += mult * _block_ranks(mats, points, p, p - 1)
     return [RankVector(p, tuple(int(x) for x in row)) for row in total]
 
 
@@ -244,11 +244,11 @@ def are_free_at(acts, points) -> list[bool]:
     """Whether the restriction along u_alpha is free, for many points.
 
     The one place freeness at a point is decided.  A module is free iff
-    every block is, and a block of dimension d is free iff p | d and
-    rank N^(p-1) = d/p over GF(p^k).  That rank counts the Jordan blocks
-    of size p, so it never exceeds d/p, and ``gfq.ranks`` may stop once
-    it gets there.  A point stays in the stack only while every block so
-    far is free.  Agrees with ``RankVector.is_free`` of ``rank_vector_at``.
+    every block is.  A block of dimension d has d - rank N Jordan blocks,
+    each of size at most p, so it is free iff p | d and rank N = d - d/p
+    over GF(p^k); N is the only matrix formed and ranked.  A point stays
+    in the stack only while every block so far is free.  Agrees with
+    ``RankVector.is_free`` of ``rank_vector_at``, which reads N^(p-1).
     """
     p, points = acts.p, list(points)
     if acts.dim % p:
@@ -262,10 +262,8 @@ def are_free_at(acts, points) -> list[bool]:
                 _coerce_point(alpha, acts.n, p)
             return [False] * len(points)
         idx = np.flatnonzero(free)
-        top = []
-        for ctx, held in _held_powers(mats, [points[i] for i in idx], p, top_only=True):
-            top += gfq.ranks([powers[0] for powers in held], ctx, stop_at=d // p)
-        free[idx] = np.array(top, dtype=np.int64) == d // p
+        rank_n = _block_ranks(mats, [points[i] for i in idx], p, 1)[:, 0]
+        free[idx] = rank_n == d - d // p
     return free.tolist()
 
 

@@ -114,9 +114,6 @@ def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
     lead = next((c for c in codes if c), None)
     if lead is None:
         raise ZeroPoint("zero vector is not projective")
-    if ctx.q > TABLE_CAP:  # no tables: FieldElement arithmetic
-        inv = ctx.element(lead).inverse()
-        return tuple((ctx.element(c) * inv).to_index() for c in codes)
     t = ctx.tables
     shift = t.order - t.log[lead]  # log of 1/lead, in 1..order
     return tuple(int(t.exp[t.log[c] + shift]) if c else 0 for c in codes)
@@ -125,43 +122,39 @@ def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
 _LOCUS_MEMO: dict[tuple, LocusSample] = {}
 
 
-def _frobenius(ctx: FieldCtx):
-    """Code map c -> c^p: the table, or FieldElement powers above ``TABLE_CAP``.
-
-    Above the cap (GF(5^12)) the sweep gate leaves only n = 1, one point.
-    """
-    if ctx.q <= TABLE_CAP:
-        return ctx.frob.tolist().__getitem__
-    return lambda c: (ctx.element(c) ** ctx.p).to_index()
-
-
 @lru_cache(maxsize=16)
 def _point_orbits(p: int, n: int, k: int, *, torus: bool = False
                   ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Each orbit of projective points under Frobenius x S_n once.
 
     The one sweep walk, and the one place ``_POINT_GATE`` is enforced,
-    before any table is built.  An orbit is listed from its first point
-    in ``projective_points`` order, the representative.  The Frobenius is
-    a code lookup and keeps normalization (1 is fixed); a transposed point
-    is normalized again.  The orbits depend only on the arguments, so the
-    walk is kept once per process.
+    before any table is built.  The walk needs the field's tables, so a
+    field above ``TABLE_CAP`` is refused for n > 1 as well; for n = 1 the
+    one projective point (1) is the one orbit, and nothing is walked.  An
+    orbit is listed from its first point in ``projective_points`` order,
+    the representative.  The Frobenius is a code lookup and keeps
+    normalization (1 is fixed); a transposed point is normalized again.
+    The orbits depend only on the arguments, so the walk is kept once per
+    process.
 
     With ``torus`` (freeness only, see the module docstring) the group
     also scales coordinates by GF(p)^*; with S_n it is generated by
     scaling the last coordinate by a primitive root of GF(p),
     exp[log x + (q - 1)/(p - 1)].  That keeps the lead unless the last
     coordinate is the lead, and then it fixes the projective point, so
-    no normalization is needed.  For p = 2 the torus is trivial; above
-    ``TABLE_CAP`` the gate leaves only n = 1, where it is the identity.
+    no normalization is needed.  For p = 2 the torus is trivial.
     """
+    if n == 1:
+        return (((1,),),)
     q = p**k
     total = (q**n - 1) // (q - 1)
     if total > _POINT_GATE:
         raise TooManyPoints(f"{total} projective points exceed the sweep gate")
+    if q > TABLE_CAP:
+        raise TooManyPoints(f"GF({q}) is above the table cap; only n = 1 is swept")
     ctx = FieldCtx.get(p, k)
-    frob = _frobenius(ctx)
-    scale = torus and n > 1 and p > 2
+    frob = ctx.frob.tolist().__getitem__
+    scale = torus and p > 2
     if scale:
         t = ctx.tables
         exp, log, unit = t.exp.tolist(), t.log.tolist(), t.order // (p - 1)
@@ -222,9 +215,10 @@ def _monomials_at(points: np.ndarray, exps: np.ndarray, ctx: FieldCtx) -> np.nda
     ``points`` is a (P, n) array of codes and ``exps`` an (M, n) array of
     exponent vectors; the result has shape (P, M, k).  The code of x^e is
     exp[sum_i e_i log x_i mod (q - 1)], and 0 where a coordinate with
-    e_i > 0 is 0 (x^0 = 1 even at x = 0).  Needs ``ctx.tables``: the
-    interpolation that calls this is reached for n >= 2 only, which the
-    sweep gate keeps below ``TABLE_CAP``.
+    e_i > 0 is 0 (x^0 = 1 even at x = 0).  Needs ``ctx.tables``: every
+    sweep with n >= 2 is over a field with tables (``_point_orbits``
+    refuses the others), and for n = 1 the locus is empty or the one point
+    (1), which ``classify`` settles without interpolating.
     """
     t = ctx.tables
     logs = t.log[points].astype(np.int64)

@@ -46,7 +46,7 @@ def planted_slices(ctx, rows, cols, rank, rng, density=1.0):
     return gfq.matmul(x, random_slices(ctx, rank, cols, rng, density), ctx)
 
 
-def rank_logs(a, ctx, stop_at=None):
+def rank_logs(a, ctx):
     """Rank of one matrix of log codes (-1 for zero); overwrites ``a``.
 
     Right-looking elimination, one pivot at a time: row i gains
@@ -58,7 +58,7 @@ def rank_logs(a, ctx, stop_at=None):
     m, n = a.shape
     r = 0
     for j in range(n):
-        if r == m or (stop_at is not None and r >= stop_at):
+        if r == m:
             break
         nz = np.flatnonzero(a[r:, j] >= 0)
         if nz.size == 0:
@@ -76,10 +76,6 @@ def rank_logs(a, ctx, stop_at=None):
             a[np.ix_(rows, cols)] = np.where(old < 0, add, new)
         r += 1
     return r
-
-
-def capped(rank, stop):
-    return rank if stop is None else min(rank, stop)
 
 
 # -- tables --------------------------------------------------------------------
@@ -128,16 +124,13 @@ def test_rank_and_stop_at_match_blowup(p, k):
             m = gfq.matmul(x, y, ctx) if planted else np.zeros((k, d, d + 3), dtype=np.int64)
             want = gfq._blowup_rank(m, ctx)
             assert want <= planted
-            assert gfq.rank(m, ctx) == want
-            for stop in (1, planted // 2 + 1, want, d):
-                got = gfq.rank(m, ctx, stop_at=stop)
-                assert got == min(stop, want), (planted, density, stop)
+            assert gfq.rank(m, ctx) == want, (planted, density)
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_stack_matches_per_matrix_kernel(p, k):
-    # one stack mixing ranks, zero matrices and per-matrix stops, against
-    # the one-matrix kernel and the blowup; square and non-square shapes
+    # one stack mixing ranks and zero matrices, against the one-matrix
+    # kernel and the blowup; square and non-square shapes
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(17 * p + k)
     for rows, cols in ((12, 12), (8, 14), (14, 8)):
@@ -155,14 +148,8 @@ def test_stack_matches_per_matrix_kernel(p, k):
         kept = [c.copy() for c in codes]
         assert gfq.ranks(codes, ctx) == want
         assert all(np.array_equal(c, c0) for c, c0 in zip(codes, kept))  # inputs kept
-        # stops that some matrices reach and others do not
-        stops = [None, 1, 1, want[3] - 2, want[4] + 4, 2, None]
-        assert gfq.ranks(codes, ctx, stop_at=stops) == [
-            capped(w, s) for w, s in zip(want, stops)]
-        assert gfq.ranks(codes, ctx, stop_at=2) == [min(w, 2) for w in want]
         for c, w in zip(codes, want):  # B = 1
             assert gfq.ranks([c], ctx) == [w]
-            assert gfq.ranks([c], ctx, stop_at=[1]) == [min(w, 1)]
 
 
 def test_empty_stack():
@@ -171,20 +158,17 @@ def test_empty_stack():
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(field=st.sampled_from(FIELDS), rows=st.integers(1, 7), cols=st.integers(1, 7),
-       mats=st.lists(st.tuples(st.integers(0, 7), st.one_of(st.none(), st.integers(0, 8)),
-                               st.floats(0.0, 1.0)), min_size=1, max_size=6),
+       mats=st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 1.0)),
+                     min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 def test_stack_matches_per_matrix_kernel_on_small_stacks(field, rows, cols, mats, seed):
     ctx = FieldCtx.get(*field)
     rng = np.random.default_rng(seed)
     slices = [planted_slices(ctx, rows, cols, min(r, rows, cols), rng, density)
-              for r, _, density in mats]
+              for r, density in mats]
     codes = [gfq.prepare(m, ctx) for m in slices]
-    stops = [s for _, s, _ in mats]
-    want = [rank_logs(c.astype(np.int64), ctx, stop_at=s) for c, s in zip(codes, stops)]
-    assert want == [capped(rank_logs(c.astype(np.int64), ctx), s)
-                    for c, s in zip(codes, stops)]
-    assert gfq.ranks(codes, ctx, stop_at=stops) == want
+    want = [rank_logs(c.astype(np.int64), ctx) for c in codes]
+    assert gfq.ranks(codes, ctx) == want
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (2, 3), (3, 2), (5, 2), (3, 8), (5, 8)])
@@ -228,8 +212,8 @@ def test_slice_product_matches_the_general_fold(p, k):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(field=st.sampled_from(FIELDS), d=st.integers(1, 6), planted=st.integers(0, 6),
-       seed=st.integers(0, 2**32 - 1), stop=st.integers(1, 7))
-def test_rank_matches_blowup_on_small_matrices(field, d, planted, seed, stop):
+       seed=st.integers(0, 2**32 - 1))
+def test_rank_matches_blowup_on_small_matrices(field, d, planted, seed):
     ctx = FieldCtx.get(*field)
     rng = np.random.default_rng(seed)
     m = random_slices(ctx, d, d, rng, density=rng.random())
@@ -238,7 +222,6 @@ def test_rank_matches_blowup_on_small_matrices(field, d, planted, seed, stop):
                        ctx)
     want = gfq._blowup_rank(m, ctx)
     assert gfq.rank(m, ctx) == want
-    assert gfq.rank(m, ctx, stop_at=stop) == min(stop, want)
 
 
 # -- point operators ---------------------------------------------------------------

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spechtvar import gfq
 from spechtvar.errors import (ArityMismatch, PreconditionViolated, RankCheckFailed,
                               ZeroPoint)
 from spechtvar.ffalg import FieldCtx
@@ -42,6 +43,30 @@ def test_jordan_type_from_rank_vector():
     free = JordanType.from_rank_vector(RankVector(3, (6, 4, 2, 0)))
     assert free.blocks == (0, 0, 2)
     assert free.pretty() == "(3^2)"
+
+
+def block_counts(p, d):
+    """Every (b_1, ..., b_p) with sum s * b_s = d: the Jordan types of dimension d."""
+    if p == 1:
+        yield (d,)
+        return
+    for b in range(d // p + 1):
+        for rest in block_counts(p - 1, d - b * p):
+            yield rest + (b,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_free_iff_rank_n_is_d_minus_d_over_p(p):
+    # N has d - r_1 Jordan blocks, each of size at most p: the rule that
+    # are_free_at decides by agrees with is_free, which reads N^(p-1)
+    for d in range(13):
+        for blocks in block_counts(p, d):
+            ranks = tuple(sum(max(s - j, 0) * b for s, b in enumerate(blocks, start=1))
+                          for j in range(p + 1))
+            rv = RankVector(p, ranks)
+            assert JordanType.from_rank_vector(rv).blocks == blocks
+            assert rv.is_free == (d % p == 0 and ranks[1] == d - d // p), blocks
+            assert ranks[1] <= d - -(-d // p), blocks
 
 
 def test_stable_type_drops_projective_blocks():
@@ -121,6 +146,24 @@ def test_many_points_match_one_point_at_a_time():
     assert free == [is_free_at(acts, pt) for pt in pts] and any(free) and not all(free)
     assert rank_vectors_at(acts, pts) == [rank_vector_at(acts, pt) for pt in pts]
     assert rank_vectors_at(acts, []) == [] and are_free_at(acts, []) == []
+
+
+@pytest.mark.parametrize("mu,p,n,k", [((7, 2), 3, 3, 2), ((8, 2), 5, 2, 2)],
+                         ids=["S(7,2)-GF(9)", "S(8,2)-GF(25)"])
+def test_freeness_forms_no_power(monkeypatch, mu, p, n, k):
+    # are_free_at ranks N alone, so it never calls the slice product
+    acts = restricted_actions(mu, n, p)
+    ctx = FieldCtx.get(p, k)
+    rng = np.random.default_rng(p)
+    pts = [ctx.random_point(rng, n) for _ in range(3)]
+    pts.append((ctx.one,) + (ctx.zero,) * (n - 1))  # an axis point
+    want = [rv.is_free for rv in rank_vectors_at(acts, pts)]
+    assert any(want) and not all(want)
+
+    def no_product(*args):
+        raise AssertionError("a power of N was formed")
+    monkeypatch.setattr(gfq, "matmul", no_product)
+    assert are_free_at(acts, pts) == want
 
 
 def test_is_free_warns_when_dim_not_divisible():

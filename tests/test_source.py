@@ -79,16 +79,16 @@ def _calls_method(node: ast.Call, name: str) -> bool:
 
 def test_one_blowup_and_one_freeness_elimination():
     # one companion blowup, in the rank path for fields above the table
-    # cap, and one early-stopping elimination outside the kernels: the one
-    # place that decides freeness, for many points at once
+    # cap; and no elimination stops early: freeness reads rank N in full,
+    # so the GF(q) kernel, like the GF(p) one, has no stop count
     assert _calls(lambda mod, node: _is_attr_call(node, "np", "kron")) == [
         "gfq._blowup_rank"]
-    assert _calls(lambda mod, node: mod not in ("gfp", "gfq")
-                  and any(_is_attr_call(node, owner, name) for owner, name in
-                          (("gfp", "rank"), ("gfq", "rank"), ("gfq", "ranks")))
-                  and (len(node.args) > 2
-                       or any(kw.arg == "stop_at" for kw in node.keywords))) == [
-        "jordan.are_free_at"]
+
+    def stop_name(mod, node):
+        name = (node.arg if isinstance(node, (ast.arg, ast.keyword))
+                else node.id if isinstance(node, ast.Name) else None)
+        return name in ("stop_at", "top_only") or (mod == "gfq" and name == "limit")
+    assert _scopes(stop_name) == []
 
 
 def test_one_rank_route_per_field():

@@ -235,6 +235,24 @@ def test_point_gate_comes_before_any_field(monkeypatch):
         variety._point_orbits(3, 3, 9)
 
 
+def test_no_walk_above_the_table_cap(monkeypatch):
+    # GF(7^7) has no tables; its 823,544 points of P^1 pass the gate, but
+    # the walk is refused before any context or table is looked up
+    monkeypatch.setattr(variety, "FieldCtx", None)
+    with pytest.raises(TooManyPoints):
+        variety._point_orbits(7, 2, 7)
+
+
+def test_sweep_above_the_table_cap_is_one_point():
+    # n = 1 over GF(5^12), above the table cap: the one projective point
+    acts = restricted_actions((3, 2), 1, 5)
+    assert acts.dim == 5
+    (pt, free, rv), = sweep_rank_vectors(acts, 12)
+    assert pt == (1,)
+    assert free == rv.is_free == is_free_at(acts, (FieldCtx.get(5, 12).one,))
+    assert enumerate_locus(acts, 12).points == (set() if free else {(1,)})
+
+
 @pytest.mark.parametrize("p, n, k, torus", [
     (3, 3, 3, True), (3, 3, 2, False), (2, 4, 3, False), (5, 2, 2, True)])
 def test_kept_orbit_walk_matches_a_fresh_walk(p, n, k, torus):
