@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 
 from . import __version__, acceptance
 from .errors import PreconditionViolated, SpechtvarError
@@ -237,6 +238,7 @@ def cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
 # parsing
 
 
+@cache  # parsing reads the parser and never changes it: build it once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spechtvar",

@@ -5,10 +5,15 @@ integer array of shape (k, d, d) over GF(p) with M = sum_c t^c M_c in the
 power basis of ``FieldCtx``.  Operators built from matrices over GF(p)
 are born in this form: slice c of sum_i alpha_i A_i is sum_i alpha_i[c] A_i.
 
-Products are one GF(p) matmul of the stacked slices, (k*d x d) times
-(d x k*d), whose k^2 blocks M_a N_b are summed along antidiagonals into
-the coefficients of t^0 .. t^(2k-2) and reduced by the modulus; over
-GF(p) itself (k = 1) that is the one GF(p) product.
+A product X Y is one float GEMM of the stacked slices, (k*m x inner) times
+(inner x k*n).  Its k^2 blocks X_a Y_b are summed along antidiagonals,
+still in float, into the coefficients of t^0 .. t^(2k-2); one
+``tensordot`` with ``FieldCtx.reduction`` folds those into t^0 .. t^(k-1),
+and only that (k, m, n) result is cast to integers and reduced mod p.
+Nothing is reduced before the end, so the float type follows the largest
+unreduced sum, (2k-1)(p-1) k inner (p-1)^2: float32 below 2^24, else
+float64 (``gfp.exact_float``).  No kd x kd multiplication matrix is
+formed.  Over GF(p) itself (k = 1) the product is one ``gfp.mod_matmul``.
 
 Ranks have one elimination over GF(q), ``_rank_stack``, for every
 field with tables, the prime fields GF(p) = GF(p^1) included: each
@@ -43,15 +48,22 @@ def matmul(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     p = ctx.p
     if k == 1:  # GF(p): the slice product is the product, nothing to fold
         return gfp.mod_matmul(x[0], y[0], p)[None]
-    blocks = gfp.mod_matmul(x.reshape(k * m, inner),
-                            y.transpose(1, 0, 2).reshape(inner, k * n), p)
+    # a block entry is at most inner (p-1)^2, an antidiagonal sum of k of
+    # them at most k times that, and the fold adds 2k-1 of those times
+    # entries of ``reduction`` below p: as exact as a GF(p) inner product
+    # that long
+    ftype = gfp.exact_float((2 * k - 1) * (p - 1) * k * inner, p)
+    stacked = np.ascontiguousarray(y.transpose(1, 0, 2), dtype=ftype)
+    blocks = x.reshape(k * m, inner).astype(ftype) @ stacked.reshape(inner, k * n)
     blocks = blocks.reshape(k, m, k, n).transpose(0, 2, 1, 3)  # [a, b] = X_a Y_b
-    wide = np.zeros((2 * k - 1, m, n), dtype=np.int64)
+    wide = np.zeros((2 * k - 1, m, n), dtype=ftype)
     for a in range(k):
         wide[a:a + k] += blocks[a]
     # t^e for e >= k in the power basis: column e of ``reduction``
-    out = gfp.mod_matmul(ctx.reduction, (wide % p).reshape(2 * k - 1, m * n), p)
-    return out.reshape(k, m, n)
+    out = np.tensordot(ctx.reduction.astype(ftype), wide.reshape(2 * k - 1, m * n), axes=1)
+    out = out.astype(np.int64).reshape(k, m, n)
+    out %= p
+    return out
 
 
 def prepare(slices: np.ndarray, ctx: FieldCtx) -> np.ndarray:

@@ -200,18 +200,53 @@ def test_parser_has_all_subcommands():
     assert expected <= set(subs.choices)
 
 
+def _fresh_env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "SPECHTVAR_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+_MAIN = "import sys; from spechtvar.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
+    # one parser serves every call in a process: each call prints and
+    # exits as it does in a process of its own
+    monkeypatch.delenv("SPECHTVAR_CACHE", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    assert build_parser() is build_parser()
+    argvs = [["jordan", "--mu", "(4,2)", "--p", "3"],
+             ["variety", "--mu", "(3,3)", "--p", "3"],
+             ["jordan", "--mu", "(8,1)", "--samples", "0"],
+             ["jordan", "--mu", "(4,x)"],
+             ["jordan", "--mu", "(4,3)", "--p", "3"]]
+    in_process = []
+    for argv in argvs * 2:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert in_process[:len(argvs)] == in_process[len(argvs):]
+    assert [run[0] for run in in_process[:len(argvs)]] == [0, 0, 2, 2, 1]
+    env = _fresh_env()
+    for argv, got in zip(argvs, in_process):
+        fresh = subprocess.run([sys.executable, "-c", _MAIN, *argv], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
 @pytest.mark.parametrize("argv", [
     ["jordan", "--mu", "(5,2,2)", "--p", "3"],
     ["variety", "--mu", "(3,3,3)", "--p", "3", "--ext", "3", "--out", "json"],
 ], ids=["jordan", "variety"])
 def test_output_is_the_same_under_python_O(argv):
     # invariants are typed errors, not asserts, so -O changes nothing
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {k: v for k, v in os.environ.items() if k != "SPECHTVAR_CACHE"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
-    code = "import sys; from spechtvar.cli import main; sys.exit(main(sys.argv[1:]))"
-    runs = [subprocess.run([sys.executable, *flags, "-c", code, *argv], env=env,
+    env = _fresh_env()
+    runs = [subprocess.run([sys.executable, *flags, "-c", _MAIN, *argv], env=env,
                            capture_output=True, timeout=300)
             for flags in ([], ["-O"])]
     for run in runs:

@@ -182,8 +182,10 @@ def test_slice_product_matches_blowup_product(p, k):
 
 
 def folded_product(x, y, ctx):
-    """The general slice product: antidiagonal sums of the k^2 block
-    products, folded by ``reduction``; ``gfq.matmul`` skips the fold at k = 1."""
+    """The slice product reduced mod p at every step: the k^2 block products
+    by one ``mod_matmul``, their antidiagonal sums in int64, and the fold by
+    ``reduction`` by a second ``mod_matmul``.  ``gfq.matmul`` keeps all of
+    this in float and reduces once, at the end."""
     k, m, inner = x.shape
     n = y.shape[2]
     blocks = gfp.mod_matmul(x.reshape(k * m, inner),
@@ -196,18 +198,41 @@ def folded_product(x, y, ctx):
     return out.reshape(k, m, n)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 3)])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 3), (2, 8), (3, 8),
+                                 (5, 8), (3, 12), (5, 12)])
 def test_slice_product_matches_the_general_fold(p, k):
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(7 * p + k)
-    for rows, inner, cols in [(1, 1, 1), (7, 5, 6), (35, 35, 35)]:
+    for rows, inner, cols in [(1, 1, 1), (7, 5, 6), (35, 35, 35), (118, 120, 121)]:
         x = random_slices(ctx, rows, inner, rng)
         y = random_slices(ctx, inner, cols, rng)
         got = gfq.matmul(x, y, ctx)
-        assert got.shape == (k, rows, cols)
+        assert got.shape == (k, rows, cols) and got.dtype == np.int64
         assert np.array_equal(got, folded_product(x, y, ctx))
         if k == 1:
             assert np.array_equal(got[0], gfp.mod_matmul(x[0], y[0], p))
+
+
+@pytest.mark.parametrize("inner,ftype", [(949, np.float32), (950, np.float64)])
+def test_slice_product_either_side_of_the_float32_limit(inner, ftype, monkeypatch):
+    # over GF(5^12) the largest unreduced sum, 23 * 4 * 12 * inner * 16,
+    # passes 2^24 between inner = 949 and 950; entries p - 1 and random
+    # ones, on 3 x 3 results
+    ctx = FieldCtx.get(5, 12)
+    chosen = []
+    real = gfp.exact_float
+
+    def spy(length, p):
+        chosen.append(real(length, p))
+        return chosen[-1]
+    monkeypatch.setattr(gfp, "exact_float", spy)
+    rng = np.random.default_rng(inner)
+    for x, y in [(np.full((12, 3, inner), 4), np.full((12, inner, 3), 4)),
+                 (random_slices(ctx, 3, inner, rng), random_slices(ctx, inner, 3, rng))]:
+        chosen.clear()
+        got = gfq.matmul(x, y, ctx)
+        assert chosen == [ftype]
+        assert np.array_equal(got, folded_product(x, y, ctx))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

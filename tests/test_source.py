@@ -144,6 +144,11 @@ def test_point_operator_builds_no_blowup():
     uses = _calls(lambda mod, node: _calls_method(node, "mul_matrix")
                   or _calls_method(node, "kron"))
     assert "jordan._point_operator" not in uses
+    # nor does the slice product form the kd x kd multiplication matrix of
+    # a factor: no kron, no mul_matrix, no multiplication-by-t^c matrices
+    assert "gfq.matmul" not in uses
+    assert "gfq.matmul" not in _scopes(lambda mod, node: isinstance(node, ast.Attribute)
+                                       and node.attr == "tmats")
     # multiplication matrices are built only for the table build
     assert set(_calls(lambda mod, node: _calls_method(node, "mul_matrix"))) == {
         "ffalg.tables"}
