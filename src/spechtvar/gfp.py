@@ -5,7 +5,9 @@ through float BLAS: with entries below p and inner dimension m, every
 accumulated sum stays below m*(p-1)^2, so float32 is exact up to 2**24 and
 float64 up to 2**53.  Elimination is a blocked right-looking LU so that the
 trailing updates are BLAS matmuls as well; that is what makes exhaustive
-freeness sweeps affordable.
+freeness sweeps affordable.  A unit lower triangular system needs no
+elimination: `solve_unit_lower` runs a blocked forward substitution on
+floats, reduced mod p by `float_mod` without leaving the float type.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoSolution, RankDeficient
+from .errors import NoSolution, PreconditionViolated, RankDeficient
 
 _PANEL = 64
 
@@ -41,6 +43,52 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     out = prod.astype(np.int64)
     out %= p
     return out
+
+
+def float_mod(y: np.ndarray, p: int) -> np.ndarray:
+    """``y`` mod p in place, for integer-valued floats y with |y| below 2**24
+    (float32) or 2**53 (float64).
+
+    y/p is an integer or lies at least 1/p from one, and its rounding error
+    is below 1/p, so floor(y/p) is exact; np.remainder gives the same
+    result at about 20 times the cost.
+    """
+    q = y / p
+    np.floor(q, out=q)
+    q *= p
+    y -= q
+    return y
+
+
+def solve_unit_lower(l: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Solve L X = Y over GF(p) in place, for L unit lower triangular mod p.
+
+    ``y`` is a (d, k) float array of type ``exact_float(d, p)``.  L and Y
+    hold integers of either sign below 2**24 in magnitude; ``y`` is
+    overwritten by X, with entries in 0..p-1, and returned.  Forward
+    substitution runs in blocks of _PANEL rows: each block, once reduced,
+    subtracts its product with all the rows solved above it in one BLAS
+    matmul, then is solved row by row.  No intermediate reaches d*(p-1)^2
+    in magnitude, so the float type is exact throughout.  Raises
+    PreconditionViolated unless diag(L) = 1 and L has no nonzero entry
+    above the diagonal, mod p, or if ``y`` has another type or height.
+    """
+    d = len(l)
+    ftype = exact_float(d, p)
+    if y.dtype != ftype or y.shape[0] != d:
+        raise PreconditionViolated(f"right-hand side must be {d} rows of {ftype.__name__}")
+    lf = float_mod(np.array(l, dtype=ftype), p)
+    if (np.diagonal(lf) != 1).any() or np.triu(lf, 1).any():
+        raise PreconditionViolated("matrix is not unit lower triangular mod p")
+    for lo in range(0, d, _PANEL):
+        block = float_mod(y[lo: lo + _PANEL], p)
+        if lo:
+            block -= lf[lo: lo + _PANEL, :lo] @ y[:lo]
+            float_mod(block, p)
+        for r in range(lo + 1, lo + len(block)):
+            y[r] -= lf[r, lo:r] @ y[lo:r]
+            float_mod(y[r], p)
+    return y
 
 
 def _echelon(a: np.ndarray, p: int) -> list[int]:

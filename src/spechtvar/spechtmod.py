@@ -13,9 +13,10 @@ tabloids {t} form a d x d minor that is unit lower triangular over the
 integers, so it is invertible mod every p and B has full column rank: every
 other tabloid of e_t is dominated by {t} (James, LNM 682, 8.11), and the
 row-reading order of the standard tableaux lists a dominated one later.
-`standard_basis` checks this minor on every build.  Each generator action
-is pulled back to a d x d matrix X by solving B X = (g - 1) B on that
-minor alone, then checking the product on every row of B.
+`standard_basis` checks this minor on every build.  With P_i the tabloid
+permutation of g_i, each action is pulled back to the d x d matrix
+Y_i = A_i + I with B Y_i = P_i B: forward substitution solves it on the
+minor alone, then B Y_i = P_i B is checked on every row of B.
 """
 
 from __future__ import annotations
@@ -306,22 +307,32 @@ def _load_cached(path: Path, key: str, n: int, d: int) -> list[np.ndarray] | Non
     return mats
 
 
-def _solve_on_minor(b: np.ndarray, rows: np.ndarray, rhs, p: int) -> np.ndarray:
-    """The X with B X = C over GF(p), where B[rows] is an invertible d x d
-    minor and ``rhs(idx)`` gives the rows idx of C.
+def _solve_on_minor(b: np.ndarray, rows: np.ndarray, sources: np.ndarray,
+                    p: int) -> np.ndarray:
+    """The Y_i with B Y_i = B[source_i] over GF(p), as a (d, n, d) float
+    array, where B[rows] is a unit lower triangular d x d minor and
+    ``sources`` is (n, T).
 
-    X is solved from the minor alone, so no elimination sees more than d
-    rows.  B X = C is then checked on every row of B, a block at a time so
-    that C is never held whole; a failing row raises NoSolution, since X is
-    the only candidate.
+    B is read as floats of type exact_float(d, p), converted here unless it
+    comes in that type.  The rows B[source_i[rows]] are written into one
+    array and solved in place by forward substitution on the minor, so no
+    elimination runs.  B Y_i = B[source_i] is then checked on every row of
+    B, a block at a time; a failing row raises NoSolution, since Y is the
+    only candidate.
     """
-    x = gfp.solve(b[rows], rhs(rows), p)
-    step = max(1, _BATCH // x.shape[1])
+    d, n = len(rows), len(sources)
+    b = np.asarray(b, dtype=gfp.exact_float(d, p))
+    y = np.empty((d, n, d), dtype=b.dtype)
+    for i, source in enumerate(sources):
+        y[:, i] = b[source[rows]]
+    gfp.solve_unit_lower(b[rows], y.reshape(d, n * d), p)
+    step = max(1, _BATCH // (n * d))
     for lo in range(0, len(b), step):
-        block = slice(lo, lo + step)
-        if not np.array_equal(gfp.mod_matmul(b[block], x, p), rhs(block)):
-            raise NoSolution(f"B X = C fails in rows {lo}..{min(lo + step, len(b)) - 1}")
-    return x
+        prod = gfp.float_mod(b[lo: lo + step] @ y.reshape(d, n * d), p)
+        if not np.array_equal(prod.reshape(-1, n, d),
+                              b[sources[:, lo: lo + step]].swapaxes(0, 1)):
+            raise NoSolution(f"B Y = P B fails in rows {lo}..{min(lo + step, len(b)) - 1}")
+    return y
 
 
 def restricted_actions(mu: Partition, n: int, p: int,
@@ -351,21 +362,17 @@ def restricted_actions(mu: Partition, n: int, p: int,
                                      dim=mats[0].shape[0], conjugated=conjugated)
 
     basis = standard_basis(work, p)
+    d, rows = basis.dim, basis.standard_rows
+    b = basis.B.astype(gfp.exact_float(d, p))
+    del basis  # only the float B is kept: its int64 copy is freed before the solve
     table = _tabloid_table(work)
-    b = basis.B
-    sources = []  # (g_i - 1)B has row j equal to B[source[j]] - B[j]
-    for img in generator_cycles(table.m, n, p):
-        pi = table.apply_letters(img)
-        source = np.empty_like(pi)
-        source[pi] = np.arange(len(pi))
-        sources.append(source)
-
-    def rhs(idx):
-        return np.hstack([b[source[idx]] - b[idx] for source in sources]) % p
-
-    solved = _solve_on_minor(b, basis.standard_rows, rhs, p)
-    mats = [np.ascontiguousarray(solved[:, i * basis.dim: (i + 1) * basis.dim])
-            for i in range(n)]
+    sources = np.empty((n, table.count), dtype=np.int64)  # P_i B = B[source_i]
+    for i, img in enumerate(generator_cycles(table.m, n, p)):
+        sources[i, table.apply_letters(img)] = np.arange(table.count)
+    y = _solve_on_minor(b, rows, sources, p)
+    diag = np.arange(d)
+    y[diag, :, diag] = (y[diag, :, diag] - 1) % p  # A_i = Y_i - I
+    mats = [y[:, i].astype(np.int64) for i in range(n)]
     if path is not None:
         # renamed into place whole, so no reader sees a half-written file
         tmp = path.with_name(f"{key}.{os.getpid()}.tmp.npz")
@@ -376,8 +383,7 @@ def restricted_actions(mu: Partition, n: int, p: int,
         except OSError:
             with contextlib.suppress(OSError):
                 tmp.unlink()
-    return RestrictedActions(mu=mu, n=n, p=p, A=mats, dim=basis.dim,
-                             conjugated=conjugated)
+    return RestrictedActions(mu=mu, n=n, p=p, A=mats, dim=d, conjugated=conjugated)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spechtvar import gfp
-from spechtvar.errors import NoSolution, RankDeficient
+from spechtvar.errors import NoSolution, PreconditionViolated, RankDeficient
 
 
 def naive_rank(a, p):
@@ -106,6 +106,67 @@ def test_solve_detects_rank_deficiency():
     c = np.array([[1], [2], [0]])
     with pytest.raises(RankDeficient):
         _solve_leaving_inputs(b, c, 3)
+
+
+def _solve_unit_lower(l, c, p):
+    """gfp.solve_unit_lower on a float copy of c, checking that l is unchanged."""
+    l_before = l.copy()
+    y = np.array(c, dtype=gfp.exact_float(len(l), p))
+    try:
+        assert gfp.solve_unit_lower(l, y, p) is y  # solved in place
+        return y
+    finally:
+        assert np.array_equal(l, l_before)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 129])
+def test_solve_unit_lower_matches_solve(p, d):
+    # heights one short of, at and one past the 64-row block boundaries;
+    # gfp.solve is the oracle
+    rng = np.random.default_rng(100 * p + d)
+    l = np.tril(rng.integers(0, p, (d, d)), -1) + np.eye(d, dtype=np.int64)
+    for width in (1, 3 * d):
+        c = rng.integers(0, p, (d, width))
+        want = gfp.solve(l, c, p)
+        assert np.array_equal(_solve_unit_lower(l, c, p), want)
+        # entries outside 0..p-1, in L and in C, name the same system
+        far_l = l + p * np.tril(rng.integers(-2, 3, (d, d)))
+        far_c = c + p * rng.integers(-2, 3, c.shape)
+        assert np.array_equal(_solve_unit_lower(far_l, far_c, p), want)
+
+
+def test_solve_unit_lower_rejects_other_matrices():
+    rng = np.random.default_rng(11)
+    d = 70
+    l = np.tril(rng.integers(0, 3, (d, d)), -1) + np.eye(d, dtype=np.int64)
+    c = rng.integers(0, 3, (d, 4))
+    ok = l.copy()
+    ok[3, 3], ok[0, 69] = 4, 3  # still unit lower triangular mod 3
+    assert np.array_equal(_solve_unit_lower(ok, c, 3), gfp.solve(l, c, 3))
+    for i, j, value in [(0, 0, 0), (5, 5, 2), (66, 66, 0),  # diagonal not 1
+                        (0, 1, 1), (10, 64, 2), (68, 69, 1)]:  # above it
+        bad = l.copy()
+        bad[i, j] = value
+        y = c.astype(gfp.exact_float(d, 3))
+        with pytest.raises(PreconditionViolated):
+            gfp.solve_unit_lower(bad, y, 3)
+        assert np.array_equal(y, c)  # rejected before any write
+    for y in (c.astype(np.int64), c.astype(np.float64), c[:-1].astype(np.float32)):
+        with pytest.raises(PreconditionViolated):
+            gfp.solve_unit_lower(l, y, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_float_mod_is_exact(p):
+    # every integer of either sign near the float32 limit, and near zero
+    ends = np.r_[np.arange(-2**24 + 1, -2**24 + 5000), np.arange(-5000, 5000),
+                 np.arange(2**24 - 5000, 2**24)]
+    for ftype in (np.float32, np.float64):
+        got = gfp.float_mod(ends.astype(ftype), p)
+        assert got.dtype == ftype and np.array_equal(got, ends % p)
+    big = np.arange(2**53 - 5000, 2**53, dtype=np.int64)
+    assert np.array_equal(gfp.float_mod(big.astype(np.float64), p), big % p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -187,3 +187,16 @@ def test_bareiss_steps_take_blocks_of_rows():
     assert _scopes(lambda mod, node: isinstance(node, ast.FunctionDef)
                    and node.name == "_mul_many") == []
     assert _calls(lambda mod, node: getattr(node.func, "id", None) == "_mul_many") == []
+
+
+def test_construction_runs_no_elimination():
+    # the standard-tabloid minor is unit lower triangular, so a build solves
+    # on it by forward substitution: spechtmod names no general gfp
+    # elimination, and only the minor solve calls the triangular kernel
+    general = {"rank", "rref", "solve", "nullspace", "_echelon", "_reduce"}
+    assert _scopes(lambda mod, node: mod == "spechtmod" and isinstance(node, ast.Attribute)
+                   and node.attr in general and getattr(node.value, "id", None) == "gfp") == []
+    assert _scopes(lambda mod, node: mod == "spechtmod" and isinstance(node, ast.ImportFrom)
+                   and node.module == "gfp") == []
+    assert _calls(lambda mod, node: _is_attr_call(node, "gfp", "solve_unit_lower")) == [
+        "spechtmod._solve_on_minor"]

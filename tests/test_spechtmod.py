@@ -212,41 +212,47 @@ def test_minor_without_unit_diagonal_raises_rank_check(monkeypatch):
 
 @pytest.mark.parametrize("batch", [spechtmod._BATCH, 3])
 def test_solve_on_minor_checks_every_row(monkeypatch, batch):
-    # a batch of 3 entries checks the 3-column system one row at a time, and
-    # builds B one tabloid at a time
+    # a batch of 3 entries checks the one-generator, 5-column system one row
+    # at a time, and builds B one tabloid at a time
     monkeypatch.setattr(spechtmod, "_BATCH", batch)
     basis = standard_basis((3, 2), 3)
     b, rows = basis.B, basis.standard_rows
     assert np.array_equal(b, _polytabloid_loop((3, 2), 3))
-    x = np.arange(3 * basis.dim).reshape(basis.dim, 3) % 3
-    c = gfp.mod_matmul(b, x, 3)
-    assert np.array_equal(_solve_on_minor(b, rows, lambda idx: c[idx], 3), x)
+    (img,) = generator_cycles(5, 1, 3)
+    source = np.empty(len(b), dtype=np.int64)
+    source[_tabloid_table((3, 2)).apply_letters(img)] = np.arange(len(b))
+    (a,) = _tall_actions((3, 2), 1, 3)
+    y = _solve_on_minor(b, rows, source[None], 3)
+    assert np.array_equal(y[:, 0], (a + np.eye(basis.dim, dtype=np.int64)) % 3)
     outside = sorted(set(range(len(b))) - set(rows.tolist()))
     for row in (outside[0], outside[-1]):
-        bad = c.copy()
-        bad[row, 1] = (bad[row, 1] + 1) % 3  # C plus a unit vector off the minor
+        # P B with one row off the minor read from another tabloid
+        bad = source.copy()
+        bad[row] = next(j for j in range(len(b)) if not np.array_equal(b[j], b[source[row]]))
         with pytest.raises(NoSolution):
-            _solve_on_minor(b, rows, lambda idx: bad[idx], 3)
+            _solve_on_minor(b, rows, bad[None], 3)
 
 
 def test_construction_eliminates_at_most_d_rows(monkeypatch):
+    # no elimination at all: the one solve is the forward substitution on
+    # the d x d minor, with d right-hand-side rows
     monkeypatch.delenv("SPECHTVAR_CACHE", raising=False)
-    heights = []
+    calls = []
 
     def spy(name):
         real = getattr(gfp, name)
 
-        def wrapped(a, *args, **kwargs):
-            heights.append((name, np.shape(a)[0]))
-            return real(a, *args, **kwargs)
+        def wrapped(*args, **kwargs):
+            calls.append((name, *(np.shape(x)[0] for x in args[:2])))
+            return real(*args, **kwargs)
         monkeypatch.setattr(gfp, name, wrapped)
 
-    for name in ("rank", "rref", "_reduce", "solve", "_echelon"):
+    for name in ("rank", "rref", "_reduce", "solve", "_echelon", "solve_unit_lower"):
         spy(name)
     acts = restricted_actions((4, 3, 2), 3, 3)
-    # solve reduces its one augmented matrix in place, without rref's copy
-    assert {name for name, _ in heights} == {"solve", "_reduce", "_echelon"}
-    assert max(h for _, h in heights) == acts.dim == dim_specht((4, 3, 2))
+    d = dim_specht((4, 3, 2))
+    assert acts.dim == d
+    assert calls == [("solve_unit_lower", d, d)]
 
 
 def test_standard_basis_caps():
