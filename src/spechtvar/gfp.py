@@ -3,11 +3,14 @@
 Matrices are integer ndarrays with entries in {0, ..., p-1}.  Products route
 through float BLAS: with entries below p and inner dimension m, every
 accumulated sum stays below m*(p-1)^2, so float32 is exact up to 2**24 and
-float64 up to 2**53.  Elimination is a blocked right-looking LU so that the
-trailing updates are BLAS matmuls as well; that is what makes exhaustive
-freeness sweeps affordable.  A unit lower triangular system needs no
-elimination: `solve_unit_lower` runs a blocked forward substitution on
-floats, reduced mod p by `float_mod` without leaving the float type.
+float64 up to 2**53.  `float_mod` is the one rule that reduces such float
+products mod p, before any cast to integers.  Elimination is a blocked
+right-looking LU so that the trailing updates are BLAS matmuls as well; that
+is what makes exhaustive freeness sweeps affordable.  A unit lower
+triangular system needs no elimination: `solve_unit_lower` runs a blocked
+forward substitution on floats, reduced by `float_mod` without leaving the
+float type.  It serves module construction (the standard-tabloid minor) and
+exact mode's division by the previous Bareiss pivot (``symrank``).
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) % p via float BLAS."""
     ftype = exact_float(a.shape[-1], p)
     prod = a.astype(ftype) @ b.astype(ftype)
-    out = prod.astype(np.int64)
-    out %= p
-    return out
+    return float_mod(prod, p).astype(np.int64)
 
 
 def float_mod(y: np.ndarray, p: int) -> np.ndarray:

@@ -9,11 +9,12 @@ A product X Y is one float GEMM of the stacked slices, (k*m x inner) times
 (inner x k*n).  Its k^2 blocks X_a Y_b are summed along antidiagonals,
 still in float, into the coefficients of t^0 .. t^(2k-2); one
 ``tensordot`` with ``FieldCtx.reduction`` folds those into t^0 .. t^(k-1),
-and only that (k, m, n) result is cast to integers and reduced mod p.
-Nothing is reduced before the end, so the float type follows the largest
-unreduced sum, (2k-1)(p-1) k inner (p-1)^2: float32 below 2^24, else
-float64 (``gfp.exact_float``).  No kd x kd multiplication matrix is
-formed.  Over GF(p) itself (k = 1) the product is one ``gfp.mod_matmul``.
+and only that (k, m, n) result is reduced mod p (``gfp.float_mod``) and
+cast to integers.  Nothing is reduced before the end, so the float type
+follows the largest unreduced sum, (2k-1)(p-1) k inner (p-1)^2: float32
+below 2^24, else float64 (``gfp.exact_float``).  No kd x kd multiplication
+matrix is formed.  Over GF(p) itself (k = 1) the product is one
+``gfp.mod_matmul``.
 
 Ranks have one elimination over GF(q), ``_rank_stack``, for every
 field with tables, the prime fields GF(p) = GF(p^1) included: each
@@ -61,9 +62,7 @@ def matmul(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
         wide[a:a + k] += blocks[a]
     # t^e for e >= k in the power basis: column e of ``reduction``
     out = np.tensordot(ctx.reduction.astype(ftype), wide.reshape(2 * k - 1, m * n), axes=1)
-    out = out.astype(np.int64).reshape(k, m, n)
-    out %= p
-    return out
+    return gfp.float_mod(out, p).astype(np.int64).reshape(k, m, n)
 
 
 def prepare(slices: np.ndarray, ctx: FieldCtx) -> np.ndarray:

@@ -16,8 +16,10 @@ matrix can produce.
 The exact division by the previous pivot solves a triangular linear system
 on coefficients: with LM the pivot's leading monomial (largest code),
 S[b, a] = prev[m_a + LM - m_b] is upper triangular with the pivot's leading
-coefficient on the diagonal, and the quotient rows are num_sub @ S^{-1},
-where num_sub holds the numerator's coefficients at m_a + LM only.
+coefficient c on the diagonal, and the quotient rows Q satisfy Q S = num_sub,
+where num_sub holds the numerator's coefficients at m_a + LM only.  So
+c^-1 S^T Q^T = c^-1 num_sub^T is a unit lower triangular system, solved for
+all quotient rows of a step at once by ``gfp.solve_unit_lower``.
 
 So a step never forms the whole numerator num = piv*M - col (x) top of
 degree 2c: ``_step_plan`` sends each product pair of degree-c monomials to
@@ -28,6 +30,9 @@ are GEMMs against convolution matrices gathered onto those columns alone
 (at (5,3), p = 2, 816 of 4,495 columns).  The first step has no divisor,
 and its plan covers every column of degree 2c.  Entries are held as exact
 floats below p, in float32 wherever the products' sums stay below 2**24.
+The powers N^s are built one variable at a time, N^(s-1) A_v, by
+``gfp.mod_matmul``; this module keeps only what is specific to polynomials
+(monomial codes, step plans and the Bareiss loop).
 """
 
 from __future__ import annotations
@@ -102,56 +107,6 @@ def _pair_targets(nvars: int, d1: int, d2: int) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=4)
-def _scatter_plan(nvars: int, d1: int, d2: int):
-    """Sorted segment plan for accumulating all (c1, c2) products."""
-    pm = _pair_targets(nvars, d1, d2).ravel()
-    order = np.argsort(pm, kind="stable")
-    sorted_pm = pm[order]
-    starts = np.flatnonzero(np.diff(sorted_pm, prepend=-1))
-    return order, starts, sorted_pm[starts]
-
-
-def sym_matmul(a: np.ndarray, b: np.ndarray, nvars: int,
-               da: int, db: int, p: int) -> np.ndarray:
-    """Product of matrices with homogeneous entries of degrees da and db."""
-    m, n = a.shape[0], b.shape[1]
-    prod = np.einsum("ilc,ljd->ijcd", a, b).reshape(m * n, -1)
-    order, starts, targets = _scatter_plan(nvars, da, db)
-    t12 = len(monomials(nvars, da + db)[1])
-    out = np.zeros((m * n, t12), dtype=np.int64)
-    out[:, targets] = np.add.reduceat(prod[:, order], starts, axis=1)
-    return (out % p).reshape(m, n, t12)
-
-
-def tri_inv_mod(s: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of an upper-triangular matrix mod p.
-
-    Raises PreconditionViolated if a diagonal entry is 0 mod p.
-    """
-    n = s.shape[0]
-    if not (np.diagonal(s) % p).all():
-        raise PreconditionViolated("triangular matrix has a zero diagonal entry mod p")
-    if n <= 64:
-        tab = gfp.inverse_table(p)
-        inv = np.zeros_like(s)
-        for i in range(n - 1, -1, -1):
-            di = tab[int(s[i, i]) % p]
-            inv[i, i] = di
-            if i + 1 < n:
-                inv[i, i + 1:] = (-di * (s[i, i + 1:] @ inv[i + 1:, i + 1:])) % p
-        return inv
-    h = n // 2
-    ai = tri_inv_mod(s[:h, :h], p)
-    di = tri_inv_mod(s[h:, h:], p)
-    corner = (-gfp.mod_matmul(gfp.mod_matmul(ai, s[:h, h:], p), di, p)) % p
-    out = np.zeros_like(s)
-    out[:h, :h] = ai
-    out[h:, h:] = di
-    out[:h, h:] = corner
-    return out
-
-
 def _step_plan(nvars: int, deg: int, prev_deg: int,
                lm_code: int) -> tuple[np.ndarray, np.ndarray]:
     """``_build_step_plan``, kept in a least-recently-used cache of at most
@@ -195,14 +150,6 @@ def _padded(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reduce_floats(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in place, for a float array of integers whose magnitude stays
-    below 2**24 - p (float32) or 2**53 - p (float64): x/p is then rounded
-    less than 1/p away, so its floor and p times it are exact."""
-    x -= p * np.floor(x / p)
-    return x
-
-
 def _bareiss_step(m: np.ndarray, prev: np.ndarray | None, nvars: int,
                   deg: int, prev_deg: int, p: int) -> np.ndarray:
     """One fraction-free step with the pivot at m[0, 0].
@@ -217,23 +164,20 @@ def _bareiss_step(m: np.ndarray, prev: np.ndarray | None, nvars: int,
     degree-deg entries as floats below p; the result holds degree
     2*deg - prev_deg entries the same way.
     """
-    lm_code = 0
+    lm_code = lead = 0
     if prev is not None:
-        lm_code = int(monomials(nvars, prev_deg)[1][int(np.flatnonzero(prev)[0])])
+        lead = int(np.flatnonzero(prev)[0])
+        lm_code = int(monomials(nvars, prev_deg)[1][lead])
     pairs, divisor = _step_plan(nvars, deg, prev_deg, lm_code)
     tq, t = pairs.shape
-    # one spare term of headroom: products below 2**24 - p (_reduce_floats)
-    ftype = gfp.exact_float(t + 1, p)
+    # a numerator coefficient is a difference of two sums of t products
+    ftype = gfp.exact_float(t, p)
     m = m.astype(ftype, copy=False)
     nrow, ncol = m.shape[0] - 1, m.shape[1] - 1
     piv = _padded(m[0, 0])
     col = _padded(m[1:, 0])
     top = m[0, 1:]
     rest = m[1:, 1:]
-    sinv = None
-    if prev is not None:
-        s = np.take(_padded(prev.astype(np.int64)), divisor)
-        sinv = tri_inv_mod(s, p).astype(gfp.exact_float(tq + 1, p))
     out = np.empty((nrow, ncol, tq), dtype=ftype)
     # blocks of rows, and of quotient columns once one row's gather is too big
     row_bytes = t * tq * m.itemsize
@@ -251,10 +195,16 @@ def _bareiss_step(m: np.ndarray, prev: np.ndarray | None, nvars: int,
             num[:, :, j0:j0 + width] = (
                 (block @ np.take(piv, idx).T).reshape(rows, ncol, width)
                 - (conv @ top.T).reshape(rows, width, ncol).transpose(0, 2, 1))
-        _reduce_floats(num, p)
-        if sinv is not None:
-            num[:] = _reduce_floats((num.reshape(-1, tq) @ sinv).reshape(rows, ncol, tq), p)
-    return out
+        gfp.float_mod(num, p)
+    if prev is None:
+        return out
+    # quotients Q S = num: c^-1 S^T is unit lower triangular for c = prev[LM]
+    cinv = gfp.inverse_table(p)[int(prev[lead])]
+    y = np.array(out.reshape(-1, tq).T, dtype=gfp.exact_float(tq, p), order="C")
+    del out
+    y *= cinv
+    gfp.solve_unit_lower(np.take(_padded(prev), divisor).T * cinv, y, p)
+    return y.T.reshape(nrow, ncol, tq)
 
 
 def generic_rank(mat: np.ndarray, nvars: int, deg: int, p: int) -> int:
@@ -286,6 +236,24 @@ def generic_rank(mat: np.ndarray, nvars: int, deg: int, p: int) -> int:
     return rk
 
 
+def _next_power(cur: np.ndarray, lin: np.ndarray, nvars: int, deg: int,
+                p: int) -> np.ndarray:
+    """Coefficients of N^(deg+1) from those of N^deg and of N.
+
+    cur is (T(deg), d, d), cur[a] the coefficient of m_a in N^deg, and lin
+    is (nvars, d, d), the coefficients of the degree-1 monomials in N.  The
+    coefficient of m_a * t_v sums cur[a] @ lin[v]: one GF(p) product per
+    variable, scattered through ``_pair_targets``.
+    """
+    t, d = cur.shape[0], cur.shape[1]
+    targets = _pair_targets(nvars, deg, 1)
+    out = np.zeros((len(monomials(nvars, deg + 1)[1]), d, d), dtype=np.int64)
+    for v, a_v in enumerate(lin):
+        out[targets[:, v]] += gfp.mod_matmul(cur.reshape(-1, d), a_v, p).reshape(t, d, d)
+    out %= p
+    return out
+
+
 def generic_power_ranks(gens: list[np.ndarray], p: int, powers: int) -> list[int]:
     """Exact ranks of (sum_i t_i A_i)^s for s = 1..powers.
 
@@ -297,14 +265,12 @@ def generic_power_ranks(gens: list[np.ndarray], p: int, powers: int) -> list[int
         raise TooLarge(f"dimension {d} exceeds exact-mode cap {MAX_EXACT_DIM}")
     if nvars > _MAX_VARS:
         raise TooLarge(f"{nvars} variables exceed exact-mode cap {_MAX_VARS}")
-    lin = np.zeros((d, d, len(monomials(nvars, 1)[1])), dtype=np.int64)
     exps = monomials(nvars, 1)[0]
-    for col, e in enumerate(exps):
-        lin[:, :, col] = gens[int(np.flatnonzero(e)[0])] % p
+    lin = np.array([gens[int(np.flatnonzero(e)[0])] for e in exps], dtype=np.int64) % p
     ranks = []
     cur = lin
     for s in range(1, powers + 1):
         if s > 1:
-            cur = sym_matmul(cur, lin, nvars, s - 1, 1, p)
-        ranks.append(generic_rank(cur, nvars, s, p))
+            cur = _next_power(cur, lin, nvars, s - 1, p)
+        ranks.append(generic_rank(np.moveaxis(cur, 0, 2), nvars, s, p))
     return ranks

@@ -192,11 +192,29 @@ def test_bareiss_steps_take_blocks_of_rows():
 def test_construction_runs_no_elimination():
     # the standard-tabloid minor is unit lower triangular, so a build solves
     # on it by forward substitution: spechtmod names no general gfp
-    # elimination, and only the minor solve calls the triangular kernel
+    # elimination; the triangular kernel serves the minor solve and exact
+    # mode's division by the previous pivot, nothing else
     general = {"rank", "rref", "solve", "nullspace", "_echelon", "_reduce"}
     assert _scopes(lambda mod, node: mod == "spechtmod" and isinstance(node, ast.Attribute)
                    and node.attr in general and getattr(node.value, "id", None) == "gfp") == []
     assert _scopes(lambda mod, node: mod == "spechtmod" and isinstance(node, ast.ImportFrom)
                    and node.module == "gfp") == []
-    assert _calls(lambda mod, node: _is_attr_call(node, "gfp", "solve_unit_lower")) == [
-        "spechtmod._solve_on_minor"]
+    assert sorted(_calls(lambda mod, node: _is_attr_call(node, "gfp", "solve_unit_lower"))) == [
+        "spechtmod._solve_on_minor", "symrank._bareiss_step"]
+
+
+def test_one_triangular_solver_and_one_float_reduction():
+    # exact mode keeps only polynomial bookkeeping: its division, powers and
+    # reductions go through gfp, and no private product, triangular
+    # inverse or float reduction is left in the package
+    gone = {"tri_inv_mod", "sym_matmul", "_scatter_plan", "_reduce_floats"}
+
+    def names_gone(mod, node):
+        name = (node.name if isinstance(node, ast.FunctionDef)
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name in gone
+    assert _scopes(names_gone) == []
+    # floats are reduced mod p by one rule
+    assert _scopes(lambda mod, node: isinstance(node, ast.Attribute) and node.attr == "floor"
+                   and getattr(node.value, "id", None) == "np") == ["gfp.float_mod"]

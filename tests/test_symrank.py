@@ -4,9 +4,11 @@ replaced and against ranks at random points.
 ``oracle_generic_rank`` is the previous elimination, kept as the oracle:
 each step forms the whole numerator piv*M - col (x) top with one fresh
 convolution matrix per row (``_mul_many``), then divides it by the
-previous pivot (``_divide_rows``).  The restricted step reads only the
-numerator's coefficients that the division reads, so its quotients must be
-bit-identical.
+previous pivot by a general GF(p) solve (``_divide_rows``).  The restricted
+step reads only the numerator's coefficients that the division reads, and
+divides by forward substitution, so its quotients must be bit-identical.
+The powers of N are checked against ``sym_matmul``, the segment-sum
+polynomial product that built them before.
 """
 
 import numpy as np
@@ -15,12 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spechtvar import gfp, gfq, symrank
-from spechtvar.errors import PreconditionViolated, TooLarge
+from spechtvar.errors import TooLarge
 from spechtvar.ffalg import FieldCtx
 from spechtvar.jordan import _point_operator
-from spechtvar.symrank import (_bareiss_step, _lookup, _pair_targets,
-                               generic_power_ranks, monomials, sym_matmul,
-                               tri_inv_mod)
+from spechtvar.symrank import (_bareiss_step, _lookup, _next_power, _pair_targets,
+                               generic_power_ranks, monomials)
 
 
 def _mul_many(vecs, poly, nvars, d1, d2, p):
@@ -46,7 +47,23 @@ def _divide_rows(num, prev, nvars, dnum, dprev, p):
     tgt = codes_q[None, :] + lm_code - codes_q[:, None]
     idx = _lookup(codes_prev, tgt.ravel()).reshape(len(codes_q), len(codes_q))
     s = np.where(idx >= 0, prev[np.maximum(idx, 0)], 0)
-    return gfp.mod_matmul(num_sub, tri_inv_mod(s, p), p)
+    # Q S = num_sub with S upper triangular and invertible: S^T Q^T = num_sub^T
+    return gfp.solve(s.T, num_sub.T, p).T
+
+
+def sym_matmul(a, b, nvars, da, db, p):
+    """Product of matrices with homogeneous entries of degrees da and db:
+    every (c1, c2) coefficient product, summed per target monomial by
+    ``np.add.reduceat`` over a sorted segment plan."""
+    m, n = a.shape[0], b.shape[1]
+    prod = np.einsum("ilc,ljd->ijcd", a, b).reshape(m * n, -1)
+    pm = _pair_targets(nvars, da, db).ravel()
+    order = np.argsort(pm, kind="stable")
+    sorted_pm = pm[order]
+    starts = np.flatnonzero(np.diff(sorted_pm, prepend=-1))
+    out = np.zeros((m * n, len(monomials(nvars, da + db)[1])), dtype=np.int64)
+    out[:, sorted_pm[starts]] = np.add.reduceat(prod[:, order], starts, axis=1)
+    return (out % p).reshape(m, n, -1)
 
 
 def oracle_step(m, prev, nvars, deg, prev_deg, p):
@@ -91,11 +108,16 @@ def oracle_generic_rank(mat, nvars, deg, p):
     return rk
 
 
+def _linear_slices(gens, p):
+    """(nvars, d, d): the coefficient of each degree-1 monomial in N."""
+    exps = monomials(len(gens), 1)[0]
+    return np.array([gens[int(np.flatnonzero(e)[0])] for e in exps], dtype=np.int64) % p
+
+
 def oracle_power_ranks(gens, p, powers):
     """``generic_power_ranks`` with ``oracle_generic_rank``."""
     nvars = len(gens)
-    exps = monomials(nvars, 1)[0]
-    lin = np.stack([gens[int(np.flatnonzero(e)[0])] % p for e in exps], axis=2)
+    lin = np.moveaxis(_linear_slices(gens, p), 0, 2)
     ranks = []
     cur = lin
     for s in range(1, powers + 1):
@@ -111,27 +133,6 @@ def test_monomials_count_and_order():
     assert (exps.sum(axis=1) == 4).all()
     assert (np.diff(codes) < 0).all()  # strictly descending codes
     assert len({tuple(e) for e in exps}) == 15
-
-
-def test_tri_inv_mod_small_and_blocked():
-    rng = np.random.default_rng(0)
-    for n in (5, 70, 150):
-        for p in (2, 3, 5):
-            s = np.triu(rng.integers(0, p, (n, n)))
-            s[np.arange(n), np.arange(n)] = rng.integers(1, p, n)
-            inv = tri_inv_mod(s, p)
-            assert np.array_equal((s @ inv) % p, np.eye(n, dtype=np.int64))
-
-
-def test_tri_inv_mod_rejects_a_zero_diagonal():
-    s = np.triu(np.ones((5, 5), dtype=np.int64))
-    s[3, 3] = 3
-    with pytest.raises(PreconditionViolated):
-        tri_inv_mod(s, 3)
-    big = np.eye(100, dtype=np.int64)
-    big[80, 80] = 0  # a matrix above 64 rows, inverted by blocks
-    with pytest.raises(PreconditionViolated):
-        tri_inv_mod(big, 2)
 
 
 def test_divide_rows_recovers_planted_quotient():
@@ -293,15 +294,27 @@ def test_generic_ranks_respect_caps():
         generic_power_ranks(many, 2, 1)
 
 
-def test_sym_matmul_against_evaluation():
+@pytest.mark.parametrize("p,nvars,s,d", [
+    (2, 1, 2, 5), (2, 4, 2, 7), (3, 2, 2, 6), (3, 3, 3, 4),
+    (5, 2, 4, 5), (5, 4, 4, 3), (3, 7, 3, 2),
+])
+def test_next_power_is_bit_identical_to_sym_matmul(p, nvars, s, d):
+    rng = np.random.default_rng(p * 100 + nvars * 10 + s)
+    lin = _linear_slices([rng.integers(0, p, (d, d)) for _ in range(nvars)], p)
+    # N^(s-1) with random coefficients: the step need not see a true power
+    cur = rng.integers(0, p, (len(monomials(nvars, s - 1)[1]), d, d))
+    got = _next_power(cur, lin, nvars, s - 1, p)
+    want = sym_matmul(np.moveaxis(cur, 0, 2), np.moveaxis(lin, 0, 2), nvars, s - 1, 1, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(np.moveaxis(got, 0, 2), want)
+
+
+def test_next_power_against_evaluation():
     rng = np.random.default_rng(8)
     p, nvars, d = 3, 2, 4
     gens = [rng.integers(0, p, (d, d)) for _ in range(nvars)]
-    lin = np.zeros((d, d, nvars), dtype=np.int64)
-    exps = monomials(nvars, 1)[0]
-    for col, e in enumerate(exps):
-        lin[:, :, col] = gens[int(np.flatnonzero(e)[0])]
-    sq = sym_matmul(lin, lin, nvars, 1, 1, p)
+    lin = _linear_slices(gens, p)
+    sq = np.moveaxis(_next_power(lin, lin, nvars, 1, p), 0, 2)
     exps2 = monomials(nvars, 2)[0]
     for t1 in range(p):
         for t2 in range(p):
