@@ -9,10 +9,11 @@ stable integer code for storage and enumeration order.
 For q = p^k <= ``TABLE_CAP`` (3^12) a context also holds log/Zech tables
 over its codes (``FieldCtx.tables``, built on first use): with a fixed
 primitive element g, a nonzero code is g^l and is stored as the log l,
-products are sums of logs and sums use the Zech logarithm,
-g^a + g^b = g^(a + zech[b - a]) (Lidl and Niederreiter, Finite Fields,
-section 10.3).  ``gfq`` eliminates on d-by-d matrices of log codes with
-them, and the sweeps normalise points and apply the Frobenius by lookup.
+products are sums of logs and sums use the Zech logarithm
+(Lidl and Niederreiter, Finite Fields, section 10.3), read from the larger
+log: g^a + g^b = g^(max(a, b) + plus[|a - b|]).  ``gfq`` eliminates on
+d-by-d matrices of log codes with them, and the sweeps normalise points
+and apply the Frobenius by lookup.
 ``FieldCtx.mul_matrix`` gives the k-by-k multiplication matrix of an
 element over GF(p); the tables are built with it.
 """
@@ -175,8 +176,12 @@ class LogTables:
     g is the least code of a primitive element and order = q - 1.  For a
     nonzero code c, ``exp[log[c]] == c``; ``log[0] == -1`` stands for zero.
     ``exp`` has length 2 * order, so ``exp[a + b]`` needs no reduction for
-    logs a, b below order.  ``zech[n] = log(1 + g^n)``, -1 when that sum is
-    zero, and ``neg = log(-1)``.  All three arrays are int32.
+    logs a, b below order.  ``neg = log(-1)``.  ``plus`` is the Zech
+    logarithm read from the larger of two logs: for 0 <= n < order,
+    ``plus[n] = log(1 + g^-n)``, so g^a + g^b = g^(max(a, b) + plus[|a - b|])
+    up to a multiple of order; it is -order where that sum is zero, and
+    ``plus[order] = 0``, the entry a clipped lookup of any larger gap reads
+    (``gfq._rank_stack``).  All three arrays are int32.
     """
 
     g: int
@@ -184,7 +189,7 @@ class LogTables:
     neg: int
     exp: np.ndarray
     log: np.ndarray
-    zech: np.ndarray
+    plus: np.ndarray
 
 
 class FieldCtx:
@@ -305,11 +310,19 @@ class FieldCtx:
         exp[order:] = codes
         logs = np.full(self.q, -1, dtype=np.int32)
         logs[codes] = np.arange(order, dtype=np.int32)
-        one_plus = codes + 1  # 1 + g^n: add 1 to the constant digit
-        one_plus[codes % p == p - 1] -= p
+        # plus[n] = log(1 + g^-n), built in place in int32: the codes of
+        # g^-n = exp[order - n], plus 1 in the constant digit, then their logs
+        plus = np.empty(order + 1, dtype=np.int32)
+        body = plus[:order]
+        body[0] = codes[0]
+        body[1:] = codes[:0:-1]
+        body += 1
+        np.subtract(body, p, out=body, where=body % p == 0)
+        np.take(logs, body, out=body)  # buffered: body is also the index
+        body[body < 0] = -order
+        plus[order] = 0
         return LogTables(g=g, order=order, neg=order // 2 if p > 2 else 0,
-                         exp=exp, log=logs,
-                         zech=logs[one_plus])
+                         exp=exp, log=logs, plus=plus)
 
     @cached_property
     def frob(self) -> np.ndarray:

@@ -8,10 +8,10 @@ b_s = r_{s-1} - 2 r_s + r_{s+1}.
 
 Points are evaluated many at a time: ``rank_vectors_at`` and
 ``are_free_at`` form each point's operator and the powers they need one
-point at a time, hold only their log codes, and rank each power across
-the points as one stacked elimination (``gfq.ranks``), in chunks of at
-most ``_STACK_BYTES``.  ``rank_vector_at`` and ``is_free_at`` are the
-same at one point.  Every evaluation walks the blocks of ``_blocks``: a
+point at a time, hold only their log codes, and rank all those powers
+across the points as one stacked elimination (``gfq.ranks``), in chunks
+of at most ``_STACK_BYTES``.  ``rank_vector_at`` and ``is_free_at`` are
+the same at one point.  Every evaluation walks the blocks of ``_blocks``: a
 permutation module splits into orbit blocks, identical ones computed
 once, and a Specht module is a single block.  Rank vectors add over
 blocks.  Freeness is decided in one place, ``are_free_at``, from rank N
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gfq, symrank
+from . import gfp, gfq, symrank
 from .errors import (ArityMismatch, CertificationFailed, PreconditionViolated,
                      RankCheckFailed, ZeroPoint)
 from .ffalg import FieldCtx, FieldElement
@@ -141,18 +141,25 @@ def _coerce_point(alpha, n: int, p: int) -> tuple[np.ndarray, FieldCtx]:
     return coeffs, ctx
 
 
-def _point_operator(mats: list[np.ndarray], alpha, p: int) -> tuple[np.ndarray, FieldCtx]:
+def _action_stack(mats, p: int) -> np.ndarray:
+    """The A_i as one (n, d, d) array of type exact_float(n, p), the form
+    ``_point_operator`` multiplies; a stack of that type is returned as it is."""
+    return np.asarray(mats, dtype=gfp.exact_float(len(mats), p))
+
+
+def _point_operator(mats, alpha, p: int) -> tuple[np.ndarray, FieldCtx]:
     """N = sum alpha_i A_i as k slices over GF(p), shape (k, d, d), plus GF(p^k).
 
-    The A_i lie over GF(p), so slice c is sum_i alpha_i[c] A_i.
+    The A_i lie over GF(p), so slice c is sum_i alpha_i[c] A_i: all k
+    slices are one float product of the (k x n) coefficient columns of
+    alpha with the A_i, reduced by ``gfp.float_mod``.  ``mats`` is the
+    A_i, or their stack from ``_action_stack``, which is used as it is.
     """
     coeffs, ctx = _coerce_point(alpha, len(mats), p)
-    d = mats[0].shape[0]
-    out = np.zeros((ctx.k, d, d), dtype=np.int64)
-    for row, m in zip(coeffs, mats):
-        for c in np.flatnonzero(row):
-            out[c] += row[c] * m
-    return out % p, ctx
+    stack = _action_stack(mats, p)
+    n, d, _ = stack.shape
+    out = coeffs.T.astype(stack.dtype) @ stack.reshape(n, d * d)
+    return gfp.float_mod(out, p).astype(np.int64).reshape(ctx.k, d, d), ctx
 
 
 def _blocks(acts) -> tuple[tuple[list[np.ndarray], int], ...]:
@@ -188,10 +195,12 @@ def _held_powers(mats: list[np.ndarray], points: list, p: int, count: int):
     formed one point at a time, as slice products, and only their prepared
     forms are held; N^(count+1) is never formed.  A chunk ends once it
     holds ``_STACK_BYTES``, or where the next point lies in another field.
+    The A_i are stacked for ``_point_operator`` once per call.
     """
+    stack = _action_stack(mats, p)
     held, size, held_ctx = [], 0, None
     for alpha in points:
-        op, ctx = _point_operator(mats, alpha, p)
+        op, ctx = _point_operator(stack, alpha, p)
         if held and ctx is not held_ctx:
             yield held_ctx, held
             held, size = [], 0
@@ -209,14 +218,15 @@ def _held_powers(mats: list[np.ndarray], points: list, p: int, count: int):
 def _block_ranks(mats: list[np.ndarray], points: list, p: int, count: int) -> np.ndarray:
     """Ranks of N, .., N^count over GF(p^k) at each point of one block.
 
-    Shape (len(points), count).  Each power is ranked across a chunk of
-    points as one stack (``gfq.ranks``).
+    Shape (len(points), count).  All powers of a chunk of points are
+    ranked as one stack (``gfq.ranks``): they share one shape, so one
+    column loop serves them all.
     """
     out = np.zeros((len(points), count), dtype=np.int64)
     row = 0
     for ctx, held in _held_powers(mats, points, p, count):
-        for s, power in enumerate(zip(*held)):
-            out[row:row + len(held), s] = gfq.ranks(list(power), ctx)
+        ranks = gfq.ranks([power for powers in held for power in powers], ctx)
+        out[row:row + len(held)] = np.reshape(ranks, (len(held), count))
         row += len(held)
     return out
 

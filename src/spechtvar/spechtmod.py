@@ -144,18 +144,26 @@ def standard_tableaux(mu: Partition) -> list[tuple[tuple[int, ...], ...]]:
         return [()]
     rows: list[list[int]] = [[] for _ in mu]
     out: list[tuple[tuple[int, ...], ...]] = []
-
-    def place(entry: int):
-        if entry > m:
-            out.append(tuple(tuple(r) for r in rows))
-            return
-        for r in range(len(mu)):
-            if len(rows[r]) < mu[r] and (r == 0 or len(rows[r]) < len(rows[r - 1])):
-                rows[r].append(entry)
-                place(entry + 1)
-                rows[r].pop()
-
-    place(1)
+    # depth first without recursion: ``chosen`` holds the row of each entry
+    # placed so far, and r is the next row to try for the next entry
+    chosen: list[int] = []
+    r = 0
+    while True:
+        while r < len(mu) and not (len(rows[r]) < mu[r]
+                                   and (r == 0 or len(rows[r]) < len(rows[r - 1]))):
+            r += 1
+        if r < len(mu):
+            rows[r].append(len(chosen) + 1)
+            chosen.append(r)
+            if len(chosen) < m:
+                r = 0
+                continue
+            out.append(tuple(tuple(row) for row in rows))
+        elif not chosen:
+            break
+        r = chosen.pop()
+        rows[r].pop()
+        r += 1
     out.sort()
     return out
 
@@ -166,7 +174,8 @@ class SpechtBasis:
     p: int
     tabloid_count: int
     dim: int
-    B: np.ndarray  # (T, d) over GF(p), columns are standard polytabloids
+    B: np.ndarray  # (T, d) over GF(p), of type exact_float(d, p); columns are
+    # the standard polytabloids
     tableaux: tuple[tuple[tuple[int, ...], ...], ...]
     standard_rows: np.ndarray  # (d,) row of B holding {t}, per tableau t
 
@@ -187,7 +196,9 @@ def _polytabloid_matrix(table: _TabloidTable, tabs, p: int) -> np.ndarray:
     An arrangement of the column group sends each cell of the shape to a
     row; it is built once for the shape and applied to every tableau.  The
     tabloids {sigma t} of one tableau are distinct, so each entry is
-    written once.  Work goes in batches of at most _BATCH letters.
+    written once.  Work goes in batches of at most _BATCH letters.  B is
+    built in the float type the solve reads, exact_float(d, p), so no
+    integer copy of it is ever held.
     """
     conj = conjugate(table.mu)
     cells = [(r, j) for j, c in enumerate(conj) for r in range(c)]
@@ -201,7 +212,7 @@ def _polytabloid_matrix(table: _TabloidTable, tabs, p: int) -> np.ndarray:
     per = max(1, _BATCH // max(table.m, 1))
     width = min(group, per)  # arrangements per batch
     depth = max(1, per // width)  # tableaux per batch
-    b = np.zeros((table.count, len(tabs)), dtype=np.int64)
+    b = np.zeros((table.count, len(tabs)), dtype=gfp.exact_float(len(tabs), p))
     for lo in range(0, group, width):
         arrangement = np.arange(lo, min(lo + width, group))
         image = np.empty((len(arrangement), len(cells)), dtype=np.uint8)
@@ -214,10 +225,10 @@ def _polytabloid_matrix(table: _TabloidTable, tabs, p: int) -> np.ndarray:
             image[:, first: first + c] = perms[digit]
             sign *= signs[digit]
             first += c
+        sign %= p  # each entry is written once, so it is written reduced
         for t0 in range(0, len(tabs), depth):
             cols = np.arange(t0, min(t0 + depth, len(tabs)))
             b[table.lookup(image[:, where[cols]]), cols] = sign[:, None]
-    b %= p
     return b
 
 
@@ -363,8 +374,8 @@ def restricted_actions(mu: Partition, n: int, p: int,
 
     basis = standard_basis(work, p)
     d, rows = basis.dim, basis.standard_rows
-    b = basis.B.astype(gfp.exact_float(d, p))
-    del basis  # only the float B is kept: its int64 copy is freed before the solve
+    b = basis.B
+    del basis
     table = _tabloid_table(work)
     sources = np.empty((n, table.count), dtype=np.int64)  # P_i B = B[source_i]
     for i, img in enumerate(generator_cycles(table.m, n, p)):

@@ -239,6 +239,17 @@ def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
+def test_jordan_on_a_thousand_cell_row_exits_cleanly():
+    # S^(1000) has one standard tableau with 1000 cells, listed without
+    # one recursion per cell, in a fresh process at the default limit
+    run = subprocess.run([sys.executable, "-c", _MAIN, "jordan", "--mu", "(1000)",
+                          "--p", "2"], env=_fresh_env(), capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert json.loads(run.stdout)["report"]["rank_vector"] == [1, 0, 0]
+
+
 @pytest.mark.parametrize("argv", [
     ["jordan", "--mu", "(5,2,2)", "--p", "3"],
     ["variety", "--mu", "(3,3,3)", "--p", "3", "--ext", "3", "--out", "json"],

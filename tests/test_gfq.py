@@ -4,7 +4,9 @@
 is called directly here as the oracle, and at k = 1 it is ``gfp.rank`` of
 the matrix itself.  ``rank_logs`` below is the one-matrix-at-a-time
 log/Zech elimination that the stack kernel replaced, kept as the stack's
-oracle.  The prime fields GF(p) = GF(p^1) are ranked by the same stack.
+oracle: it adds with ``%``, ``np.where`` and its own table ``zech_table``
+(log(1 + g^n), the table ``LogTables.plus`` replaced).  The prime fields
+GF(p) = GF(p^1) are ranked by the same stack.
 """
 
 import itertools
@@ -46,15 +48,26 @@ def planted_slices(ctx, rows, cols, rank, rng, density=1.0):
     return gfq.matmul(x, random_slices(ctx, rank, cols, rng, density), ctx)
 
 
+def zech_table(ctx):
+    """zech[n] = log(1 + g^n), -1 where that sum is zero: the codes of
+    g^n = exp[n] plus 1 in the constant digit, then their logs."""
+    t = ctx.tables
+    codes = t.exp[:t.order].astype(np.int64)
+    one_plus = codes + 1
+    one_plus[codes % ctx.p == ctx.p - 1] -= ctx.p
+    return t.log[one_plus]
+
+
 def rank_logs(a, ctx):
-    """Rank of one matrix of log codes (-1 for zero); overwrites ``a``.
+    """Rank of one matrix of log codes (negative for zero); overwrites ``a``.
 
     Right-looking elimination, one pivot at a time: row i gains
     -(a_ij / a_rj) times the pivot row r, on the rows below with a nonzero
     in the pivot column and the columns where the pivot row is nonzero.
+    Sums go through the Zech logarithm, with ``%`` and ``np.where``.
     """
     tables = ctx.tables
-    order, zech = tables.order, tables.zech
+    order, zech = tables.order, zech_table(ctx)
     m, n = a.shape
     r = 0
     for j in range(n):
@@ -96,10 +109,17 @@ def test_tables_agree_with_field_arithmetic(p, k):
                if order % r == 0)  # g is primitive
     assert ctx.element(int(t.exp[t.neg])) == -ctx.one
     one = ctx.one
+    zech = zech_table(ctx)
+    assert t.plus.dtype == np.int32 and t.plus.shape == (order + 1,)
+    assert t.plus[order] == 0  # what a clipped lookup of a gap to zero reads
     for n in range(order):
         elem = ctx.element(int(t.exp[n]))
         total = elem + one
-        assert t.zech[n] == (t.log[total.to_index()] if total else -1), n
+        assert zech[n] == (t.log[total.to_index()] if total else -1), n
+        # plus[n] = log(1 + g^-n), -order where that sum is zero
+        inverse = ctx.element(int(t.exp[(order - n) % order]))
+        total = inverse + one
+        assert t.plus[n] == (t.log[total.to_index()] if total else -order), n
         assert ctx.frob[elem.to_index()] == (elem ** p).to_index()
     assert ctx.frob[0] == 0
 
@@ -169,6 +189,100 @@ def test_stack_matches_per_matrix_kernel_on_small_stacks(field, rows, cols, mats
     codes = [gfq.prepare(m, ctx) for m in slices]
     want = [rank_logs(c.astype(np.int64), ctx) for c in codes]
     assert gfq.ranks(codes, ctx) == want
+
+
+# -- the branch-free kernel against the Zech oracle ---------------------------------
+
+# GF(2), GF(4), GF(8), GF(9), GF(27), GF(3^8) and GF(5^8)
+KERNEL_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 8), (5, 8)]
+
+
+def embedded(ctx, *mats):
+    """Slices of matrices over GF(p) seen over GF(p^k): slice 0 only."""
+    out = []
+    for m in mats:
+        m = np.array(m, dtype=np.int64) % ctx.p
+        slices = np.zeros((ctx.k,) + m.shape, dtype=np.int64)
+        slices[0] = m
+        out.append(slices)
+    return out
+
+
+def assert_kernel_matches(mats, ctx):
+    """One stack of these slices ranked by the kernel, against ``rank_logs``
+    per matrix and against the companion blowup.  The eliminated stack
+    holds only logs below order and the zero code -order: zeros do not
+    drift, however many updates they take."""
+    codes = [gfq.prepare(m, ctx) for m in mats]
+    want = [rank_logs(c.astype(np.int64), ctx) for c in codes]
+    assert want == [gfq._blowup_rank(m, ctx) for m in mats]
+    assert gfq.ranks(codes, ctx) == want
+    stack = np.stack(codes)
+    assert gfq._rank_stack(stack, ctx).tolist() == want
+    order = ctx.tables.order
+    assert (((stack >= 0) & (stack < order)) | (stack == -order)).all()
+    return want
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_kernel_matches_oracle_on_random_stacks(p, k):
+    # square, wide, tall and 1 x 1 shapes; each stack mixes an all-zero
+    # matrix, planted ranks at random densities and a random matrix
+    ctx = FieldCtx.get(p, k)
+    rng = np.random.default_rng(101 * p + k)
+    for rows, cols in ((1, 1), (5, 9), (9, 5), (12, 12)):
+        full = min(rows, cols)
+        for _ in range(3):
+            mats = [np.zeros((k, rows, cols), dtype=np.int64)]
+            mats += [planted_slices(ctx, rows, cols, int(r), rng, density)
+                     for r, density in zip(rng.integers(0, full + 1, 5), rng.random(5))]
+            mats.append(random_slices(ctx, rows, cols, rng, rng.random()))
+            mats = [mats[i] for i in rng.permutation(len(mats))]
+            want = assert_kernel_matches(mats, ctx)
+            assert want[[m.any() for m in mats].index(False)] == 0
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 8)])
+def test_kernel_leaves_rows_alone_where_their_pivot_row_is_zero(p, k):
+    # all four matrices meet column 0 together.  The pivot rows of the
+    # first two are nonzero in columns {1} and {2, 3}, so both are updated
+    # over the union {1, 2, 3}, each across columns where its own pivot
+    # row is zero, on entries both zero and nonzero there.  The third
+    # pivots in its row 2, after a swap; the fourth has no pivot in column
+    # 0 and joins at column 1; the fifth is full rank early and drops out
+    ctx = FieldCtx.get(p, k)
+    mats = embedded(ctx,
+                    [[1, 2, 0, 0], [2, 0, 1, 0], [1, 0, 0, 1], [0, 1, 1, 1]],
+                    [[2, 0, 1, 1], [1, 1, 0, 0], [0, 2, 2, 1], [1, 0, 0, 0]],
+                    [[0, 1, 1, 0], [0, 0, 2, 1], [1, 1, 0, 2], [2, 0, 1, 1]],
+                    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1], [0, 2, 0, 1]],
+                    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    want = assert_kernel_matches(mats, ctx)
+    assert want == [gfp.rank(m[0], p) for m in mats]
+    # and each alone, and in the reverse order
+    assert [gfq.ranks([gfq.prepare(m, ctx)], ctx)[0] for m in mats] == want
+    assert gfq.ranks([gfq.prepare(m, ctx) for m in mats[::-1]], ctx) == want[::-1]
+
+
+@pytest.mark.parametrize("p,k", KERNEL_FIELDS)
+def test_kernel_on_cancelling_rows(p, k):
+    # rows that are multiples of a few base rows, so that eliminating them
+    # sums entries to zero: the zero sum ``plus`` marks with -order
+    ctx = FieldCtx.get(p, k)
+    rng = np.random.default_rng(7 * p + k)
+    for rows, cols, r in ((6, 6, 1), (7, 5, 2), (5, 8, 3), (4, 4, 4)):
+        coeff = random_slices(ctx, rows, r, rng)
+        coeff[0, :, 0] = 1 + rng.integers(0, p - 1, rows)  # nonzero multiples
+        m = gfq.matmul(coeff, random_slices(ctx, r, cols, rng), ctx)
+        want = assert_kernel_matches([m, m, np.zeros_like(m)], ctx)
+        assert want[0] == want[1] <= r and want[2] == 0
+    # row 1 = -row 0 and row 2 = row 0 + row 1 over the whole row
+    row = random_slices(ctx, 1, 6, rng)
+    row[0, 0] = 1 + rng.integers(0, p - 1, 6)
+    minus = (-row) % p
+    (lone,) = embedded(ctx, np.eye(6, dtype=np.int64)[3:])
+    exact = np.concatenate([row, minus, np.zeros_like(row), lone], axis=1)
+    assert assert_kernel_matches([exact], ctx) == [4]
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (2, 3), (3, 2), (5, 2), (3, 8), (5, 8)])
@@ -276,6 +390,95 @@ def test_point_operators_match_blowup(module, k, points):
         want = blowup_rank_vector(acts, pt)
         assert rank_vector_at(acts, pt) == want, pt
         assert is_free_at(acts, pt) == want.is_free, pt
+
+
+def point_operator_loop(mats, alpha, p):
+    """N at a point by one scaled add of A_i per nonzero coefficient, the
+    loop ``_point_operator``'s single product replaced."""
+    coeffs, ctx = jordan._coerce_point(alpha, len(mats), p)
+    d = mats[0].shape[0]
+    out = np.zeros((ctx.k, d, d), dtype=np.int64)
+    for row, m in zip(coeffs, mats):
+        for c in np.flatnonzero(row):
+            out[c] += row[c] * m
+    return out % p, ctx
+
+
+@pytest.mark.parametrize("module,ks", [
+    (lambda: restricted_actions((5, 2, 1, 1), 3, 3), (1, 3, 8, 12)),
+    (lambda: restricted_actions((4, 3, 1), 4, 2), (1, 2, 8, 12)),
+    (lambda: restricted_actions((7, 3), 2, 5), (1, 2, 8, 12)),
+    (lambda: perm_module_actions((4, 2), 3, 2), (1, 3)),
+], ids=["S(5,2,1,1)-p3", "S(4,3,1)-p2", "S(7,3)-p5", "M(4,2)-p2-block"])
+def test_point_operator_matches_the_loop(module, ks):
+    acts = module()
+    p = acts.p
+    rng = np.random.default_rng(p)
+    for mats, _ in _blocks(acts):
+        stack = jordan._action_stack(mats, p)
+        assert stack.dtype == gfp.exact_float(len(mats), p)
+        assert jordan._action_stack(stack, p) is stack  # built once, used as it is
+        pts = [tuple(rng.integers(-2 * p, 3 * p, acts.n)) for _ in range(3)]
+        pts = [pt for pt in pts if np.any(np.array(pt) % p)]
+        for k in ks:
+            ctx = FieldCtx.get(p, k)
+            pts += [ctx.random_point(rng, acts.n) for _ in range(3)]
+            pts.append((ctx.zero,) * (acts.n - 1) + (ctx.one,))
+        for pt in pts:
+            want, want_ctx = point_operator_loop(mats, pt, p)
+            for given in (mats, stack):
+                got, ctx = _point_operator(given, pt, p)
+                assert ctx is want_ctx
+                assert got.dtype == np.int64 and np.array_equal(got, want), pt
+
+
+@pytest.mark.parametrize("module", [
+    lambda: restricted_actions((4, 3, 1), 4, 2),
+    lambda: restricted_actions((5, 2, 2), 3, 3),
+    lambda: restricted_actions((7, 3), 2, 5),
+], ids=["S(4,3,1)-p2", "S(5,2,2)-p3", "S(7,3)-p5"])
+@pytest.mark.parametrize("stack_bytes", [jordan._STACK_BYTES, 1])
+def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_bytes,
+                                                               monkeypatch):
+    # all p - 1 powers of a chunk of points go to one gfq.ranks call; the
+    # ranks equal one stack per power, and per matrix.  Points over GF(p),
+    # GF(p^2) and GF(p^8) split the chunks by field; a 1-byte chunk holds
+    # one point
+    acts = module()
+    p, (mats, _) = acts.p, _blocks(acts)[0]
+    rng = np.random.default_rng(p)
+    pts = [tuple(rng.integers(1, p, acts.n))]
+    for k in (2, 8):
+        pts += [FieldCtx.get(p, k).random_point(rng, acts.n) for _ in range(3)]
+    pts.append((1,) + (0,) * (acts.n - 1))
+    prepared = []
+    for pt in pts:
+        op, ctx = _point_operator(mats, pt, p)
+        prepared.append((ctx, [gfq.prepare(pw, ctx) for pw in _powers(op, ctx)]))
+    per_matrix = [[rank_logs(c.astype(np.int64), ctx) for c in codes]
+                  for ctx, codes in prepared]
+    # one stack per power over each run of points in one field
+    per_power = []
+    for ctx, run in itertools.groupby(prepared, key=lambda item: item[0]):
+        run = [codes for _, codes in run]
+        by_power = [gfq.ranks([codes[s] for codes in run], ctx) for s in range(p - 1)]
+        per_power += [list(ranks) for ranks in zip(*by_power)]
+    assert per_power == per_matrix
+    monkeypatch.setattr(jordan, "_STACK_BYTES", stack_bytes)
+    calls = []
+    real = gfq.ranks
+
+    def spy(mats, ctx):
+        calls.append(len(mats))
+        return real(mats, ctx)
+    monkeypatch.setattr(gfq, "ranks", spy)
+    got = jordan._block_ranks(mats, pts, p, p - 1)
+    assert got.tolist() == per_matrix
+    assert all(c % (p - 1) == 0 for c in calls) and sum(calls) == len(pts) * (p - 1)
+    assert len(calls) == (len(pts) if stack_bytes == 1 else 4)  # fields GF(p), p^2, p^8, p
+    calls.clear()
+    assert jordan._block_ranks(mats, pts, p, 1)[:, 0].tolist() == [r[0] for r in per_matrix]
+    assert sum(calls) == len(pts)
 
 
 def module_matrices(acts):

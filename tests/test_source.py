@@ -116,12 +116,27 @@ def test_one_rank_route_per_field():
 
 
 def test_one_extension_field_elimination():
-    # the Zech table is read only by the one GF(q) elimination, the stack
-    # kernel, and only gfq.ranks calls that
+    # the Zech table (``plus``, read from the larger log) is read only by
+    # the one GF(q) elimination, the stack kernel, and only gfq.ranks calls
+    # that; no second Zech table (``zech``) is read anywhere
     assert _scopes(lambda mod, node: isinstance(node, ast.Attribute)
-                   and node.attr == "zech") == ["gfq._rank_stack"]
+                   and node.attr == "plus") == ["gfq._rank_stack"]
+    assert _scopes(lambda mod, node: isinstance(node, ast.Attribute)
+                   and node.attr == "zech") == []
     assert _calls(lambda mod, node: getattr(node.func, "id", None) == "_rank_stack") == [
         "gfq.ranks"]
+
+
+def test_rank_stack_update_is_branch_free():
+    # no np.where in the GF(q) kernel, and its one % is per row (the
+    # multiplier's log), not per entry
+    def where(mod, node):
+        return mod == "gfq" and _is_attr_call(node, "np", "where")
+    assert _calls(where) == []
+    def mod_in_kernel(mod, node):
+        return (mod == "gfq" and isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Mod))
+    assert _scopes(mod_in_kernel).count("gfq._rank_stack") == 1
 
 
 def test_sweeps_and_generic_types_hand_over_stacks():

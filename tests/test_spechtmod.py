@@ -141,6 +141,24 @@ def _polytabloid_loop(mu, p):
     return b % p
 
 
+@pytest.mark.parametrize("mu,p", [((3, 2), 3), ((3, 3, 3), 3), ((4, 3, 2), 3),
+                                  ((5, 2, 1), 2), ((3, 3, 2, 2), 2), ((6, 4), 5),
+                                  ((4, 4, 2), 5)])
+def test_polytabloid_matrix_is_built_in_its_float_type(mu, p):
+    # B comes out in the float type the solve reads, equal to the integer
+    # B of the loop; no int64 copy is made on the way
+    basis = standard_basis(mu, p)
+    assert basis.B.dtype == gfp.exact_float(basis.dim, p)
+    assert np.array_equal(basis.B, _polytabloid_loop(mu, p))
+
+
+def test_standard_tableaux_of_long_rows_and_columns():
+    # no recursion per cell: one row or one column of 1000 cells
+    assert standard_tableaux((1000,)) == [(tuple(range(1, 1001)),)]
+    assert standard_tableaux((1,) * 1000) == [tuple((i,) for i in range(1, 1001))]
+    assert len(standard_tableaux((999, 1))) == 999
+
+
 def _tall_actions(mu, n, p):
     """Oracle: A_i by one elimination of B against every (g_i - 1)B, all T rows."""
     basis = standard_basis(mu, p)
