@@ -373,9 +373,7 @@ def restricted_actions(mu: Partition, n: int, p: int,
                                      dim=mats[0].shape[0], conjugated=conjugated)
 
     basis = standard_basis(work, p)
-    d, rows = basis.dim, basis.standard_rows
-    b = basis.B
-    del basis
+    b, d, rows = basis.B, basis.dim, basis.standard_rows
     table = _tabloid_table(work)
     sources = np.empty((n, table.count), dtype=np.int64)  # P_i B = B[source_i]
     for i, img in enumerate(generator_cycles(table.m, n, p)):
