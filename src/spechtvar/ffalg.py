@@ -221,7 +221,7 @@ class FieldCtx:
         self.reduction = np.array(tpow, dtype=np.int64).T
 
     @classmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=None)  # unbounded: jordan._held_powers tests contexts by identity
     def get(cls, p: int, k: int = 1) -> "FieldCtx":
         return cls(p, k)
 

@@ -300,22 +300,43 @@ def _cache_key(work: Partition, n: int, p: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
-def _load_cached(path: Path, key: str, n: int, d: int) -> list[np.ndarray] | None:
-    """The n cached d x d action matrices, or None if the file is unusable.
+def _cache_dtype(p: int) -> np.dtype:
+    """The smallest unsigned type that holds 0..p-1: uint8 for p <= 256."""
+    return np.min_scalar_type(p - 1)
 
-    Members are named after the key, so a file written for another key or
-    by hand is a miss.  A truncated or corrupt archive raises BadZipFile,
-    EOFError or zlib.error; a non-archive raises ValueError or TypeError.
+
+def _digest(key: str, stack: np.ndarray) -> bytes:
+    """sha256 of the key, the dtype, the shape and the bytes of ``stack``."""
+    h = hashlib.sha256(f"{key}|{stack.dtype.str}|{stack.shape}|".encode())
+    h.update(np.ascontiguousarray(stack).data)
+    return h.digest()
+
+
+def _load_cached(path: Path, key: str, n: int, d: int,
+                 p: int) -> list[np.ndarray] | None:
+    """The n cached d x d action matrices as int64, or None on a miss.
+
+    A file holds two members: ``key``, the (n, d, d) stack of the A_i in
+    ``_cache_dtype(p)``, and ``key_digest``, its ``_digest``.  The file is
+    a miss unless both members exist, the stack has that shape and dtype,
+    the digest matches and every entry is below p.  Members are named
+    after the key, so a file written for another key, by hand, or in the
+    older layout of n int64 members is a miss.  A truncated or corrupt
+    archive raises BadZipFile, EOFError or zlib.error; a non-archive
+    raises ValueError or TypeError.  Each matrix is cast to int64 on its
+    own: one cast of the whole stack measured a higher peak RSS.
     """
     try:
         with np.load(path) as data:
-            mats = [data[f"{key}_{i}"] for i in range(n)]
+            stack = data[key]
+            digest = data[f"{key}_digest"]
     except (OSError, KeyError, ValueError, TypeError, EOFError,
             zipfile.BadZipFile, zlib.error):
         return None
-    if any(m.shape != (d, d) or m.dtype != np.int64 for m in mats):
+    if (stack.shape != (n, d, d) or stack.dtype != _cache_dtype(p)
+            or digest.tobytes() != _digest(key, stack) or stack.max() >= p):
         return None
-    return mats
+    return [a.astype(np.int64) for a in stack]
 
 
 def _solve_on_minor(b: np.ndarray, rows: np.ndarray, sources: np.ndarray,
@@ -367,7 +388,7 @@ def restricted_actions(mu: Partition, n: int, p: int,
     key = _cache_key(work, n, p)
     path = cache / f"{key}.npz" if cache else None
     if path is not None and path.exists():
-        mats = _load_cached(path, key, n, dim_specht(work))
+        mats = _load_cached(path, key, n, dim_specht(work), p)
         if mats is not None:
             return RestrictedActions(mu=mu, n=n, p=p, A=mats,
                                      dim=mats[0].shape[0], conjugated=conjugated)
@@ -381,13 +402,15 @@ def restricted_actions(mu: Partition, n: int, p: int,
     y = _solve_on_minor(b, rows, sources, p)
     diag = np.arange(d)
     y[diag, :, diag] = (y[diag, :, diag] - 1) % p  # A_i = Y_i - I
-    mats = [y[:, i].astype(np.int64) for i in range(n)]
+    stack = y.transpose(1, 0, 2).astype(_cache_dtype(p), order="C")
+    mats = [a.astype(np.int64) for a in stack]
     if path is not None:
         # renamed into place whole, so no reader sees a half-written file
         tmp = path.with_name(f"{key}.{os.getpid()}.tmp.npz")
+        digest = np.frombuffer(_digest(key, stack), dtype=np.uint8)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            np.savez_compressed(tmp, **{f"{key}_{i}": m for i, m in enumerate(mats)})
+            np.savez_compressed(tmp, **{key: stack, f"{key}_digest": digest})
             os.replace(tmp, path)
         except OSError:
             with contextlib.suppress(OSError):

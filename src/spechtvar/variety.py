@@ -119,7 +119,9 @@ def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
     return tuple(int(t.exp[t.log[c] + shift]) if c else 0 for c in codes)
 
 
+# enumerate_locus results, least recently used first, at most _LOCUS_MEMO_SIZE
 _LOCUS_MEMO: dict[tuple, LocusSample] = {}
+_LOCUS_MEMO_SIZE = 128
 
 
 @lru_cache(maxsize=16)
@@ -196,16 +198,18 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
     """
     p, n, d = acts.p, acts.n, acts.dim
     key = (type(acts).__name__, acts.mu, n, p, k)
-    if key in _LOCUS_MEMO:
-        return _LOCUS_MEMO[key]
-    orbits = _point_orbits(p, n, k, torus=True)
-    # p must divide d for freeness anywhere; skipping also skips the warning
-    free = (are_free_at(acts, _representatives(orbits, FieldCtx.get(p, k)))
-            if d % p == 0 else [False] * len(orbits))
-    points = {pt for orbit, f in zip(orbits, free) if not f for pt in orbit}
-    sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
-                         total_projective_points=sum(map(len, orbits)))
-    _LOCUS_MEMO[key] = sample
+    sample = _LOCUS_MEMO.pop(key, None)
+    if sample is None:
+        orbits = _point_orbits(p, n, k, torus=True)
+        # p must divide d for freeness anywhere; skipping also skips the warning
+        free = (are_free_at(acts, _representatives(orbits, FieldCtx.get(p, k)))
+                if d % p == 0 else [False] * len(orbits))
+        points = {pt for orbit, f in zip(orbits, free) if not f for pt in orbit}
+        sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
+                             total_projective_points=sum(map(len, orbits)))
+    _LOCUS_MEMO[key] = sample  # (re)inserted last, as the most recently used
+    if len(_LOCUS_MEMO) > _LOCUS_MEMO_SIZE:
+        del _LOCUS_MEMO[next(iter(_LOCUS_MEMO))]
     return sample
 
 

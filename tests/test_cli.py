@@ -1,5 +1,7 @@
 """End-to-end CLI tests driving ``main`` in-process."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spechtvar.cli import build_parser, main
+from spechtvar.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden" / "table9.tsv"
 
@@ -263,3 +268,60 @@ def test_output_is_the_same_under_python_O(argv):
     for run in runs:
         assert run.returncode == 0, run.stderr.decode()
     assert runs[0].stdout and runs[0].stdout == runs[1].stdout
+
+
+def _mostly(good, bad):
+    """Valid values three times in four, an invalid one otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: good if i else bad)
+
+
+# partitions of n * p for the module primes, so that jordan and variety run
+_MODULE_MU = {p: [format_partition(mu) for m in range(p, 7, p) for mu in partitions_of(m)]
+              for p in (2, 3, 5)}
+# any small partition (mostly of a size the prime does not divide), or no partition
+_OTHER_MU = st.one_of(
+    st.lists(st.integers(1, 6), max_size=4).filter(lambda parts: sum(parts) <= 6)
+      .map(lambda parts: format_partition(tuple(sorted(parts, reverse=True)))),
+    st.sampled_from(["(2,3)", "(0)", "(-1)", "(3,x)", "", "3,2", "(1,1", "x"]))
+_BAD_PRIME = st.sampled_from(["7", "257", "4", "1", "0", "-3", "x"])
+_FLAGS = {
+    "jordan": [("--mode", _mostly(st.sampled_from(["random", "exact"]), st.just("bogus"))),
+               ("--seed", st.integers(-2, 3).map(str)),
+               ("--samples", _mostly(st.integers(1, 3), st.integers(-1, 0)).map(str))],
+    "variety": [("--ext", _mostly(st.integers(1, 3), st.integers(-1, 0)).map(str)),
+                ("--out", _mostly(st.sampled_from(["json", "tsv"]), st.just("xml")))],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(_mostly(st.sampled_from(["info", "phi", "predict", "jordan", "variety",
+                                            "young"]), st.just("frobnicate")))
+    argv = [command]
+    p = draw(st.sampled_from([2, 3, 5]))
+    if command == "young":
+        argv += ["--r", str(draw(st.integers(-2, 8))), "--m", str(draw(st.integers(-2, 5)))]
+    elif draw(_mostly(st.just(True), st.just(False))):  # --mu is required
+        argv += ["--mu", draw(_mostly(st.sampled_from(_MODULE_MU[p]), _OTHER_MU))]
+    argv += ["--p", draw(_mostly(st.just(str(p)), _BAD_PRIME))]
+    for flag, values in _FLAGS.get(command, []):
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=_argv(), cached=st.booleans())
+def test_every_run_exits_0_1_or_2_without_a_traceback(tmp_path_factory, argv, cached):
+    if cached:  # one cache directory shared by the examples
+        argv = argv + ["--cache-dir", str(tmp_path_factory.getbasetemp() / "cli-cache")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 1:
+        assert err.getvalue().startswith("error: "), argv

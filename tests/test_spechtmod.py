@@ -1,14 +1,16 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from spechtvar import gfp, spechtmod
+from spechtvar.cli import main
 from spechtvar.errors import (NoSolution, PreconditionViolated, RankCheckFailed,
                               TooLarge)
 from spechtvar.jordan import rank_vector_at
 from spechtvar.partitions import conjugate, dim_specht, partitions_of
-from spechtvar.spechtmod import (_cache_key, _load_cached, _solve_on_minor,
+from spechtvar.spechtmod import (_cache_key, _digest, _load_cached, _solve_on_minor,
                                  _tabloid_table, generator_cycles,
                                  perm_module_actions, restricted_actions,
                                  standard_basis, standard_tableaux, tabloid_count)
@@ -378,22 +380,83 @@ def test_generator_cycles_shape():
         generator_cycles(5, 2, 3)
 
 
+def _spy_builds(monkeypatch) -> list:
+    """Record every standard_basis call: a restricted_actions call that
+    makes one missed the cache."""
+    built = []
+    real = spechtmod.standard_basis
+    monkeypatch.setattr(spechtmod, "standard_basis",
+                        lambda *args: built.append(args) or real(*args))
+    return built
+
+
+def _assert_same_actions(got, want, label=None):
+    assert len(got) == len(want), label
+    for a, b in zip(got, want):
+        assert a.dtype == np.int64 and a.shape == b.shape, label
+        assert a.tobytes() == b.tobytes(), label
+
+
+def _stack_of(path, key):
+    with np.load(path) as data:
+        return data[key], data[f"{key}_digest"]
+
+
+def _damaged(key, stack, digest):
+    """Archive members of a p = 3 cache file that a load must reject."""
+    flipped = stack.copy()
+    flipped[1, 4, 7] = (flipped[1, 4, 7] + 1) % 3
+    too_big = stack.copy()
+    too_big[1, 0, 5] = 3  # the digest matches, only the range check sees it
+    wide = stack.astype(np.uint16)  # the right values, with a digest of its own
+    zeros = np.zeros_like(stack)
+    return {
+        "zeros, stale digest": {key: zeros, f"{key}_digest": digest},
+        "zeros, no digest": {key: zeros},
+        "flipped entry": {key: flipped, f"{key}_digest": digest},
+        "entry equal to p": {key: too_big, f"{key}_digest":
+                             np.frombuffer(_digest(key, too_big), dtype=np.uint8)},
+        "missing digest": {key: stack},
+        "other dtype": {key: wide, f"{key}_digest":
+                        np.frombuffer(_digest(key, wide), dtype=np.uint8)},
+        "older layout": {f"{key}_{i}": a.astype(np.int64) for i, a in enumerate(stack)},
+    }
+
+
 def test_cache_roundtrip(tmp_path, monkeypatch):
+    # every S^mu with |mu| <= 8 at the module primes, and S^(256,1) at
+    # p = 257 (entries up to 256), loads as it was built: n int64 d x d
+    # matrices of the same bytes, served from a uint8 or uint16 stack
     monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
-    first = restricted_actions((4, 2), 2, 3)
-    files = list(tmp_path.glob("*.npz"))
-    assert len(files) == 1
-    second = restricted_actions((4, 2), 2, 3)
-    for a, b in zip(first.A, second.A):
-        assert np.array_equal(a, b)
+    cases = [(mu, m // p, p) for p in (2, 3, 5) for m in range(p, 9, p)
+             for mu in partitions_of(m)]
+    assert len(cases) == 61
+    cases.append(((256, 1), 1, 257))
+    built = [restricted_actions(*case) for case in cases]
+    assert built[-1].dim == 256 and max(int(a.max()) for a in built[-1].A) == 256
+    builds = _spy_builds(monkeypatch)
+    for case, first in zip(cases, built):
+        again = restricted_actions(*case)
+        assert again.dim == first.dim == dim_specht(case[0]), case
+        _assert_same_actions(again.A, first.A, case)
+    assert builds == []
+    wide = _cache_key((256, 1), 1, 257)
+    stacks = {path.stem: _stack_of(path, path.stem)[0] for path in tmp_path.glob("*.npz")}
+    assert stacks[wide].dtype == np.uint16 and stacks[wide].shape == (1, 256, 256)
+    assert all(stack.dtype == np.uint8 for key, stack in stacks.items() if key != wide)
 
 
 def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
+    # each bad file is a miss: the module is rebuilt bit-identical and the
+    # file rewritten, so the next call is served from it
     monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
     built = restricted_actions((4, 2), 2, 3)
     key = _cache_key((4, 2), 2, 3)
     (path,) = tmp_path.glob("*.npz")
     raw = path.read_bytes()
+    stack, digest = _stack_of(path, key)
+    assert stack.dtype == np.uint8 and stack.shape == (2, 9, 9)
+    assert digest.tobytes() == _digest(key, stack)
     wrong = tmp_path / "wrong.npz"
     np.savez_compressed(wrong, **{f"{key}_{i}": np.zeros((5, 5), dtype=np.int64)
                                   for i in range(2)})
@@ -402,17 +465,22 @@ def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
         "garbage": b"not a cache file\n" * 8,
         "misshaped": wrong.read_bytes(),
     }
+    for label, members in _damaged(key, stack, digest).items():
+        np.savez_compressed(wrong, **members)
+        bad_files[label] = wrong.read_bytes()
+    builds = _spy_builds(monkeypatch)
     for label, content in bad_files.items():
         path.write_bytes(content)
-        again = restricted_actions((4, 2), 2, 3)
-        assert again.dim == built.dim, label
-        for a, b in zip(built.A, again.A):
-            assert np.array_equal(a, b), label
-        # the rebuild rewrote the file with the right matrices
-        cached = _load_cached(path, key, 2, built.dim)
-        assert cached is not None, label
-        for a, b in zip(built.A, cached):
-            assert np.array_equal(a, b), label
+        assert _load_cached(path, key, 2, built.dim, 3) is None, label
+        builds.clear()
+        _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A, label)
+        assert len(builds) == 1, label
+        rewritten, new_digest = _stack_of(path, key)
+        assert rewritten.tobytes() == stack.tobytes(), label
+        assert new_digest.tobytes() == digest.tobytes(), label
+        builds.clear()
+        _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A, label)
+        assert builds == [], label
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted([path.name, wrong.name])
 
 
@@ -437,3 +505,16 @@ def test_cache_file_is_bound_to_its_key(tmp_path, monkeypatch):
         assert rank_vector_at(again, [1, 1, 1]) == fresh, label
         for a, b in zip(built.A, again.A):
             assert np.array_equal(a, b), label
+
+
+@pytest.mark.parametrize("damage", ["zeros, stale digest", "zeros, no digest"])
+def test_zeroed_cache_file_is_not_served_to_the_cli(tmp_path, capsys, damage):
+    argv = ["jordan", "--mu", "(7,2)", "--p", "3", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    fresh = json.loads(capsys.readouterr().out)["report"]
+    assert fresh["rank_vector"] == [27, 18, 9, 0]
+    key = _cache_key((7, 2), 3, 3)
+    (path,) = tmp_path.glob("*.npz")
+    np.savez_compressed(path, **_damaged(key, *_stack_of(path, key))[damage])
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["report"] == fresh

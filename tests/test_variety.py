@@ -194,6 +194,22 @@ def test_conjugate_pair_loci_agree():
     assert sa.points == sb.points
 
 
+def test_locus_memo_is_a_bounded_lru(monkeypatch):
+    # the memo keeps the _LOCUS_MEMO_SIZE most recently used samples; a hit
+    # makes its entry the most recent, and the oldest is dropped first
+    monkeypatch.setattr(variety, "_LOCUS_MEMO", {})
+    monkeypatch.setattr(variety, "_LOCUS_MEMO_SIZE", 2)
+    acts = {mu: restricted_actions(mu, 2, 2) for mu in ((3, 1), (2, 2), (4,))}
+    first = enumerate_locus(acts[(3, 1)], 1)
+    enumerate_locus(acts[(2, 2)], 1)
+    assert enumerate_locus(acts[(3, 1)], 1) is first  # hit: now the most recent
+    enumerate_locus(acts[(4,)], 1)
+    assert [key[1] for key in variety._LOCUS_MEMO] == [(3, 1), (4,)]
+    assert enumerate_locus(acts[(3, 1)], 1) is first
+    enumerate_locus(acts[(2, 2)], 1)
+    assert [key[1] for key in variety._LOCUS_MEMO] == [(3, 1), (2, 2)]
+
+
 def test_interpolation_spaces():
     acts = restricted_actions((5, 3, 1), 3, 3)
     empty = enumerate_locus(acts, 2)
