@@ -9,8 +9,11 @@ right-looking LU so that the trailing updates are BLAS matmuls as well; that
 is what makes exhaustive freeness sweeps affordable.  A unit lower
 triangular system needs no elimination: `solve_unit_lower` runs a blocked
 forward substitution on floats, reduced by `float_mod` without leaving the
-float type.  It serves module construction (the standard-tabloid minor) and
-exact mode's division by the previous Bareiss pivot (``symrank``).
+float type.  Each block of rows takes one matmul against the rows solved
+above it and one against the inverse of its diagonal block, and those
+inverses come from one batched product series; so the solve is all matmuls.
+It serves module construction (the standard-tabloid minor) and exact mode's
+division by the previous Bareiss pivot (``symrank``).
 """
 
 from __future__ import annotations
@@ -67,10 +70,11 @@ def solve_unit_lower(l: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     ``y`` is a (d, k) float array of type ``exact_float(d, p)``.  L and Y
     hold integers of either sign below 2**24 in magnitude; ``y`` is
     overwritten by X, with entries in 0..p-1, and returned.  Forward
-    substitution runs in blocks of _PANEL rows: each block, once reduced,
-    subtracts its product with all the rows solved above it in one BLAS
-    matmul, then is solved row by row.  No intermediate reaches d*(p-1)^2
-    in magnitude, so the float type is exact throughout.  Raises
+    substitution runs in blocks of w = min(_PANEL, d) rows: each block,
+    once reduced, subtracts its product with all the rows solved above it
+    in one BLAS matmul, then is multiplied by the inverse of its diagonal
+    block (``_diagonal_inverses``).  No intermediate reaches d*(p-1)^2 in
+    magnitude, so the float type is exact throughout.  Raises
     PreconditionViolated unless diag(L) = 1 and L has no nonzero entry
     above the diagonal, mod p, or if ``y`` has another type or height.
     """
@@ -78,18 +82,50 @@ def solve_unit_lower(l: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     ftype = exact_float(d, p)
     if y.dtype != ftype or y.shape[0] != d:
         raise PreconditionViolated(f"right-hand side must be {d} rows of {ftype.__name__}")
-    lf = float_mod(np.array(l, dtype=ftype), p)
-    if (np.diagonal(lf) != 1).any() or np.triu(lf, 1).any():
-        raise PreconditionViolated("matrix is not unit lower triangular mod p")
-    for lo in range(0, d, _PANEL):
-        block = float_mod(y[lo: lo + _PANEL], p)
+    lf = np.array(l, dtype=ftype)
+    w = min(_PANEL, d)
+    for lo in range(0, d, w):  # reduced and checked a panel of rows at a time
+        rows = float_mod(lf[lo: lo + w], p)
+        if ((np.diagonal(rows[:, lo:]) != 1).any() or rows[:, lo + w:].any()
+                or np.triu(rows[:, lo: lo + w], 1).any()):
+            raise PreconditionViolated("matrix is not unit lower triangular mod p")
+    inverses = _diagonal_inverses(lf, w, p)
+    for k, lo in enumerate(range(0, d, w)):
+        block = float_mod(y[lo: lo + w], p)
         if lo:
-            block -= lf[lo: lo + _PANEL, :lo] @ y[:lo]
+            block -= lf[lo: lo + w, :lo] @ y[:lo]
             float_mod(block, p)
-        for r in range(lo + 1, lo + len(block)):
-            y[r] -= lf[r, lo:r] @ y[lo:r]
-            float_mod(y[r], p)
+        h = len(block)
+        y[lo: lo + h] = float_mod(inverses[k, :h, :h] @ block, p)
     return y
+
+
+def _diagonal_inverses(lf: np.ndarray, w: int, p: int) -> np.ndarray:
+    """Inverses mod p of the w x w diagonal blocks of a unit lower triangular
+    ``lf`` (reduced mod p), as one (blocks, w, w) stack; a short last block
+    is padded with the identity.
+
+    With N = I - L_kk strictly lower triangular, N^w = 0, so
+    L_kk^-1 = I + N + ... + N^(w-1) = (I + N)(I + N^2)(I + N^4)...: one
+    squaring and one product per factor, batched over all blocks.  Every
+    factor is reduced mod p and has zero or one on its diagonal, so each
+    product's sums stay below w*(p-1)^2, exact in lf's float type.
+    """
+    d = len(lf)
+    starts = range(0, d, w)
+    eye = np.eye(w, dtype=lf.dtype)
+    nil = np.zeros((len(starts), w, w), dtype=lf.dtype)
+    for k, lo in enumerate(starts):
+        h = min(w, d - lo)
+        np.negative(lf[lo: lo + h, lo: lo + h], out=nil[k, :h, :h])
+    diagonal = np.arange(w)
+    nil[:, diagonal, diagonal] = 0  # L_kk's unit diagonal cancels I's
+    float_mod(nil, p)
+    inv = nil + eye
+    for _ in range((w - 1).bit_length() - 1):
+        nil = float_mod(nil @ nil, p)
+        inv = float_mod(inv @ (nil + eye), p)
+    return inv
 
 
 def _echelon(a: np.ndarray, p: int) -> list[int]:

@@ -24,12 +24,17 @@ all quotient rows of a step at once by ``gfp.solve_unit_lower``.
 So a step never forms the whole numerator num = piv*M - col (x) top of
 degree 2c: ``_step_plan`` sends each product pair of degree-c monomials to
 the quotient column it lands in (or drops it), cached per (variables,
-degree, previous degree, LM code) within ``_PLAN_CACHE_BYTES``, and per
-block of rows the two products
-are GEMMs against convolution matrices gathered onto those columns alone
-(at (5,3), p = 2, 816 of 4,495 columns).  The first step has no divisor,
-and its plan covers every column of degree 2c.  Entries are held as exact
-floats below p, in float32 wherever the products' sums stay below 2**24.
+degree, previous degree, LM code) within ``_PLAN_CACHE_BYTES``.  For
+each block of those columns (at (5,3), p = 2, 816 of 4,495 columns) the two
+products are GEMMs: the pivot's convolution restricted to the block times
+all of M, and M's top row times the pivot column's entries gathered onto
+the block from the column's transpose, one GEMM per quotient column in one
+batched call.  The blocks are sized so that a gather stays within
+``_CHUNK_BYTES``, and the numerator is held quotient columns first, which
+is the layout of the division's right-hand side.  The first step has no
+divisor, and its plan covers every column of degree 2c.  Entries are held
+as exact floats below p, in float32 wherever the products' sums stay below
+2**24.
 The powers N^s are built one variable at a time, N^(s-1) A_v, by
 ``gfp.mod_matmul``; this module keeps only what is specific to polynomials
 (monomial codes, step plans and the Bareiss loop).
@@ -47,10 +52,13 @@ from .errors import PreconditionViolated, TooLarge
 _RADIX = 512
 MAX_EXACT_DIM = 32
 _MAX_VARS = 7
-_CHUNK_BYTES = 8 * 2**20  # bound on one block's gathered convolution
+# bound on one column block's gathered convolution (w x T x rows floats),
+# and on the index rows of one gather of the divisor's triangle
+_CHUNK_BYTES = 2**20
 _LOOKUP_BLOCK = 2**16  # code lookups per block in _sum_positions
 _PLAN_CACHE_BYTES = 32 * 2**20
 _PLANS: dict[tuple[int, int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+_plans_nbytes = 0  # sum of the nbytes of the plans in _PLANS
 
 
 @lru_cache(maxsize=None)
@@ -110,15 +118,21 @@ def _pair_targets(nvars: int, d1: int, d2: int) -> np.ndarray:
 def _step_plan(nvars: int, deg: int, prev_deg: int,
                lm_code: int) -> tuple[np.ndarray, np.ndarray]:
     """``_build_step_plan``, kept in a least-recently-used cache of at most
-    ``_PLAN_CACHE_BYTES``."""
+    ``_PLAN_CACHE_BYTES``, whose size is kept as a running total."""
+    global _plans_nbytes
     key = (nvars, deg, prev_deg, lm_code)
     plan = _PLANS.pop(key, None)
     if plan is None:
         plan = _build_step_plan(*key)
+        _plans_nbytes += _nbytes(plan)
     _PLANS[key] = plan
-    while sum(a.nbytes + b.nbytes for a, b in _PLANS.values()) > _PLAN_CACHE_BYTES:
-        del _PLANS[next(iter(_PLANS))]
+    while _plans_nbytes > _PLAN_CACHE_BYTES:
+        _plans_nbytes -= _nbytes(_PLANS.pop(next(iter(_PLANS))))
     return plan
+
+
+def _nbytes(plan: tuple[np.ndarray, np.ndarray]) -> int:
+    return sum(a.nbytes for a in plan)
 
 
 def _build_step_plan(nvars: int, deg: int, prev_deg: int,
@@ -156,13 +170,15 @@ def _bareiss_step(m: np.ndarray, prev: np.ndarray | None, nvars: int,
 
     Returns the coefficients of (piv * m[i, j] - m[i, 0] * m[0, j]) / prev
     for i, j >= 1; at the first step prev is None and nothing is divided.
-    Only the numerator's coefficients that the division reads are formed:
-    per block of rows (split by quotient columns too where one row's
-    gather would pass ``_CHUNK_BYTES``), one GEMM against the pivot's
-    convolution restricted to the quotient's columns and one against the
-    gathered convolutions of the block's pivot-column entries.  m holds
-    degree-deg entries as floats below p; the result holds degree
-    2*deg - prev_deg entries the same way.
+    Only the numerator's coefficients that the division reads are formed,
+    in blocks of quotient columns sized by ``_CHUNK_BYTES``: per block, one
+    GEMM of the pivot's convolution, restricted to the block's columns,
+    with all of m[1:, 1:], and one batched GEMM of m[0, 1:] with the pivot
+    column's entries gathered onto the block (a gathered index copies a
+    whole row of the transposed pivot column).  The numerator is held with
+    its quotient columns first, which is the layout the division solves in.
+    m holds degree-deg entries as floats below p; the result, a
+    (rows, cols, T) view, holds degree 2*deg - prev_deg entries the same way.
     """
     lm_code = lead = 0
     if prev is not None:
@@ -175,36 +191,45 @@ def _bareiss_step(m: np.ndarray, prev: np.ndarray | None, nvars: int,
     m = m.astype(ftype, copy=False)
     nrow, ncol = m.shape[0] - 1, m.shape[1] - 1
     piv = _padded(m[0, 0])
-    col = _padded(m[1:, 0])
-    top = m[0, 1:]
-    rest = m[1:, 1:]
-    out = np.empty((nrow, ncol, tq), dtype=ftype)
-    # blocks of rows, and of quotient columns once one row's gather is too big
-    row_bytes = t * tq * m.itemsize
-    rows_per = max(1, _CHUNK_BYTES // row_bytes)
-    cols_per = max(1, _CHUNK_BYTES // (t * m.itemsize)) if row_bytes > _CHUNK_BYTES else tq
-    for r0 in range(0, nrow, rows_per):
-        rows = min(rows_per, nrow - r0)
-        block = rest[r0:r0 + rows].reshape(-1, t)
-        num = out[r0:r0 + rows]
-        for j0 in range(0, tq, cols_per):
-            idx = pairs[j0:j0 + cols_per]
-            width = len(idx)
-            # conv[i, j, b] = m[i, 0] at the partner of m_b for quotient column j
-            conv = np.take(col[r0:r0 + rows], idx, axis=1).reshape(-1, t)
-            num[:, :, j0:j0 + width] = (
-                (block @ np.take(piv, idx).T).reshape(rows, ncol, width)
-                - (conv @ top.T).reshape(rows, width, ncol).transpose(0, 2, 1))
-        gfp.float_mod(num, p)
-    if prev is None:
-        return out
-    # quotients Q S = num: c^-1 S^T is unit lower triangular for c = prev[LM]
-    cinv = gfp.inverse_table(p)[int(prev[lead])]
-    y = np.array(out.reshape(-1, tq).T, dtype=gfp.exact_float(tq, p), order="C")
-    del out
-    y *= cinv
-    gfp.solve_unit_lower(np.take(_padded(prev), divisor).T * cinv, y, p)
-    return y.T.reshape(nrow, ncol, tq)
+    colt = np.zeros((t + 1, nrow), dtype=ftype)  # m[1:, 0] transposed, padded
+    colt[:t] = m[1:, 0].T
+    top = np.ascontiguousarray(m[0, 1:])
+    rest = m[1:, 1:].transpose(2, 0, 1).reshape(t, -1)
+    out = np.empty((tq, nrow, ncol), dtype=ftype)
+    cols_per = max(1, _CHUNK_BYTES // (t * nrow * m.itemsize))
+    for j0 in range(0, tq, cols_per):
+        idx = pairs[j0:j0 + cols_per]
+        num = out[j0:j0 + cols_per]
+        np.matmul(np.take(piv, idx), rest, out=num.reshape(len(idx), -1))
+        # conv[j, b, i] = m[i, 0] at the partner of m_b for quotient column j
+        conv = np.take(colt, idx, axis=0)
+        num -= np.matmul(top, conv).transpose(0, 2, 1)
+    gfp.float_mod(out, p)
+    if prev is not None:
+        # quotients Q S = num: c^-1 S^T is unit lower triangular for c = prev[LM]
+        cinv = int(gfp.inverse_table(p)[int(prev[lead])])
+        qtype = gfp.exact_float(tq, p)
+        out = out.reshape(tq, -1).astype(qtype, copy=False)
+        out *= cinv
+        gfp.solve_unit_lower(_divisor_lower(prev, divisor, cinv, qtype), out, p)
+    return out.reshape(tq, nrow, ncol).transpose(1, 2, 0)
+
+
+def _divisor_lower(prev: np.ndarray, divisor: np.ndarray, cinv: int,
+                   qtype: type) -> np.ndarray:
+    """c^-1 S^T in ``qtype``, for S[b, a] = prev[divisor[b, a]]: gathered
+    through divisor.T a block of rows at a time, so its index temporary
+    stays within ``_CHUNK_BYTES``, and scaled in place."""
+    tq = len(divisor)
+    source = _padded(np.asarray(prev, dtype=qtype))
+    lower = np.empty((tq, tq), dtype=qtype)
+    rows_per = max(1, _CHUNK_BYTES // (tq * np.dtype(np.intp).itemsize))
+    for r0 in range(0, tq, rows_per):
+        # mode="wrap" reads index -1 as the pad, and writes straight into lower
+        np.take(source, divisor.T[r0:r0 + rows_per], out=lower[r0:r0 + rows_per],
+                mode="wrap")
+    lower *= cinv
+    return lower
 
 
 def generic_rank(mat: np.ndarray, nvars: int, deg: int, p: int) -> int:

@@ -119,17 +119,38 @@ def _solve_unit_lower(l, c, p):
         assert np.array_equal(l, l_before)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("d", [1, 63, 64, 65, 129])
+def oracle_solve_unit_lower(l, y, p):
+    """Forward substitution in blocks of 64 rows, each block solved row by
+    row: the solver that ``gfp.solve_unit_lower`` replaced, kept as its
+    oracle.  Same contract, without the precondition checks."""
+    d = len(l)
+    lf = gfp.float_mod(np.array(l, dtype=gfp.exact_float(d, p)), p)
+    for lo in range(0, d, 64):
+        block = gfp.float_mod(y[lo: lo + 64], p)
+        if lo:
+            block -= lf[lo: lo + 64, :lo] @ y[:lo]
+            gfp.float_mod(block, p)
+        for r in range(lo + 1, lo + len(block)):
+            y[r] -= lf[r, lo:r] @ y[lo:r]
+            gfp.float_mod(y[r], p)
+    return y
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 257])
+@pytest.mark.parametrize("d", [1, 63, 64, 65, 129, 300])
 def test_solve_unit_lower_matches_solve(p, d):
     # heights one short of, at and one past the 64-row block boundaries;
-    # gfp.solve is the oracle
+    # bit for bit against the row-by-row oracle, and against gfp.solve;
+    # p = 257 at d = 300 runs in float64
     rng = np.random.default_rng(100 * p + d)
     l = np.tril(rng.integers(0, p, (d, d)), -1) + np.eye(d, dtype=np.int64)
     for width in (1, 3 * d):
         c = rng.integers(0, p, (d, width))
         want = gfp.solve(l, c, p)
-        assert np.array_equal(_solve_unit_lower(l, c, p), want)
+        got = _solve_unit_lower(l, c, p)
+        oracle = oracle_solve_unit_lower(l, np.array(c, dtype=got.dtype), p)
+        assert got.tobytes() == oracle.tobytes()
+        assert np.array_equal(got, want)
         # entries outside 0..p-1, in L and in C, name the same system
         far_l = l + p * np.tril(rng.integers(-2, 3, (d, d)))
         far_c = c + p * rng.integers(-2, 3, c.shape)

@@ -11,6 +11,8 @@ The powers of N are checked against ``sym_matmul``, the segment-sum
 polynomial product that built them before.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from spechtvar import gfp, gfq, symrank
 from spechtvar.errors import TooLarge
 from spechtvar.ffalg import FieldCtx
 from spechtvar.jordan import _point_operator
+from spechtvar.spechtmod import restricted_actions
 from spechtvar.symrank import (_bareiss_step, _lookup, _next_power, _pair_targets,
                                generic_power_ranks, monomials)
 
@@ -272,17 +275,52 @@ def test_generic_ranks_match_the_oracle_and_bound_point_ranks(case):
         assert got[s - 1] >= eval_rank_oracle(gens, p, s, trials=2)
 
 
-@pytest.mark.parametrize("budget", [1, 4096, 2**20])
-def test_row_chunks_do_not_change_the_step(monkeypatch, budget):
-    # the chunk budget sets how many rows share one gathered convolution
-    monkeypatch.setattr(symrank, "_CHUNK_BYTES", budget)
-    rng = np.random.default_rng(budget)
+@pytest.mark.parametrize("width", [1, 7, 220])
+def test_column_blocks_do_not_change_the_step(monkeypatch, width):
+    # the chunk budget sets how many quotient columns share one gathered
+    # convolution of w x T x rows float32: one column per block, blocks of
+    # 7 with a short last one (220 = 31 * 7 + 3), and all 220 in one block;
+    # the same budget sets the row blocks of the divisor's gather
     p, nvars, deg, prev_deg = 2, 4, 8, 7
-    m = rng.integers(0, p, (9, 4, len(monomials(nvars, deg)[1])))
+    t, nrow = len(monomials(nvars, deg)[1]), 8
+    assert len(monomials(nvars, 2 * deg - prev_deg)[1]) == 220
+    monkeypatch.setattr(symrank, "_CHUNK_BYTES", width * t * nrow * 4)
+    rng = np.random.default_rng(width)
+    m = rng.integers(0, p, (nrow + 1, 4, t))
     prev = rng.integers(0, p, len(monomials(nvars, prev_deg)[1]))
     prev[0] = 1
     got = _bareiss_step(m.copy(), prev, nvars, deg, prev_deg, p)
     assert np.array_equal(got, oracle_step(m, prev, nvars, deg, prev_deg, p))
+
+
+def test_step_plans_keep_a_running_byte_total(monkeypatch):
+    # the plan cache's total matches its plans, least recently used first
+    # out, within the byte bound
+    monkeypatch.setattr(symrank, "_PLAN_CACHE_BYTES", 2**17)
+    keys = [(4, deg, deg - 1, int(monomials(4, deg - 1)[1][0])) for deg in (3, 4, 5, 6, 7)]
+    keys.append(keys[1])
+    for key in keys:
+        plan = symrank._step_plan(*key)
+        assert symrank._PLANS[key] is plan
+        assert list(symrank._PLANS)[-1] == key  # the most recent is last
+        total = sum(a.nbytes + b.nbytes for a, b in symrank._PLANS.values())
+        assert symrank._plans_nbytes == total <= 2**17
+    assert keys[0] not in symrank._PLANS  # evicted first
+
+
+def test_exact_mode_memory_stays_bounded(monkeypatch):
+    # a warm S^(5,3), p = 2 (d = 28, 4 variables) peaked at 18.9 MiB of
+    # numpy arrays while gathers were cut by rows
+    monkeypatch.delenv("SPECHTVAR_CACHE", raising=False)
+    gens = list(restricted_actions((5, 3), 4, 2).A)
+    assert generic_power_ranks(gens, 2, 1) == [13]
+    tracemalloc.start()
+    try:
+        generic_power_ranks(gens, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_generic_ranks_respect_caps():
