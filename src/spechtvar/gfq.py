@@ -70,10 +70,13 @@ def matmul(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
 def prepare(slices: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """One matrix in the form ``ranks`` takes: int32 log codes (-1 for zero)
-    where the field has tables, else its slices unchanged."""
+    where the field has tables, else its slices unchanged.  Codes are
+    sum_c p^c slices[c] by Horner's rule, in int64, the lookup's index type."""
     if ctx.q > TABLE_CAP:
         return slices
-    codes = np.tensordot(ctx.p ** np.arange(ctx.k), slices, axes=1)
+    codes = slices[-1]
+    for c in range(ctx.k - 2, -1, -1):
+        codes = codes * ctx.p + slices[c]
     return ctx.tables.log[codes]
 
 

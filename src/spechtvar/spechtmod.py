@@ -17,6 +17,9 @@ row-reading order of the standard tableaux lists a dominated one later.
 permutation of g_i, each action is pulled back to the d x d matrix
 Y_i = A_i + I with B Y_i = P_i B: forward substitution solves it on the
 minor alone, then B Y_i = P_i B is checked on every row of B.
+
+With ``SPECHTVAR_CACHE`` set, `restricted_actions` keeps the A_i on disk:
+one raw, digest-checked record ``KEY.bin`` per module (`_load_cached`).
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import hashlib
 import itertools
 import math
 import os
-import zipfile
-import zlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -44,6 +45,7 @@ _TABLOID_CAP = 10**6
 _COLGROUP_CAP = 10**7
 _DIM_CAP = 2000
 _BATCH = 2**20  # letters, or matrix entries, handled per vectorised step
+_DIGEST_BYTES = 32  # a sha256 digest, at the head of a cache record
 
 
 def tabloid_count(mu: Partition) -> int:
@@ -289,11 +291,6 @@ class RestrictedActions:
             for x, y in itertools.combinations(self.A, 2))
 
 
-def _cache_dir() -> Path | None:
-    root = os.environ.get("SPECHTVAR_CACHE")
-    return Path(root) if root else None
-
-
 def _cache_key(work: Partition, n: int, p: int) -> str:
     from . import __version__  # runtime import: the package root imports us
     text = f"{format_partition(work)}|n={n}|p={p}|v{__version__}"
@@ -316,25 +313,22 @@ def _load_cached(path: Path, key: str, n: int, d: int,
                  p: int) -> list[np.ndarray] | None:
     """The n cached d x d action matrices as int64, or None on a miss.
 
-    A file holds two members: ``key``, the (n, d, d) stack of the A_i in
-    ``_cache_dtype(p)``, and ``key_digest``, its ``_digest``.  The file is
-    a miss unless both members exist, the stack has that shape and dtype,
-    the digest matches and every entry is below p.  Members are named
-    after the key, so a file written for another key, by hand, or in the
-    older layout of n int64 members is a miss.  A truncated or corrupt
-    archive raises BadZipFile, EOFError or zlib.error; a non-archive
-    raises ValueError or TypeError.  Each matrix is cast to int64 on its
-    own: one cast of the whole stack measured a higher peak RSS.
+    A file is one raw record with no header, as the caller knows n, d and
+    p: the 32-byte ``_digest(key, stack)``, then the (n, d, d) stack of the
+    A_i in ``_cache_dtype(p)``, C order, uncompressed.  It is a miss unless
+    it can be read, has exactly that length, its digest (of key, dtype and
+    shape too) matches and every entry is below p.  Each matrix is cast to
+    int64 on its own: one cast of the whole stack measured a higher peak RSS.
     """
+    dtype = _cache_dtype(p)
     try:
-        with np.load(path) as data:
-            stack = data[key]
-            digest = data[f"{key}_digest"]
-    except (OSError, KeyError, ValueError, TypeError, EOFError,
-            zipfile.BadZipFile, zlib.error):
+        raw = path.read_bytes()
+    except OSError:
         return None
-    if (stack.shape != (n, d, d) or stack.dtype != _cache_dtype(p)
-            or digest.tobytes() != _digest(key, stack) or stack.max() >= p):
+    if len(raw) != _DIGEST_BYTES + n * d * d * dtype.itemsize:
+        return None
+    stack = np.frombuffer(raw, dtype=dtype, offset=_DIGEST_BYTES).reshape(n, d, d)
+    if raw[:_DIGEST_BYTES] != _digest(key, stack) or stack.max() >= p:
         return None
     return [a.astype(np.int64) for a in stack]
 
@@ -384,14 +378,13 @@ def restricted_actions(mu: Partition, n: int, p: int,
         if tabloid_count(other) < tabloid_count(mu):
             work, conjugated = other, True
 
-    cache = _cache_dir()
+    cache = os.environ.get("SPECHTVAR_CACHE")
     key = _cache_key(work, n, p)
-    path = cache / f"{key}.npz" if cache else None
-    if path is not None and path.exists():
-        mats = _load_cached(path, key, n, dim_specht(work), p)
-        if mats is not None:
-            return RestrictedActions(mu=mu, n=n, p=p, A=mats,
-                                     dim=mats[0].shape[0], conjugated=conjugated)
+    path = Path(cache) / f"{key}.bin" if cache else None
+    mats = _load_cached(path, key, n, dim_specht(work), p) if path else None
+    if mats is not None:
+        return RestrictedActions(mu=mu, n=n, p=p, A=mats,
+                                 dim=mats[0].shape[0], conjugated=conjugated)
 
     basis = standard_basis(work, p)
     b, d, rows = basis.B, basis.dim, basis.standard_rows
@@ -406,11 +399,11 @@ def restricted_actions(mu: Partition, n: int, p: int,
     mats = [a.astype(np.int64) for a in stack]
     if path is not None:
         # renamed into place whole, so no reader sees a half-written file
-        tmp = path.with_name(f"{key}.{os.getpid()}.tmp.npz")
-        digest = np.frombuffer(_digest(key, stack), dtype=np.uint8)
+        tmp = path.with_name(f"{key}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            np.savez_compressed(tmp, **{key: stack, f"{key}_digest": digest})
+            with open(tmp, "wb") as f:
+                f.writelines((_digest(key, stack), stack.data))  # no joined copy
             os.replace(tmp, path)
         except OSError:
             with contextlib.suppress(OSError):

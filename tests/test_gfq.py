@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from spechtvar import gfp, gfq, jordan
 from spechtvar.errors import PreconditionViolated
-from spechtvar.ffalg import FieldCtx
+from spechtvar.ffalg import TABLE_CAP, FieldCtx
 from spechtvar.jordan import (GenericTypeReport, JordanType, RankVector, _blocks,
                               _point_operator, _powers, are_free_at, generic_type,
                               is_free_at, rank_vector_at, rank_vectors_at)
@@ -138,6 +138,24 @@ def test_tables_agree_with_field_arithmetic(p, k):
 def test_no_tables_above_the_cap():
     with pytest.raises(PreconditionViolated):
         FieldCtx.get(5, 12).tables
+
+
+@pytest.mark.parametrize("p,k", FIELDS + [(5, 12)])
+def test_prepare_matches_the_tensordot_codes(p, k):
+    # Horner's rule gives the codes sum_c p^c slices[c] of the tensordot
+    # it replaced, from int64 or int32 slices; above the table cap the
+    # slices pass through unchanged
+    ctx = FieldCtx.get(p, k)
+    rng = np.random.default_rng(13 * p + k)
+    for rows, cols in ((1, 1), (7, 5), (30, 30)):
+        slices = random_slices(ctx, rows, cols, rng, density=0.7)
+        got = gfq.prepare(slices, ctx)
+        if ctx.q > TABLE_CAP:
+            assert got is slices
+            continue
+        codes = np.tensordot(p ** np.arange(k), slices, axes=1)
+        assert got.dtype == np.int32 and np.array_equal(got, ctx.tables.log[codes])
+        assert np.array_equal(gfq.prepare(slices.astype(np.int32), ctx), got)
 
 
 # -- ranks and products ----------------------------------------------------------

@@ -233,3 +233,16 @@ def test_one_triangular_solver_and_one_float_reduction():
     # floats are reduced mod p by one rule
     assert _scopes(lambda mod, node: isinstance(node, ast.Attribute) and node.attr == "floor"
                    and getattr(node.value, "id", None) == "np") == ["gfp.float_mod"]
+
+
+def test_cache_has_no_npz_reader_or_writer():
+    # the module cache is one raw record per key: no npz archive is read or
+    # written anywhere in the package, and no zip reader is kept as a fallback
+    npz = {"load", "savez", "savez_compressed"}
+    assert _calls(lambda mod, node: any(_is_attr_call(node, "np", name) for name in npz)) == []
+
+    def imports_zip(mod, node):
+        if isinstance(node, ast.Import):
+            return any(alias.name in ("zipfile", "zlib") for alias in node.names)
+        return isinstance(node, ast.ImportFrom) and node.module in ("zipfile", "zlib")
+    assert _scopes(imports_zip) == []

@@ -1,5 +1,7 @@
+import io
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ from spechtvar.errors import (NoSolution, PreconditionViolated, RankCheckFailed,
                               TooLarge)
 from spechtvar.jordan import rank_vector_at
 from spechtvar.partitions import conjugate, dim_specht, partitions_of
-from spechtvar.spechtmod import (_cache_key, _digest, _load_cached, _solve_on_minor,
-                                 _tabloid_table, generator_cycles,
+from spechtvar.spechtmod import (_cache_dtype, _cache_key, _digest, _load_cached,
+                                 _solve_on_minor, _tabloid_table, generator_cycles,
                                  perm_module_actions, restricted_actions,
                                  standard_basis, standard_tableaux, tabloid_count)
 
@@ -397,36 +399,51 @@ def _assert_same_actions(got, want, label=None):
         assert a.tobytes() == b.tobytes(), label
 
 
-def _stack_of(path, key):
-    with np.load(path) as data:
-        return data[key], data[f"{key}_digest"]
+def _stack_of(path, n, d, p):
+    """The stack and the digest of a cache record, read without the checks
+    of the loader; the reshape fails unless the length is exact."""
+    raw = path.read_bytes()
+    stack = np.frombuffer(raw, dtype=_cache_dtype(p), offset=32).reshape(n, d, d)
+    return stack, raw[:32]
+
+
+def _npz(members):
+    """The bytes of an npz archive holding these members."""
+    out = io.BytesIO()
+    np.savez_compressed(out, **members)
+    return out.getvalue()
 
 
 def _damaged(key, stack, digest):
-    """Archive members of a p = 3 cache file that a load must reject."""
+    """Contents of a p = 3 cache file that a load must reject."""
     flipped = stack.copy()
     flipped[1, 4, 7] = (flipped[1, 4, 7] + 1) % 3
     too_big = stack.copy()
     too_big[1, 0, 5] = 3  # the digest matches, only the range check sees it
     wide = stack.astype(np.uint16)  # the right values, with a digest of its own
     zeros = np.zeros_like(stack)
+    small = np.zeros((len(stack), 5, 5), dtype=stack.dtype)
     return {
-        "zeros, stale digest": {key: zeros, f"{key}_digest": digest},
-        "zeros, no digest": {key: zeros},
-        "flipped entry": {key: flipped, f"{key}_digest": digest},
-        "entry equal to p": {key: too_big, f"{key}_digest":
-                             np.frombuffer(_digest(key, too_big), dtype=np.uint8)},
-        "missing digest": {key: stack},
-        "other dtype": {key: wide, f"{key}_digest":
-                        np.frombuffer(_digest(key, wide), dtype=np.uint8)},
-        "older layout": {f"{key}_{i}": a.astype(np.int64) for i, a in enumerate(stack)},
+        "empty": b"",
+        "zeros, stale digest": digest + zeros.tobytes(),
+        "zeros, no digest": zeros.tobytes(),
+        "flipped entry": digest + flipped.tobytes(),
+        "entry equal to p": _digest(key, too_big) + too_big.tobytes(),
+        "missing digest": stack.tobytes(),
+        "digest after the stack": stack.tobytes() + digest,
+        "misshaped": _digest(key, small) + small.tobytes(),
+        "other dtype": _digest(key, wide) + wide.tobytes(),
+        # the stack and its digest as the two members of an npz archive
+        "npz layout": _npz({key: stack, f"{key}_digest": np.frombuffer(digest, np.uint8)}),
+        "npz of int64 members": _npz({f"{key}_{i}": a.astype(np.int64)
+                                      for i, a in enumerate(stack)}),
     }
 
 
 def test_cache_roundtrip(tmp_path, monkeypatch):
     # every S^mu with |mu| <= 8 at the module primes, and S^(256,1) at
     # p = 257 (entries up to 256), loads as it was built: n int64 d x d
-    # matrices of the same bytes, served from a uint8 or uint16 stack
+    # matrices of the same bytes, served from a uint8 or uint16 record
     monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
     cases = [(mu, m // p, p) for p in (2, 3, 5) for m in range(p, 9, p)
              for mu in partitions_of(m)]
@@ -440,10 +457,17 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
         assert again.dim == first.dim == dim_specht(case[0]), case
         _assert_same_actions(again.A, first.A, case)
     assert builds == []
+    dtypes = {}
+    for (mu, n, p), first in zip(cases, built):
+        key = _cache_key(conjugate(mu) if first.conjugated else mu, n, p)
+        stack, digest = _stack_of(tmp_path / f"{key}.bin", n, first.dim, p)
+        assert digest == _digest(key, stack), mu
+        assert np.array_equal(stack, np.stack(first.A)), mu
+        dtypes[key] = stack.dtype
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f"{key}.bin" for key in dtypes)
     wide = _cache_key((256, 1), 1, 257)
-    stacks = {path.stem: _stack_of(path, path.stem)[0] for path in tmp_path.glob("*.npz")}
-    assert stacks[wide].dtype == np.uint16 and stacks[wide].shape == (1, 256, 256)
-    assert all(stack.dtype == np.uint8 for key, stack in stacks.items() if key != wide)
+    assert dtypes.pop(wide) == np.uint16
+    assert set(dtypes.values()) == {np.dtype(np.uint8)}
 
 
 def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
@@ -452,22 +476,17 @@ def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
     monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
     built = restricted_actions((4, 2), 2, 3)
     key = _cache_key((4, 2), 2, 3)
-    (path,) = tmp_path.glob("*.npz")
+    (path,) = tmp_path.iterdir()
+    assert path.name == f"{key}.bin"
     raw = path.read_bytes()
-    stack, digest = _stack_of(path, key)
-    assert stack.dtype == np.uint8 and stack.shape == (2, 9, 9)
-    assert digest.tobytes() == _digest(key, stack)
-    wrong = tmp_path / "wrong.npz"
-    np.savez_compressed(wrong, **{f"{key}_{i}": np.zeros((5, 5), dtype=np.int64)
-                                  for i in range(2)})
+    assert len(raw) == 32 + 2 * 9 * 9
+    stack, digest = _stack_of(path, 2, built.dim, 3)
+    assert stack.dtype == np.uint8 and digest == _digest(key, stack)
     bad_files = {
         "truncated": raw[: len(raw) // 2],
         "garbage": b"not a cache file\n" * 8,
-        "misshaped": wrong.read_bytes(),
+        **_damaged(key, stack, digest),
     }
-    for label, members in _damaged(key, stack, digest).items():
-        np.savez_compressed(wrong, **members)
-        bad_files[label] = wrong.read_bytes()
     builds = _spy_builds(monkeypatch)
     for label, content in bad_files.items():
         path.write_bytes(content)
@@ -475,13 +494,54 @@ def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
         builds.clear()
         _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A, label)
         assert len(builds) == 1, label
-        rewritten, new_digest = _stack_of(path, key)
-        assert rewritten.tobytes() == stack.tobytes(), label
-        assert new_digest.tobytes() == digest.tobytes(), label
+        assert path.read_bytes() == raw, label
         builds.clear()
         _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A, label)
         assert builds == [], label
-    assert sorted(f.name for f in tmp_path.iterdir()) == sorted([path.name, wrong.name])
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_cache_path_taken_by_a_directory_is_a_miss(tmp_path, monkeypatch, capsys):
+    # a directory where the record belongs can be neither read nor
+    # replaced: each call builds and returns the module, raises nothing
+    # and leaves no temporary file behind
+    monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
+    argv = ["jordan", "--mu", "(4,2)", "--p", "3"]
+    assert main(argv) == 0
+    fresh = json.loads(capsys.readouterr().out)["report"]
+    built = restricted_actions((4, 2), 2, 3)
+    (path,) = tmp_path.iterdir()
+    path.unlink()
+    path.mkdir()
+    assert _load_cached(path, _cache_key((4, 2), 2, 3), 2, built.dim, 3) is None
+    builds = _spy_builds(monkeypatch)
+    _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A)
+    assert len(builds) == 1
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["report"] == fresh and out.err == ""
+    assert list(tmp_path.iterdir()) == [path] and path.is_dir()
+
+
+def test_cache_never_reads_a_killed_writers_tmp_file(tmp_path, monkeypatch):
+    # a writer killed before its rename leaves KEY.PID.tmp behind.  Only
+    # KEY.bin is read, so even a well-formed record of zeros there is not
+    # served: the module is built, KEY.bin written, and the leftover kept
+    monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
+    built = restricted_actions((4, 2), 2, 3)
+    key = _cache_key((4, 2), 2, 3)
+    (path,) = tmp_path.iterdir()
+    raw = path.read_bytes()
+    path.unlink()
+    zeros = np.zeros((2, built.dim, built.dim), dtype=np.uint8)
+    leftover = tmp_path / f"{key}.{os.getpid() + 1}.tmp"
+    leftover.write_bytes(_digest(key, zeros) + zeros.tobytes())
+    assert _load_cached(leftover, key, 2, built.dim, 3) is not None  # it would pass
+    builds = _spy_builds(monkeypatch)
+    _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A)
+    assert len(builds) == 1 and path.read_bytes() == raw
+    assert leftover.read_bytes() == _digest(key, zeros) + zeros.tobytes()
+    assert sorted(tmp_path.iterdir()) == sorted([path, leftover])
 
 
 def test_cache_file_is_bound_to_its_key(tmp_path, monkeypatch):
@@ -490,31 +550,30 @@ def test_cache_file_is_bound_to_its_key(tmp_path, monkeypatch):
     # rebuilt, not served
     monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
     built = restricted_actions((7, 2), 3, 3)
-    (path,) = tmp_path.glob("*.npz")
+    (path,) = tmp_path.glob("*.bin")
     fresh = rank_vector_at(built, [1, 1, 1])
     assert fresh.ranks == (27, 18, 9, 0)
     other = restricted_actions((2, 2, 1, 1, 1, 1, 1), 3, 3, use_conjugate=False)
-    (other_path,) = set(tmp_path.glob("*.npz")) - {path}
+    (other_path,) = set(tmp_path.glob("*.bin")) - {path}
     assert any(not np.array_equal(a, b) for a, b in zip(built.A, other.A))
-    zeros = tmp_path / "zeros.npz"
-    np.savez_compressed(zeros, **{f"a{i}": np.zeros((27, 27), dtype=np.int64)
-                                  for i in range(3)})
-    for label, source in (("hand-written", zeros), ("other key", other_path)):
-        path.write_bytes(source.read_bytes())
+    # zero bytes of the record's length, digest included
+    zeros = bytes(len(path.read_bytes()))
+    for label, content in (("hand-written", zeros), ("other key", other_path.read_bytes())):
+        path.write_bytes(content)
         again = restricted_actions((7, 2), 3, 3)
         assert rank_vector_at(again, [1, 1, 1]) == fresh, label
         for a, b in zip(built.A, again.A):
             assert np.array_equal(a, b), label
 
 
-@pytest.mark.parametrize("damage", ["zeros, stale digest", "zeros, no digest"])
+@pytest.mark.parametrize("damage", ["zeros, stale digest", "zeros, no digest", "npz layout"])
 def test_zeroed_cache_file_is_not_served_to_the_cli(tmp_path, capsys, damage):
     argv = ["jordan", "--mu", "(7,2)", "--p", "3", "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     fresh = json.loads(capsys.readouterr().out)["report"]
     assert fresh["rank_vector"] == [27, 18, 9, 0]
     key = _cache_key((7, 2), 3, 3)
-    (path,) = tmp_path.glob("*.npz")
-    np.savez_compressed(path, **_damaged(key, *_stack_of(path, key))[damage])
+    (path,) = tmp_path.glob("*.bin")
+    path.write_bytes(_damaged(key, *_stack_of(path, 3, 27, 3))[damage])
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["report"] == fresh
