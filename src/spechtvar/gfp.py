@@ -69,7 +69,9 @@ def solve_unit_lower(l: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 
     ``y`` is a (d, k) float array of type ``exact_float(d, p)``.  L and Y
     hold integers of either sign below 2**24 in magnitude; ``y`` is
-    overwritten by X, with entries in 0..p-1, and returned.  Forward
+    overwritten by X, with entries in 0..p-1, and returned.  An L of type
+    ``exact_float(d, p)`` is consumed: it is reduced mod p in place, not
+    copied; an L of another type is converted and left as it is.  Forward
     substitution runs in blocks of w = min(_PANEL, d) rows: each block,
     once reduced, subtracts its product with all the rows solved above it
     in one BLAS matmul, then is multiplied by the inverse of its diagonal
@@ -82,7 +84,7 @@ def solve_unit_lower(l: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     ftype = exact_float(d, p)
     if y.dtype != ftype or y.shape[0] != d:
         raise PreconditionViolated(f"right-hand side must be {d} rows of {ftype.__name__}")
-    lf = np.array(l, dtype=ftype)
+    lf = np.asarray(l, dtype=ftype)
     w = min(_PANEL, d)
     for lo in range(0, d, w):  # reduced and checked a panel of rows at a time
         rows = float_mod(lf[lo: lo + w], p)

@@ -11,13 +11,14 @@ Points are evaluated many at a time: ``rank_vectors_at`` and
 point at a time, hold only their log codes, and rank all those powers
 across the points as one stacked elimination (``gfq.ranks``), in chunks
 of at most ``_STACK_BYTES``.  ``rank_vector_at`` and ``is_free_at`` are
-the same at one point.  Every evaluation walks the blocks of ``_blocks``: a
-permutation module splits into orbit blocks, identical ones computed
-once, and a Specht module is a single block.  Rank vectors add over
-blocks.  Freeness is decided in one place, ``are_free_at``, from rank N
-alone: N has d - rank N Jordan blocks, each of size at most p, so a
-block of dimension d is free iff p | d and rank N = d - d/p.  No power
-of N is formed for it.  GF(p) points are the case k = 1 and take the
+the same at one point.  Every evaluation reads the module only through
+its ``blocks``, pairs (stack, multiplicity) of an (n, d, d) stack of the
+A_i in ``gfp.exact_float(n, p)``: a permutation module splits into orbit
+blocks, identical ones computed once, and a Specht module is the single
+block ``acts.A``.  Rank vectors add over blocks.  Freeness is decided in
+one place, ``are_free_at``, from rank N alone: N has d - rank N Jordan
+blocks, each of size at most p, so a block of dimension d is free iff
+p | d and rank N = d - d/p.  No power of N is formed for it.  GF(p) points are the case k = 1 and take the
 same path.
 
 Generic types come in two modes: randomized sampling over GF(p^8) with
@@ -40,7 +41,6 @@ from .errors import (ArityMismatch, CertificationFailed, PreconditionViolated,
                      RankCheckFailed, ZeroPoint)
 from .ffalg import FieldCtx, FieldElement
 from .partitions import format_partition
-from .spechtmod import PermutationActions
 
 
 @dataclass(frozen=True)
@@ -141,36 +141,20 @@ def _coerce_point(alpha, n: int, p: int) -> tuple[np.ndarray, FieldCtx]:
     return coeffs, ctx
 
 
-def _action_stack(mats, p: int) -> np.ndarray:
-    """The A_i as one (n, d, d) array of type exact_float(n, p), the form
-    ``_point_operator`` multiplies; a stack of that type is returned as it is."""
-    return np.asarray(mats, dtype=gfp.exact_float(len(mats), p))
-
-
 def _point_operator(mats, alpha, p: int) -> tuple[np.ndarray, FieldCtx]:
     """N = sum alpha_i A_i as k slices over GF(p), shape (k, d, d), plus GF(p^k).
 
     The A_i lie over GF(p), so slice c is sum_i alpha_i[c] A_i: all k
     slices are one float product of the (k x n) coefficient columns of
-    alpha with the A_i, reduced by ``gfp.float_mod``.  ``mats`` is the
-    A_i, or their stack from ``_action_stack``, which is used as it is.
+    alpha with the A_i, reduced by ``gfp.float_mod``.  ``mats`` is a
+    block's stack of the A_i in ``gfp.exact_float(n, p)``, used as it is,
+    or any sequence of the A_i, converted to that stack.
     """
     coeffs, ctx = _coerce_point(alpha, len(mats), p)
-    stack = _action_stack(mats, p)
+    stack = np.asarray(mats, dtype=gfp.exact_float(len(mats), p))
     n, d, _ = stack.shape
     out = coeffs.T.astype(stack.dtype) @ stack.reshape(n, d * d)
     return gfp.float_mod(out, p).astype(np.int64).reshape(ctx.k, d, d), ctx
-
-
-def _blocks(acts) -> tuple[tuple[list[np.ndarray], int], ...]:
-    """Blocks of the module as (mats, multiplicity); Specht modules are one.
-
-    Permutation modules split into orbit blocks, grouped by identical
-    matrices once per module (``PermutationActions.distinct_blocks``).
-    """
-    if not isinstance(acts, PermutationActions):
-        return ((acts.A, 1),)
-    return acts.distinct_blocks
 
 
 def _powers(op: np.ndarray, ctx: FieldCtx):
@@ -188,16 +172,15 @@ def _powers(op: np.ndarray, ctx: FieldCtx):
 _STACK_BYTES = 8 << 20
 
 
-def _held_powers(mats: list[np.ndarray], points: list, p: int, count: int):
+def _held_powers(stack: np.ndarray, points: list, p: int, count: int):
     """Chunks (field, per-point prepared powers) of one block's points.
 
     Each point's operator and its first ``count`` powers N .. N^count are
-    formed one point at a time, as slice products, and only their prepared
-    forms are held; N^(count+1) is never formed.  A chunk ends once it
-    holds ``_STACK_BYTES``, or where the next point lies in another field.
-    The A_i are stacked for ``_point_operator`` once per call.
+    formed one point at a time, as slice products of the block's stack,
+    and only their prepared forms are held; N^(count+1) is never formed.
+    A chunk ends once it holds ``_STACK_BYTES``, or where the next point
+    lies in another field.
     """
-    stack = _action_stack(mats, p)
     held, size, held_ctx = [], 0, None
     for alpha in points:
         op, ctx = _point_operator(stack, alpha, p)
@@ -215,7 +198,7 @@ def _held_powers(mats: list[np.ndarray], points: list, p: int, count: int):
         yield held_ctx, held
 
 
-def _block_ranks(mats: list[np.ndarray], points: list, p: int, count: int) -> np.ndarray:
+def _block_ranks(stack: np.ndarray, points: list, p: int, count: int) -> np.ndarray:
     """Ranks of N, .., N^count over GF(p^k) at each point of one block.
 
     Shape (len(points), count).  All powers of a chunk of points are
@@ -224,7 +207,7 @@ def _block_ranks(mats: list[np.ndarray], points: list, p: int, count: int) -> np
     """
     out = np.zeros((len(points), count), dtype=np.int64)
     row = 0
-    for ctx, held in _held_powers(mats, points, p, count):
+    for ctx, held in _held_powers(stack, points, p, count):
         ranks = gfq.ranks([power for powers in held for power in powers], ctx)
         out[row:row + len(held)] = np.reshape(ranks, (len(held), count))
         row += len(held)
@@ -235,9 +218,9 @@ def rank_vectors_at(acts, points) -> list[RankVector]:
     """Rank vectors of N at many points, summed over the module's blocks."""
     p, points = acts.p, list(points)
     total = np.zeros((len(points), p + 1), dtype=np.int64)
-    for mats, mult in _blocks(acts):
-        total[:, 0] += mult * mats[0].shape[0]
-        total[:, 1:p] += mult * _block_ranks(mats, points, p, p - 1)
+    for stack, mult in acts.blocks:
+        total[:, 0] += mult * stack.shape[1]
+        total[:, 1:p] += mult * _block_ranks(stack, points, p, p - 1)
     return [RankVector(p, tuple(int(x) for x in row)) for row in total]
 
 
@@ -265,14 +248,14 @@ def are_free_at(acts, points) -> list[bool]:
         warnings.warn(f"dim {acts.dim} not divisible by {p}; module cannot be free",
                       RuntimeWarning, stacklevel=2)
     free = np.ones(len(points), dtype=bool)
-    for mats, _ in _blocks(acts):
-        d = mats[0].shape[0]
+    for stack, _ in acts.blocks:
+        d = stack.shape[1]
         if d % p:
             for alpha in points:  # points are validated in every case
                 _coerce_point(alpha, acts.n, p)
             return [False] * len(points)
         idx = np.flatnonzero(free)
-        rank_n = _block_ranks(mats, [points[i] for i in idx], p, 1)[:, 0]
+        rank_n = _block_ranks(stack, [points[i] for i in idx], p, 1)[:, 0]
         free[idx] = rank_n == d - d // p
     return free.tolist()
 
@@ -304,9 +287,9 @@ def _derive_rng(acts, seed: int) -> np.random.Generator:
 def _exact_rank_vector(acts) -> RankVector:
     p = acts.p
     total = np.zeros(p + 1, dtype=np.int64)
-    for mats, mult in _blocks(acts):
-        ranks = symrank.generic_power_ranks(mats, p, p - 1)
-        total += mult * np.array([mats[0].shape[0]] + ranks + [0])
+    for stack, mult in acts.blocks:
+        ranks = symrank.generic_power_ranks(stack, p, p - 1)
+        total += mult * np.array([stack.shape[1]] + ranks + [0])
     return RankVector(p, tuple(int(x) for x in total))
 
 

@@ -275,9 +275,15 @@ class RestrictedActions:
     mu: Partition
     n: int
     p: int
-    A: list[np.ndarray]
+    A: np.ndarray  # the A_i as one C-contiguous (n, d, d) stack, of the type
+    # gfp.exact_float(n, p) that the point operator multiplies in
     dim: int
     conjugated: bool = False
+
+    @property
+    def blocks(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """The module as (stack, multiplicity) blocks: a Specht module is one."""
+        return ((self.A, 1),)
 
     def nilpotency_checks(self) -> bool:
         for a in self.A:
@@ -310,15 +316,14 @@ def _digest(key: str, stack: np.ndarray) -> bytes:
 
 
 def _load_cached(path: Path, key: str, n: int, d: int,
-                 p: int) -> list[np.ndarray] | None:
-    """The n cached d x d action matrices as int64, or None on a miss.
+                 p: int) -> np.ndarray | None:
+    """The cached A_i as one stack of type exact_float(n, p), or None on a miss.
 
     A file is one raw record with no header, as the caller knows n, d and
     p: the 32-byte ``_digest(key, stack)``, then the (n, d, d) stack of the
     A_i in ``_cache_dtype(p)``, C order, uncompressed.  It is a miss unless
     it can be read, has exactly that length, its digest (of key, dtype and
-    shape too) matches and every entry is below p.  Each matrix is cast to
-    int64 on its own: one cast of the whole stack measured a higher peak RSS.
+    shape too) matches and every entry is below p.
     """
     dtype = _cache_dtype(p)
     try:
@@ -330,7 +335,7 @@ def _load_cached(path: Path, key: str, n: int, d: int,
     stack = np.frombuffer(raw, dtype=dtype, offset=_DIGEST_BYTES).reshape(n, d, d)
     if raw[:_DIGEST_BYTES] != _digest(key, stack) or stack.max() >= p:
         return None
-    return [a.astype(np.int64) for a in stack]
+    return stack.astype(gfp.exact_float(n, p))
 
 
 def _solve_on_minor(b: np.ndarray, rows: np.ndarray, sources: np.ndarray,
@@ -381,10 +386,10 @@ def restricted_actions(mu: Partition, n: int, p: int,
     cache = os.environ.get("SPECHTVAR_CACHE")
     key = _cache_key(work, n, p)
     path = Path(cache) / f"{key}.bin" if cache else None
-    mats = _load_cached(path, key, n, dim_specht(work), p) if path else None
-    if mats is not None:
-        return RestrictedActions(mu=mu, n=n, p=p, A=mats,
-                                 dim=mats[0].shape[0], conjugated=conjugated)
+    stack = _load_cached(path, key, n, dim_specht(work), p) if path else None
+    if stack is not None:
+        return RestrictedActions(mu=mu, n=n, p=p, A=stack,
+                                 dim=stack.shape[1], conjugated=conjugated)
 
     basis = standard_basis(work, p)
     b, d, rows = basis.B, basis.dim, basis.standard_rows
@@ -395,20 +400,20 @@ def restricted_actions(mu: Partition, n: int, p: int,
     y = _solve_on_minor(b, rows, sources, p)
     diag = np.arange(d)
     y[diag, :, diag] = (y[diag, :, diag] - 1) % p  # A_i = Y_i - I
-    stack = y.transpose(1, 0, 2).astype(_cache_dtype(p), order="C")
-    mats = [a.astype(np.int64) for a in stack]
+    stack = y.transpose(1, 0, 2).astype(gfp.exact_float(n, p), order="C")
     if path is not None:
+        record = stack.astype(_cache_dtype(p))
         # renamed into place whole, so no reader sees a half-written file
         tmp = path.with_name(f"{key}.{os.getpid()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as f:
-                f.writelines((_digest(key, stack), stack.data))  # no joined copy
+                f.writelines((_digest(key, record), record.data))  # no joined copy
             os.replace(tmp, path)
         except OSError:
             with contextlib.suppress(OSError):
                 tmp.unlink()
-    return RestrictedActions(mu=mu, n=n, p=p, A=mats, dim=d, conjugated=conjugated)
+    return RestrictedActions(mu=mu, n=n, p=p, A=stack, dim=d, conjugated=conjugated)
 
 
 @dataclass(frozen=True)
@@ -443,33 +448,31 @@ class PermutationActions:
         return out
 
     @cached_property
-    def distinct_blocks(self) -> tuple[tuple[list[np.ndarray], int], ...]:
-        """``block_actions`` grouped by identical matrices, as (mats, count).
+    def blocks(self) -> tuple[tuple[np.ndarray, int], ...]:
+        """``block_actions`` grouped by identical stacks, as (stack, count).
 
         Built once per module; every point evaluation walks these blocks.
         """
-        groups: dict[bytes, tuple[list[np.ndarray], int]] = {}
-        for _, mats in self.block_actions():
-            key = b"|".join(m.tobytes() + str(m.shape[0]).encode() for m in mats)
-            if key in groups:
-                groups[key] = (groups[key][0], groups[key][1] + 1)
-            else:
-                groups[key] = (mats, 1)
+        groups: dict[bytes, tuple[np.ndarray, int]] = {}
+        for _, stack in self.block_actions():
+            key = stack.tobytes()
+            held, count = groups.get(key, (stack, 0))
+            groups[key] = (held, count + 1)
         return tuple(groups.values())
 
     def block_actions(self):
-        """Per-orbit dense (g_i - 1) blocks; Jordan data adds over blocks."""
+        """Per-orbit dense (g_i - 1) blocks, one (n, k, k) stack of type
+        ``gfp.exact_float(n, p)`` per orbit; Jordan data adds over blocks."""
+        perms = np.asarray(self.perms)
         for orbit in self.orbits():
-            local = {int(g): i for i, g in enumerate(orbit)}
             k = len(orbit)
-            mats = []
-            for pi in self.perms:
-                a = np.zeros((k, k), dtype=np.int64)
-                for i, g in enumerate(orbit):
-                    a[local[int(pi[g])], i] += 1
-                    a[i, i] -= 1
-                mats.append(a % self.p)
-            yield orbit, mats
+            cols = np.arange(k)
+            # the orbit is sorted, so a search finds each image's local index
+            images = np.searchsorted(orbit, perms[:, orbit])
+            stack = np.zeros((self.n, k, k), dtype=gfp.exact_float(self.n, self.p))
+            stack[np.arange(self.n)[:, None], images, cols] = 1
+            stack[:, cols, cols] -= 1
+            yield orbit, gfp.float_mod(stack, self.p)
 
 
 def perm_module_actions(mu: Partition, n: int, p: int) -> PermutationActions:

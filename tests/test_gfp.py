@@ -155,6 +155,13 @@ def test_solve_unit_lower_matches_solve(p, d):
         far_l = l + p * np.tril(rng.integers(-2, 3, (d, d)))
         far_c = c + p * rng.integers(-2, 3, c.shape)
         assert np.array_equal(_solve_unit_lower(far_l, far_c, p), want)
+        # an L already of the solve's float type is consumed: reduced mod p
+        # in place, not copied, with the oracle's result bit for bit
+        for lower, rhs in ((l, c), (far_l, far_c)):
+            lf = lower.astype(got.dtype)
+            y = np.array(rhs, dtype=got.dtype)
+            assert gfp.solve_unit_lower(lf, y, p).tobytes() == oracle.tobytes()
+            assert np.array_equal(lf, lower % p)
 
 
 def test_solve_unit_lower_rejects_other_matrices():

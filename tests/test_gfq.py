@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from spechtvar import gfp, gfq, jordan
 from spechtvar.errors import PreconditionViolated
 from spechtvar.ffalg import TABLE_CAP, FieldCtx
-from spechtvar.jordan import (GenericTypeReport, JordanType, RankVector, _blocks,
+from spechtvar.jordan import (GenericTypeReport, JordanType, RankVector,
                               _point_operator, _powers, are_free_at, generic_type,
                               is_free_at, rank_vector_at, rank_vectors_at)
 from spechtvar.spechtmod import PermutationActions, perm_module_actions, restricted_actions
@@ -373,8 +373,8 @@ def test_rank_matches_blowup_on_small_matrices(field, d, planted, seed):
 def blowup_rank_vector(acts, alpha) -> RankVector:
     """rank_vector_at with every rank taken on the companion blowup."""
     total = np.zeros(acts.p + 1, dtype=np.int64)
-    for mats, mult in _blocks(acts):
-        op, ctx = _point_operator(mats, alpha, acts.p)
+    for stack, mult in acts.blocks:
+        op, ctx = _point_operator(stack, alpha, acts.p)
         ranks = [op.shape[1]] + [gfq._blowup_rank(pw, ctx) for pw in _powers(op, ctx)]
         total += mult * np.array(ranks + [0])
     return RankVector(acts.p, tuple(int(x) for x in total))
@@ -405,7 +405,7 @@ def point_operator_loop(mats, alpha, p):
     out = np.zeros((ctx.k, d, d), dtype=np.int64)
     for row, m in zip(coeffs, mats):
         for c in np.flatnonzero(row):
-            out[c] += row[c] * m
+            out[c] += row[c] * m.astype(np.int64)
     return out % p, ctx
 
 
@@ -419,10 +419,11 @@ def test_point_operator_matches_the_loop(module, ks):
     acts = module()
     p = acts.p
     rng = np.random.default_rng(p)
-    for mats, _ in _blocks(acts):
-        stack = jordan._action_stack(mats, p)
-        assert stack.dtype == gfp.exact_float(len(mats), p)
-        assert jordan._action_stack(stack, p) is stack  # built once, used as it is
+    for stack, _ in acts.blocks:
+        assert stack.dtype == gfp.exact_float(acts.n, p) and stack.flags.c_contiguous
+        # a module's stack is used as it is; a plain list is converted
+        assert np.asarray(stack, dtype=gfp.exact_float(acts.n, p)) is stack
+        mats = list(stack)
         pts = [tuple(rng.integers(-2 * p, 3 * p, acts.n)) for _ in range(3)]
         pts = [pt for pt in pts if np.any(np.array(pt) % p)]
         for k in ks:
@@ -450,7 +451,7 @@ def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_byt
     # GF(p^2) and GF(p^8) split the chunks by field; a 1-byte chunk holds
     # one point
     acts = module()
-    p, (mats, _) = acts.p, _blocks(acts)[0]
+    p, ((stack, _),) = acts.p, acts.blocks
     rng = np.random.default_rng(p)
     pts = [tuple(rng.integers(1, p, acts.n))]
     for k in (2, 8):
@@ -458,7 +459,7 @@ def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_byt
     pts.append((1,) + (0,) * (acts.n - 1))
     prepared = []
     for pt in pts:
-        op, ctx = _point_operator(mats, pt, p)
+        op, ctx = _point_operator(stack, pt, p)
         prepared.append((ctx, [gfq.prepare(pw, ctx) for pw in _powers(op, ctx)]))
     per_matrix = [[rank_logs(c.astype(np.int64), ctx) for c in codes]
                   for ctx, codes in prepared]
@@ -477,12 +478,12 @@ def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_byt
         calls.append(len(mats))
         return real(mats, ctx)
     monkeypatch.setattr(gfq, "ranks", spy)
-    got = jordan._block_ranks(mats, pts, p, p - 1)
+    got = jordan._block_ranks(stack, pts, p, p - 1)
     assert got.tolist() == per_matrix
     assert all(c % (p - 1) == 0 for c in calls) and sum(calls) == len(pts) * (p - 1)
     assert len(calls) == (len(pts) if stack_bytes == 1 else 4)  # fields GF(p), p^2, p^8, p
     calls.clear()
-    assert jordan._block_ranks(mats, pts, p, 1)[:, 0].tolist() == [r[0] for r in per_matrix]
+    assert jordan._block_ranks(stack, pts, p, 1)[:, 0].tolist() == [r[0] for r in per_matrix]
     assert sum(calls) == len(pts)
 
 

@@ -246,3 +246,29 @@ def test_cache_has_no_npz_reader_or_writer():
             return any(alias.name in ("zipfile", "zlib") for alias in node.names)
         return isinstance(node, ast.ImportFrom) and node.module in ("zipfile", "zlib")
     assert _scopes(imports_zip) == []
+
+
+def test_jordan_reads_modules_only_through_blocks():
+    # a module's action has one form, the (stack, multiplicity) pairs of
+    # ``acts.blocks``: jordan needs no module type to find its matrices
+    def imports_spechtmod(mod, node):
+        if mod != "jordan" or not isinstance(node, (ast.Import, ast.ImportFrom)):
+            return False
+        names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+        return any(name.split(".")[-1] == "spechtmod" for name in names)
+    assert _scopes(imports_spechtmod) == []
+
+    def module_type_test(mod, node):
+        return (mod == "jordan" and isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and any(getattr(n, "id", None) in ("PermutationActions", "RestrictedActions")
+                        for n in ast.walk(node.args[1])))
+    assert _scopes(module_type_test) == []
+    gone = {"_action_stack", "_blocks", "distinct_blocks"}
+
+    def names_gone(mod, node):
+        name = (node.name if isinstance(node, ast.FunctionDef)
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name in gone
+    assert _scopes(names_gone) == []

@@ -189,8 +189,8 @@ def test_actions_match_tall_solve(mu, n, p):
     work = conjugate(mu) if acts.conjugated else mu
     assert acts.conjugated == (mu in ((2, 2, 1, 1), (2, 2, 1, 1, 1, 1, 1), (3, 3, 2, 2)))
     assert np.array_equal(standard_basis(work, p).B, _polytabloid_loop(work, p))
-    for a, b in zip(acts.A, _tall_actions(work, n, p), strict=True):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert acts.A.dtype == gfp.exact_float(n, p)
+    assert np.array_equal(acts.A, np.stack(_tall_actions(work, n, p)))
 
 
 def test_standard_tabloid_minor_is_unit_lower_triangular():
@@ -393,10 +393,13 @@ def _spy_builds(monkeypatch) -> list:
 
 
 def _assert_same_actions(got, want, label=None):
-    assert len(got) == len(want), label
-    for a, b in zip(got, want):
-        assert a.dtype == np.int64 and a.shape == b.shape, label
-        assert a.tobytes() == b.tobytes(), label
+    """Both modules hold their A_i as one C-contiguous (n, d, d) stack of
+    type exact_float(n, p), and the two stacks have the same bytes."""
+    for acts in (got, want):
+        assert acts.A.dtype == gfp.exact_float(acts.n, acts.p), label
+        assert acts.A.flags.c_contiguous, label
+        assert acts.A.shape == (acts.n, acts.dim, acts.dim), label
+    assert got.A.tobytes() == want.A.tobytes(), label
 
 
 def _stack_of(path, n, d, p):
@@ -442,8 +445,8 @@ def _damaged(key, stack, digest):
 
 def test_cache_roundtrip(tmp_path, monkeypatch):
     # every S^mu with |mu| <= 8 at the module primes, and S^(256,1) at
-    # p = 257 (entries up to 256), loads as it was built: n int64 d x d
-    # matrices of the same bytes, served from a uint8 or uint16 record
+    # p = 257 (entries up to 256), loads as it was built: one float stack
+    # of the same bytes, served from a uint8 or uint16 record
     monkeypatch.setenv("SPECHTVAR_CACHE", str(tmp_path))
     cases = [(mu, m // p, p) for p in (2, 3, 5) for m in range(p, 9, p)
              for mu in partitions_of(m)]
@@ -455,7 +458,7 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     for case, first in zip(cases, built):
         again = restricted_actions(*case)
         assert again.dim == first.dim == dim_specht(case[0]), case
-        _assert_same_actions(again.A, first.A, case)
+        _assert_same_actions(again, first, case)
     assert builds == []
     dtypes = {}
     for (mu, n, p), first in zip(cases, built):
@@ -492,11 +495,11 @@ def test_cache_rebuilds_unreadable_or_misshaped_files(tmp_path, monkeypatch):
         path.write_bytes(content)
         assert _load_cached(path, key, 2, built.dim, 3) is None, label
         builds.clear()
-        _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A, label)
+        _assert_same_actions(restricted_actions((4, 2), 2, 3), built, label)
         assert len(builds) == 1, label
         assert path.read_bytes() == raw, label
         builds.clear()
-        _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A, label)
+        _assert_same_actions(restricted_actions((4, 2), 2, 3), built, label)
         assert builds == [], label
     assert list(tmp_path.iterdir()) == [path]
 
@@ -515,7 +518,7 @@ def test_cache_path_taken_by_a_directory_is_a_miss(tmp_path, monkeypatch, capsys
     path.mkdir()
     assert _load_cached(path, _cache_key((4, 2), 2, 3), 2, built.dim, 3) is None
     builds = _spy_builds(monkeypatch)
-    _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A)
+    _assert_same_actions(restricted_actions((4, 2), 2, 3), built)
     assert len(builds) == 1
     assert main(argv) == 0
     out = capsys.readouterr()
@@ -538,7 +541,7 @@ def test_cache_never_reads_a_killed_writers_tmp_file(tmp_path, monkeypatch):
     leftover.write_bytes(_digest(key, zeros) + zeros.tobytes())
     assert _load_cached(leftover, key, 2, built.dim, 3) is not None  # it would pass
     builds = _spy_builds(monkeypatch)
-    _assert_same_actions(restricted_actions((4, 2), 2, 3).A, built.A)
+    _assert_same_actions(restricted_actions((4, 2), 2, 3), built)
     assert len(builds) == 1 and path.read_bytes() == raw
     assert leftover.read_bytes() == _digest(key, zeros) + zeros.tobytes()
     assert sorted(tmp_path.iterdir()) == sorted([path, leftover])
