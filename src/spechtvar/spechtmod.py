@@ -4,19 +4,22 @@ the elementary abelian subgroup E_n to both.
 Tabloids are stored as row-assignment vectors (letter -> row index); the
 canonical order is lexicographic on the sequence of sorted row-sets, which
 matches generation order when row sets are chosen as ascending
-combinations.  A tabloid's index in that order is computed exactly from its
-vector (`_TabloidTable.lookup`), so whole batches are looked up at once.
+combinations.  A tabloid is found by one uint64 key per vector, searched
+among the table's sorted keys (`_TabloidTable.lookup`), so whole batches
+are looked up at once and a vector of no tabloid is caught, bar a
+collision of 64-bit keys.
 
 S^mu lives extrinsically inside M^mu as the column span of the
-standard-polytabloid matrix B (T x d).  The rows of B at the standard
-tabloids {t} form a d x d minor that is unit lower triangular over the
-integers, so it is invertible mod every p and B has full column rank: every
-other tabloid of e_t is dominated by {t} (James, LNM 682, 8.11), and the
-row-reading order of the standard tableaux lists a dominated one later.
-`standard_basis` checks this minor on every build.  With P_i the tabloid
-permutation of g_i, each action is pulled back to the d x d matrix
-Y_i = A_i + I with B Y_i = P_i B: forward substitution solves it on the
-minor alone, then B Y_i = P_i B is checked on every row of B.
+standard-polytabloid matrix B (T x d).  The standard tabloids {t} are the
+table rows whose word is a lattice (ballot) word, in tableau order
+(`_ballot_rows`).  B's rows at them form a d x d minor that is unit lower
+triangular over the integers, so it is invertible mod every p and B has
+full column rank: every other tabloid of e_t is dominated by {t} (James,
+LNM 682, 8.11), and the row-reading order of the standard tableaux lists a
+dominated one later.  `standard_basis` checks this minor on every build.
+With P_i the tabloid permutation of g_i, each action is pulled back to the
+d x d matrix Y_i = A_i + I with B Y_i = P_i B: forward substitution solves
+it on the minor alone, then B Y_i = P_i B is checked on every row of B.
 
 With ``SPECHTVAR_CACHE`` set, `restricted_actions` keeps the A_i on disk:
 one raw, digest-checked record ``KEY.bin`` per module (`_load_cached`).
@@ -57,12 +60,13 @@ def tabloid_count(mu: Partition) -> int:
 
 
 class _TabloidTable:
-    """Row-assignment matrix (T, m) and the exact index of any tabloid.
+    """Row-assignment matrix (T, m) and the index of any tabloid by its key.
 
-    Row r of a tabloid is a combination of the letters not in rows < r, and
-    its canonical index is the mixed-radix number of those combinations'
-    lexicographic ranks.  Every term is below T, so int64 is exact however
-    many letters the shape has.
+    The key of a row-assignment vector v is v @ w in wrapping uint64
+    arithmetic, for odd weights w read from the SHAKE-128 stream of a fixed
+    seed, or of the next seed if two rows of the table share a key.  The table's keys are kept
+    sorted with their canonical indices, so a lookup is one product, one
+    search and a check that each key found is the key asked for.
     """
 
     def __init__(self, mu: Partition):
@@ -85,40 +89,43 @@ class _TabloidTable:
             rows = np.repeat(rows, len(picks), axis=0)
             rows[np.arange(len(rows))[:, None], chosen] = r
         self.rows = rows
-        # Row r picks k = mu[r] of the free = m - sum(mu[:r]) letters left.  A
-        # combination at places c_0 < ... < c_(k-1) among them has rank
-        # C(free, k) - 1 - sum_i C(free - 1 - c_i, k - i), the i-th term read
-        # from terms[i, c_i - i]; the last row's rank is always 0.
-        self._ranking = []
-        free = m
-        for r, k in enumerate(mu[:-1]):
-            terms = np.array([[math.comb(free - 1 - i - s, k - i)
-                               for s in range(free - k + 1)] for i in range(k)],
-                             dtype=np.int64)
-            self._ranking.append((math.comb(free, k) - 1, terms,
-                                  tabloid_count(mu[r + 1:])))
-            free -= k
+        for seed in itertools.count():
+            digest = hashlib.shake_128(f"tabloid keys {seed}".encode()).digest(8 * m)
+            weights = np.frombuffer(digest, dtype="<u8") | 1
+            keys = _keys(rows, weights)
+            order = np.argsort(keys)
+            if not (keys[order[1:]] == keys[order[:-1]]).any():
+                break
+        self.weights = weights
+        self._order = order  # canonical index of each key, in key order
+        self._sorted = keys[order]
+
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """Canonical index of each key; RankCheckFailed for a key of no tabloid."""
+        pos = np.minimum(np.searchsorted(self._sorted, keys), self.count - 1)
+        if not np.array_equal(self._sorted[pos], keys):
+            raise RankCheckFailed(f"a vector is not a tabloid of {format_partition(self.mu)}")
+        return self._order[pos]
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         """Canonical index of each row-assignment vector along the last axis."""
-        flat = rows.reshape(math.prod(rows.shape[:-1]), self.m)
-        out = np.zeros(len(flat), dtype=np.int64)
-        step = max(1, _BATCH // max(self.m, 1))
-        for lo in range(0, len(flat), step):
-            chunk = flat[lo: lo + step]
-            for r, (top, terms, weight) in enumerate(self._ranking):
-                k = len(terms)
-                free = chunk >= r
-                place = np.cumsum(free, axis=1, dtype=np.int32) - free
-                place = place[chunk == r].reshape(-1, k) - np.arange(k)
-                out[lo: lo + step] += (top - terms[np.arange(k), place].sum(axis=1)) * weight
-        return out.reshape(rows.shape[:-1])
+        return self._find(_keys(rows, self.weights))
 
     def apply_letters(self, img: np.ndarray) -> np.ndarray:
-        """Permutation of tabloid indices induced by letter map x -> img[x-1]."""
-        inv = np.empty(self.m, dtype=np.int64)
-        inv[img - 1] = np.arange(self.m)
-        return self.lookup(self.rows[:, inv])
+        """Permutation of tabloid indices induced by letter map x -> img[x-1].
+
+        The image of v puts letter img[x] in row v[x], so its key is
+        v @ w[img - 1]: the permuted table is never formed.
+        """
+        return self._find(_keys(self.rows, self.weights[img - 1]))
+
+
+def _keys(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """rows @ weights along the last axis modulo 2^64, rows of any integer type.
+
+    einsum casts through its buffer, so no uint64 copy of ``rows`` is made.
+    """
+    return np.einsum("...j,j->...", rows, weights, dtype=np.uint64, casting="unsafe")
 
 
 @lru_cache(maxsize=64)
@@ -139,35 +146,26 @@ def generator_cycles(m: int, n: int, p: int) -> list[np.ndarray]:
     return gens
 
 
-def standard_tableaux(mu: Partition) -> list[tuple[tuple[int, ...], ...]]:
-    """All standard tableaux as row tuples, sorted by row-reading word."""
-    m = size(mu)
-    if m == 0:
-        return [()]
-    rows: list[list[int]] = [[] for _ in mu]
-    out: list[tuple[tuple[int, ...], ...]] = []
-    # depth first without recursion: ``chosen`` holds the row of each entry
-    # placed so far, and r is the next row to try for the next entry
-    chosen: list[int] = []
-    r = 0
-    while True:
-        while r < len(mu) and not (len(rows[r]) < mu[r]
-                                   and (r == 0 or len(rows[r]) < len(rows[r - 1]))):
-            r += 1
-        if r < len(mu):
-            rows[r].append(len(chosen) + 1)
-            chosen.append(r)
-            if len(chosen) < m:
-                r = 0
-                continue
-            out.append(tuple(tuple(row) for row in rows))
-        elif not chosen:
-            break
-        r = chosen.pop()
-        rows[r].pop()
-        r += 1
-    out.sort()
-    return out
+def _ballot_rows(table: _TabloidTable) -> np.ndarray:
+    """Indices of the standard tabloids {t}, one per standard tableau t.
+
+    A tabloid is {t} for a standard t exactly when its row-assignment word
+    is a lattice word: each prefix puts no more letters in row r than in
+    row r - 1.  Then t is the tabloid's rows read in ascending order, so the
+    canonical order lists these tabloids in the tableaux' row-reading order.
+    """
+    ballot = np.empty(table.count, dtype=bool)
+    step = max(1, _BATCH // max(table.m, 1))
+    for lo in range(0, table.count, step):
+        words = table.rows[lo: lo + step]
+        ok = np.ones(len(words), dtype=bool)
+        above = np.cumsum(words == 0, axis=1, dtype=np.int32)
+        for r in range(1, len(table.mu)):
+            here = np.cumsum(words == r, axis=1, dtype=np.int32)
+            ok &= (here <= above).all(axis=1)
+            above = here
+        ballot[lo: lo + step] = ok
+    return np.flatnonzero(ballot)
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,6 @@ class SpechtBasis:
     dim: int
     B: np.ndarray  # (T, d) over GF(p), of type exact_float(d, p); columns are
     # the standard polytabloids
-    tableaux: tuple[tuple[tuple[int, ...], ...], ...]
     standard_rows: np.ndarray  # (d,) row of B holding {t}, per tableau t
 
 
@@ -191,12 +188,16 @@ def _signed_perms(c: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, 1 - 2 * (inversions % 2)
 
 
-def _polytabloid_matrix(table: _TabloidTable, tabs, p: int) -> np.ndarray:
+def _polytabloid_matrix(table: _TabloidTable, standard: np.ndarray,
+                        p: int) -> np.ndarray:
     """B over GF(p): column t is e_t, the signed sum of {sigma t} over the
-    column group of t.
+    column group of t, for the standard tableaux t whose tabloids are the
+    table rows ``standard``.
 
     An arrangement of the column group sends each cell of the shape to a
-    row; it is built once for the shape and applied to every tableau.  The
+    row; it is built once for the shape and applied to every tableau.  A
+    tableau's letters, sorted by row and stably, are its row-reading word,
+    so the argsort of its tabloid gives the cell of each letter.  The
     tabloids {sigma t} of one tableau are distinct, so each entry is
     written once.  Work goes in batches of at most _BATCH letters.  B is
     built in the float type the solve reads, exact_float(d, p), so no
@@ -204,17 +205,18 @@ def _polytabloid_matrix(table: _TabloidTable, tabs, p: int) -> np.ndarray:
     """
     conj = conjugate(table.mu)
     cells = [(r, j) for j, c in enumerate(conj) for r in range(c)]
-    where = np.empty((len(tabs), table.m), dtype=np.intp)  # cell of each letter
-    for col, t in enumerate(tabs):
-        for cell, (r, j) in enumerate(cells):
-            where[col, t[r][j] - 1] = cell
+    by_row = np.array(sorted(range(len(cells)), key=cells.__getitem__), dtype=np.intp)
+    reading = np.argsort(table.rows[standard], axis=1, kind="stable")
+    where = np.empty(reading.shape, dtype=np.intp)  # cell of each letter
+    np.put_along_axis(where, reading, by_row[None], axis=1)
     signed = {c: _signed_perms(c) for c in set(conj)}
     radix = [math.factorial(c) for c in conj]
     group = math.prod(radix)
     per = max(1, _BATCH // max(table.m, 1))
     width = min(group, per)  # arrangements per batch
     depth = max(1, per // width)  # tableaux per batch
-    b = np.zeros((table.count, len(tabs)), dtype=gfp.exact_float(len(tabs), p))
+    d = len(standard)
+    b = np.zeros((table.count, d), dtype=gfp.exact_float(d, p))
     for lo in range(0, group, width):
         arrangement = np.arange(lo, min(lo + width, group))
         image = np.empty((len(arrangement), len(cells)), dtype=np.uint8)
@@ -228,8 +230,8 @@ def _polytabloid_matrix(table: _TabloidTable, tabs, p: int) -> np.ndarray:
             sign *= signs[digit]
             first += c
         sign %= p  # each entry is written once, so it is written reduced
-        for t0 in range(0, len(tabs), depth):
-            cols = np.arange(t0, min(t0 + depth, len(tabs)))
+        for t0 in range(0, d, depth):
+            cols = np.arange(t0, min(t0 + depth, d))
             b[table.lookup(image[:, where[cols]]), cols] = sign[:, None]
     return b
 
@@ -237,35 +239,32 @@ def _polytabloid_matrix(table: _TabloidTable, tabs, p: int) -> np.ndarray:
 def standard_basis(mu: Partition, p: int) -> SpechtBasis:
     """The standard polytabloids of S^mu as the columns of B over GF(p).
 
-    Raises RankCheckFailed unless B at the standard-tabloid rows is unit
-    lower triangular in tableau order: that d x d check stands in for the
-    rank of B, which it implies.
+    The standard tableaux are read off the tabloid table as its ballot rows,
+    which are ``standard_rows``; PreconditionViolated unless there are as
+    many as the hook formula gives.  Raises RankCheckFailed unless B at
+    those rows is unit lower triangular in tableau order: that d x d check
+    stands in for the rank of B, which it implies.
     """
     mu = validate(mu)
     d = dim_specht(mu)
     if d > _DIM_CAP:
         raise TooLarge(f"dim {d} exceeds {_DIM_CAP}")
     table = _tabloid_table(mu)
-    tabs = standard_tableaux(mu)
-    if len(tabs) != d:
-        raise PreconditionViolated(f"{len(tabs)} standard tableaux for "
+    rows = _ballot_rows(table)
+    if len(rows) != d:
+        raise PreconditionViolated(f"{len(rows)} standard tableaux for "
                                    f"{format_partition(mu)}, hook formula gives {d}")
     colgroup = math.prod(math.factorial(c) for c in conjugate(mu))
     if colgroup > _COLGROUP_CAP:
         raise TooLarge(f"column group order {colgroup} exceeds {_COLGROUP_CAP}")
 
-    b = _polytabloid_matrix(table, tabs, p)
-    own = np.zeros((d, table.m), dtype=np.uint8)  # the tabloid {t} of each t
-    for colno, t in enumerate(tabs):
-        for r, row in enumerate(t):
-            own[colno, np.array(row, dtype=np.intp) - 1] = r
-    rows = table.lookup(own)
+    b = _polytabloid_matrix(table, rows, p)
     minor = b[rows]
     if (np.diagonal(minor) != 1).any() or np.triu(minor, 1).any():
         raise RankCheckFailed(f"standard-tabloid minor of {format_partition(mu)} "
                               f"is not unit lower triangular over GF({p})")
     return SpechtBasis(mu=mu, p=p, tabloid_count=table.count, dim=d,
-                       B=b, tableaux=tuple(tabs), standard_rows=rows)
+                       B=b, standard_rows=rows)
 
 
 @dataclass(frozen=True)
@@ -392,12 +391,13 @@ def restricted_actions(mu: Partition, n: int, p: int,
                                  dim=stack.shape[1], conjugated=conjugated)
 
     basis = standard_basis(work, p)
-    b, d, rows = basis.B, basis.dim, basis.standard_rows
+    d = basis.dim
     table = _tabloid_table(work)
     sources = np.empty((n, table.count), dtype=np.int64)  # P_i B = B[source_i]
     for i, img in enumerate(generator_cycles(table.m, n, p)):
         sources[i, table.apply_letters(img)] = np.arange(table.count)
-    y = _solve_on_minor(b, rows, sources, p)
+    y = _solve_on_minor(basis.B, basis.standard_rows, sources, p)
+    del basis, sources  # B is not read again: free it before the stack is made
     diag = np.arange(d)
     y[diag, :, diag] = (y[diag, :, diag] - 1) % p  # A_i = Y_i - I
     stack = y.transpose(1, 0, 2).astype(gfp.exact_float(n, p), order="C")

@@ -218,6 +218,38 @@ def test_construction_runs_no_elimination():
         "spechtmod._solve_on_minor", "symrank._bareiss_step"]
 
 
+def test_one_enumeration_of_standard_tableaux():
+    # the standard tableaux are the ballot rows of the tabloid table: the
+    # package defines no second enumeration of them (the depth-first search
+    # is the tests' oracle) and no per-row combination rank
+    gone = {"standard_tableaux", "_ranking"}
+
+    def names_gone(mod, node):
+        name = (node.name if isinstance(node, ast.FunctionDef)
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name in gone
+    assert _scopes(names_gone) == []
+    # a lookup is one key product, one search and one check: no Python
+    # loop on its path
+    path = Path(spechtvar.__file__).parent / "spechtmod.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    steps = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and node.name in ("lookup", "_find", "_keys")]
+    assert len(steps) == 3
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert [step.name for step in steps
+            if any(isinstance(node, loops) for node in ast.walk(step))] == []
+
+
+def test_tabloid_keys_draw_no_numpy_random():
+    # the key weights are read from hashlib's SHAKE-128: importing
+    # numpy.random for them alone adds about 2 MB to the peak RSS of
+    # processes that draw nothing else, such as perfbench's construct runs
+    assert _scopes(lambda mod, node: mod == "spechtmod" and isinstance(node, ast.Attribute)
+                   and node.attr == "random") == []
+
+
 def test_one_triangular_solver_and_one_float_reduction():
     # exact mode keeps only polynomial bookkeeping: its division, powers and
     # reductions go through gfp, and no private product, triangular

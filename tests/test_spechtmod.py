@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from spechtvar.errors import (NoSolution, PreconditionViolated, RankCheckFailed,
                               TooLarge)
 from spechtvar.jordan import rank_vector_at
 from spechtvar.partitions import conjugate, dim_specht, partitions_of
-from spechtvar.spechtmod import (_cache_dtype, _cache_key, _digest, _load_cached,
-                                 _solve_on_minor, _tabloid_table, generator_cycles,
-                                 perm_module_actions, restricted_actions,
-                                 standard_basis, standard_tableaux, tabloid_count)
+from spechtvar.spechtmod import (_ballot_rows, _cache_dtype, _cache_key, _digest,
+                                 _load_cached, _solve_on_minor, _tabloid_table,
+                                 _TabloidTable, generator_cycles, perm_module_actions,
+                                 restricted_actions, standard_basis, tabloid_count)
 
 
 def test_tabloid_counts():
@@ -74,28 +75,111 @@ def _dict_index(table):
     return {row.tobytes(): i for i, row in enumerate(table.rows)}
 
 
-@pytest.mark.parametrize("mu", [(4, 3, 2), (3, 3, 3), (2, 2, 1, 1, 1), (99, 1),
-                                (70, 1, 1)])
+def _moved_letters(m):
+    """A letter map with a 3-cycle and a transposition, for any m >= 3."""
+    img = np.roll(np.arange(1, m + 1), -1)
+    img[:3] = img[[1, 0, 2]]
+    return img
+
+
+# named shapes first, so their ids stay mu0, mu1, ... as the sweep grows
+_LOOKUP = [(4, 3, 2), (3, 3, 3), (2, 2, 1, 1, 1), (99, 1), (70, 1, 1), (1000,), (65, 2)]
+
+
+@pytest.mark.parametrize("mu", _LOOKUP + [mu for m in range(1, 10) for mu in partitions_of(m)
+                                          if mu not in _LOOKUP])
 def test_lookup_matches_dict_index(mu):
-    # (99,1) and (70,1,1) have more letters than a 63-bit packed key holds
+    # (99,1), (70,1,1) and (65,2) have more letters than 63 bits of
+    # base-len(mu) digits hold, and (1000) is one row of 1000 letters
     table = _tabloid_table(mu)
     index = _dict_index(table)
     assert np.array_equal(table.lookup(table.rows), np.arange(table.count))
-    img = np.roll(np.arange(1, table.m + 1), -1)
-    img[:3] = img[[1, 0, 2]]
-    moved = table.rows[:, np.argsort(img - 1)]
-    expected = [index[row.tobytes()] for row in moved]
-    assert table.apply_letters(img).tolist() == expected
-    # batched lookups keep the leading axes
-    stacked = np.stack([table.rows[:5], moved[:5]])
-    assert table.lookup(stacked).tolist() == [list(range(5)), expected[:5]]
+    for img in ([_moved_letters(table.m)] if table.m >= 3 else []) + [
+            np.arange(table.m, 0, -1)]:
+        moved = table.rows[:, np.argsort(img - 1)]
+        expected = [index[row.tobytes()] for row in moved]
+        assert table.apply_letters(img).tolist() == expected
+        assert table.lookup(moved).tolist() == expected
+    # batched lookups keep the leading axes, and any integer type is read
+    k = min(5, table.count)
+    stacked = np.stack([table.rows[:k], table.rows[::-1][:k]]).astype(np.int64)
+    assert table.lookup(stacked).tolist() == [list(range(k)),
+                                              list(range(table.count - 1, table.count - 1 - k, -1))]
+
+
+def test_lookup_of_a_vector_of_no_tabloid_raises_rank_check():
+    # letters put in too many or too few rows, or in a row past the shape
+    # or before the first, find no key of the table
+    table = _tabloid_table((2, 1))
+    for vec in ([0, 0, 0], [1, 1, 0], [0, 2, 0], [0, 1, 1], [0, 1, -1]):
+        with pytest.raises(RankCheckFailed):
+            table.lookup(np.array(vec, dtype=np.int8))
+    with pytest.raises(RankCheckFailed):
+        table.lookup(np.array([table.rows[0], [0, 0, 0]], dtype=np.uint8))
+    big = _tabloid_table((99, 1))
+    with pytest.raises(RankCheckFailed):
+        big.lookup(np.ones(100, dtype=np.uint8))
+
+
+def _standard_tableaux(mu):
+    """Oracle: all standard tableaux as row tuples, sorted by row-reading
+    word, by a depth-first search that places 1, 2, ... in turn."""
+    m = sum(mu)
+    rows = [[] for _ in mu]
+    out = []
+    # without recursion: ``chosen`` holds the row of each entry placed so
+    # far, and r is the next row to try for the next entry
+    chosen = []
+    r = 0
+    while True:
+        while r < len(mu) and not (len(rows[r]) < mu[r]
+                                   and (r == 0 or len(rows[r]) < len(rows[r - 1]))):
+            r += 1
+        if r < len(mu):
+            rows[r].append(len(chosen) + 1)
+            chosen.append(r)
+            if len(chosen) < m:
+                r = 0
+                continue
+            out.append(tuple(tuple(row) for row in rows))
+        elif not chosen:
+            break
+        r = chosen.pop()
+        rows[r].pop()
+        r += 1
+    out.sort()
+    return out
+
+
+def _tabloid_of(t, m):
+    """The row-assignment vector of the tabloid {t}."""
+    vec = np.zeros(m, dtype=np.uint8)
+    for r, row in enumerate(t):
+        vec[np.array(row) - 1] = r
+    return vec
 
 
 def test_standard_tableaux_order():
-    tabs = standard_tableaux((2, 1))
+    tabs = _standard_tableaux((2, 1))
     assert tabs == [((1, 2), (3,)), ((1, 3), (2,))]
-    assert len(standard_tableaux((3, 2))) == 5
-    assert standard_tableaux((3,)) == [((1, 2, 3),)]
+    assert len(_standard_tableaux((3, 2))) == 5
+    assert _standard_tableaux((3,)) == [((1, 2, 3),)]
+    # the ballot rows of the table are {12|3} and {13|2}, in that order
+    table = _tabloid_table((2, 1))
+    assert table.rows[_ballot_rows(table)].tolist() == [[0, 0, 1], [0, 1, 0]]
+
+
+@pytest.mark.parametrize("mu", [mu for m in range(1, 12) for mu in partitions_of(m)
+                                if tabloid_count(mu) <= 200_000] + [(1000,), (999, 1)])
+def test_ballot_rows_are_the_standard_tableaux(mu):
+    # same tabloids in the same order as the depth-first oracle, as many as
+    # the hook formula gives; the table is built uncached, so the sweep
+    # leaves no large table behind
+    table = _TabloidTable(mu)
+    tabs = _standard_tableaux(mu)
+    rows = _ballot_rows(table)
+    assert len(rows) == len(tabs) == dim_specht(mu)
+    assert np.array_equal(table.rows[rows], [_tabloid_of(t, table.m) for t in tabs])
 
 
 def test_standard_basis_smallest_case():
@@ -107,10 +191,14 @@ def test_standard_basis_smallest_case():
 
 
 def test_standard_basis_single_row_and_ranks():
-    assert standard_basis((6,), 2).B.tolist() == [[1]]
+    basis = standard_basis((6,), 2)
+    assert basis.B.tolist() == [[1]] and basis.standard_rows.tolist() == [0]
     for mu, p in [((3, 3, 3), 3), ((4, 2), 3), ((3, 2, 1), 2), ((2, 2, 2), 5)]:
         basis = standard_basis(mu, p)
         assert gfp.rank(basis.B, p) == basis.dim  # re-check the invariant
+        table = _tabloid_table(mu)
+        assert np.array_equal(table.rows[basis.standard_rows],
+                              [_tabloid_of(t, table.m) for t in _standard_tableaux(mu)])
 
 
 def _polytabloid_loop(mu, p):
@@ -118,7 +206,7 @@ def _polytabloid_loop(mu, p):
     table = _tabloid_table(mu)
     index = _dict_index(table)
     conj = conjugate(mu)
-    tabs = standard_tableaux(mu)
+    tabs = _standard_tableaux(mu)
     b = np.zeros((table.count, len(tabs)), dtype=np.int64)
     for colno, t in enumerate(tabs):
         columns = [tuple(t[r][j] for r in range(conj[j])) for j in range(len(conj))]
@@ -157,10 +245,16 @@ def test_polytabloid_matrix_is_built_in_its_float_type(mu, p):
 
 
 def test_standard_tableaux_of_long_rows_and_columns():
-    # no recursion per cell: one row or one column of 1000 cells
-    assert standard_tableaux((1000,)) == [(tuple(range(1, 1001)),)]
-    assert standard_tableaux((1,) * 1000) == [tuple((i,) for i in range(1, 1001))]
-    assert len(standard_tableaux((999, 1))) == 999
+    # the oracle needs no recursion per cell: one row or one column of
+    # 1000 cells; the ballot rows of (999,1) put the second row's letter
+    # at 1000, 999, ..., 2 in turn
+    assert _standard_tableaux((1000,)) == [(tuple(range(1, 1001)),)]
+    assert _standard_tableaux((1,) * 1000) == [tuple((i,) for i in range(1, 1001))]
+    assert len(_standard_tableaux((999, 1))) == 999
+    table = _tabloid_table((999, 1))
+    words = table.rows[_ballot_rows(table)]
+    assert np.array_equal(np.argmax(words, axis=1), np.arange(999, 0, -1))
+    assert _ballot_rows(_tabloid_table((1000,))).tolist() == [0]
 
 
 def _tall_actions(mu, n, p):
@@ -199,12 +293,7 @@ def test_standard_tabloid_minor_is_unit_lower_triangular():
         for mu in partitions_of(m):
             basis = standard_basis(mu, 3)
             index = _dict_index(_tabloid_table(mu))
-            rows = []
-            for t in basis.tableaux:
-                vec = np.zeros(m, dtype=np.uint8)
-                for r, row in enumerate(t):
-                    vec[np.array(row) - 1] = r
-                rows.append(index[vec.tobytes()])
+            rows = [index[_tabloid_of(t, m).tobytes()] for t in _standard_tableaux(mu)]
             assert basis.standard_rows.tolist() == rows
             minor = basis.B[rows]
             assert np.array_equal(minor, np.tril(minor)), mu
@@ -213,8 +302,8 @@ def test_standard_tabloid_minor_is_unit_lower_triangular():
 
 def test_minor_out_of_order_raises_rank_check(monkeypatch):
     # reversed tableau order turns the minor upper triangular
-    real = spechtmod.standard_tableaux
-    monkeypatch.setattr(spechtmod, "standard_tableaux", lambda mu: real(mu)[::-1])
+    real = spechtmod._ballot_rows
+    monkeypatch.setattr(spechtmod, "_ballot_rows", lambda table: real(table)[::-1])
     with pytest.raises(RankCheckFailed):
         standard_basis((3, 2), 3)
 
@@ -275,6 +364,21 @@ def test_construction_eliminates_at_most_d_rows(monkeypatch):
     d = dim_specht((4, 3, 2))
     assert acts.dim == d
     assert calls == [("solve_unit_lower", d, d)]
+
+
+def test_build_frees_b_before_the_stack(monkeypatch):
+    # S^(7,3,2) at p = 3 (n = 4, d = 1925, T = 7920): B (61 MB) is dropped
+    # once the Y_i are solved, so it is never held with the (n, d, d) stack.
+    # The build peaked at 172 MiB of numpy arrays while it was, 133 MiB after
+    monkeypatch.delenv("SPECHTVAR_CACHE", raising=False)
+    tracemalloc.start()
+    try:
+        acts = restricted_actions((7, 3, 2), 4, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acts.dim == 1925
+    assert peak < 150 * 2**20
 
 
 def test_standard_basis_caps():
