@@ -1,20 +1,9 @@
 """Dense linear algebra over GF(p^k) on coefficient slices and log codes.
 
 A d-by-d matrix M over GF(p^k) is held as its k coefficient slices, an
-integer array of shape (k, d, d) over GF(p) with M = sum_c t^c M_c in the
-power basis of ``FieldCtx``.  Operators built from matrices over GF(p)
-are born in this form: slice c of sum_i alpha_i A_i is sum_i alpha_i[c] A_i.
-
-A product X Y is one float GEMM of the stacked slices, (k*m x inner) times
-(inner x k*n).  Its k^2 blocks X_a Y_b are summed along antidiagonals,
-still in float, into the coefficients of t^0 .. t^(2k-2); one
-``tensordot`` with ``FieldCtx.reduction`` folds those into t^0 .. t^(k-1),
-and only that (k, m, n) result is reduced mod p (``gfp.float_mod``) and
-cast to integers.  Nothing is reduced before the end, so the float type
-follows the largest unreduced sum, (2k-1)(p-1) k inner (p-1)^2: float32
-below 2^24, else float64 (``gfp.exact_float``).  No kd x kd multiplication
-matrix is formed.  Over GF(p) itself (k = 1) the product is one
-``gfp.mod_matmul``.
+array of shape (k, d, d) over GF(p) with M = sum_c t^c M_c in the power
+basis of ``FieldCtx``.  ``jordan`` forms N and its powers in this form
+from matrices over GF(p).
 
 Ranks have one elimination over GF(q), ``_rank_stack``, for every
 field with tables, the prime fields GF(p) = GF(p^1) included: each
@@ -45,39 +34,17 @@ from .errors import RankCheckFailed
 from .ffalg import TABLE_CAP, FieldCtx
 
 
-def matmul(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Slices of X Y over GF(p^k) from the slices of X and Y."""
-    k, m, inner = x.shape
-    n = y.shape[2]
-    p = ctx.p
-    if k == 1:  # GF(p): the slice product is the product, nothing to fold
-        return gfp.mod_matmul(x[0], y[0], p)[None]
-    # a block entry is at most inner (p-1)^2, an antidiagonal sum of k of
-    # them at most k times that, and the fold adds 2k-1 of those times
-    # entries of ``reduction`` below p: as exact as a GF(p) inner product
-    # that long
-    ftype = gfp.exact_float((2 * k - 1) * (p - 1) * k * inner, p)
-    stacked = np.ascontiguousarray(y.transpose(1, 0, 2), dtype=ftype)
-    blocks = x.reshape(k * m, inner).astype(ftype) @ stacked.reshape(inner, k * n)
-    blocks = blocks.reshape(k, m, k, n).transpose(0, 2, 1, 3)  # [a, b] = X_a Y_b
-    wide = np.zeros((2 * k - 1, m, n), dtype=ftype)
-    for a in range(k):
-        wide[a:a + k] += blocks[a]
-    # t^e for e >= k in the power basis: column e of ``reduction``
-    out = np.tensordot(ctx.reduction.astype(ftype), wide.reshape(2 * k - 1, m * n), axes=1)
-    return gfp.float_mod(out, p).astype(np.int64).reshape(k, m, n)
-
-
 def prepare(slices: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """One matrix in the form ``ranks`` takes: int32 log codes (-1 for zero)
-    where the field has tables, else its slices unchanged.  Codes are
-    sum_c p^c slices[c] by Horner's rule, in int64, the lookup's index type."""
+    """Matrices (k, m, n), or a stack (B, k, m, n), of integers or exact
+    floats below p in the form ``ranks`` takes: int32 log codes (-1 for
+    zero) where the field has tables, else int64 slices.  Codes are
+    sum_c p^c slices[c] by Horner's rule, exact below TABLE_CAP < 2^24."""
     if ctx.q > TABLE_CAP:
-        return slices
-    codes = slices[-1]
+        return np.asarray(slices, dtype=np.int64)
+    codes = slices[..., -1, :, :]
     for c in range(ctx.k - 2, -1, -1):
-        codes = codes * ctx.p + slices[c]
-    return ctx.tables.log[codes]
+        codes = codes * ctx.p + slices[..., c, :, :]
+    return ctx.tables.log[codes.astype(np.intp, copy=False)]
 
 
 def rank(slices: np.ndarray, ctx: FieldCtx) -> int:

@@ -1,24 +1,24 @@
 """Jordan types of the nilpotent operators N = sum alpha_i A_i.
 
-A point alpha with coordinates in GF(p^k) gives N as k coefficient
-slices over GF(p) (the A_i lie over GF(p)); its powers and ranks over
-GF(p^k) come from ``gfq``.  The Jordan type is recovered from the rank
-vector (r_0, ..., r_p) by the second difference
-b_s = r_{s-1} - 2 r_s + r_{s+1}.
+A point alpha with coordinates in GF(p^k) gives N and its powers as k
+coefficient slices over GF(p), ranked over GF(p^k) by ``gfq``.  The
+Jordan type is read off the rank vector (r_0, ..., r_p) by the second
+difference b_s = r_{s-1} - 2 r_s + r_{s+1}.
 
-Points are evaluated many at a time: ``rank_vectors_at`` and
-``are_free_at`` form each point's operator and the powers they need one
-point at a time, hold only their log codes, and rank all those powers
-across the points as one stacked elimination (``gfq.ranks``), in chunks
-of at most ``_STACK_BYTES``.  ``rank_vector_at`` and ``is_free_at`` are
-the same at one point.  Every evaluation reads the module only through
-its ``blocks``, pairs (stack, multiplicity) of an (n, d, d) stack of the
-A_i in ``gfp.exact_float(n, p)``: a permutation module splits into orbit
-blocks, identical ones computed once, and a Specht module is the single
-block ``acts.A``.  Rank vectors add over blocks.  Freeness is decided in
-one place, ``are_free_at``, from rank N alone: N has d - rank N Jordan
-blocks, each of size at most p, so a block of dimension d is free iff
-p | d and rank N = d - d/p.  No power of N is formed for it.  GF(p) points are the case k = 1 and take the
+Points are evaluated many at a time (``rank_vectors_at``,
+``are_free_at``).  The A_i lie over GF(p), so N^s = sum_e alpha^e C_e
+over the monomials of degree s, for GF(p) matrices C_e built once per
+call (``symrank.power_coefficients``, shared with exact mode): a power
+of a batch of points is one float GEMM, and no product over GF(p^k) is
+formed except for blocks of many variables.  All powers of a chunk of
+points are ranked as one stack (``gfq.ranks``).  The module is read only
+through its ``blocks``, pairs (stack, multiplicity) of an (n, d, d)
+stack of the A_i in ``gfp.exact_float(n, p)``: orbit blocks of a
+permutation module, or the single block ``acts.A``.  Rank vectors add
+over blocks.  Freeness is decided in one place, ``are_free_at``, from
+rank N alone: N has d - rank N Jordan blocks, each of size at most p, so
+a block of dimension d is free iff p | d and rank N = d - d/p.  No power
+of N is formed for it.  GF(p) points are the case k = 1 and take the
 same path.
 
 Generic types come in two modes: randomized sampling over GF(p^8) with
@@ -29,8 +29,10 @@ dimensions.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -141,82 +143,100 @@ def _coerce_point(alpha, n: int, p: int) -> tuple[np.ndarray, FieldCtx]:
     return coeffs, ctx
 
 
-def _point_operator(mats, alpha, p: int) -> tuple[np.ndarray, FieldCtx]:
-    """N = sum alpha_i A_i as k slices over GF(p), shape (k, d, d), plus GF(p^k).
+def _monomial_values(rows: np.ndarray, ctx: FieldCtx, count: int) -> list[np.ndarray]:
+    """Coefficient rows (P, T(s), k) of alpha^e, for the monomials t^e of
+    degree s = 1..count in ``symrank.power_coefficients``' order, at the P
+    points of ``rows`` (P, n, k).  Rows multiply as polynomials in t folded
+    by ``FieldCtx.reduction``, for all points and monomials at once."""
+    p, k, n = ctx.p, ctx.k, rows.shape[1]
+    fold = ctx.reduction.T[np.add.outer(np.arange(k), np.arange(k)).ravel()]
 
-    The A_i lie over GF(p), so slice c is sum_i alpha_i[c] A_i: all k
-    slices are one float product of the (k x n) coefficient columns of
-    alpha with the A_i, reduced by ``gfp.float_mod``.  ``mats`` is a
-    block's stack of the A_i in ``gfp.exact_float(n, p)``, used as it is,
-    or any sequence of the A_i, converted to that stack.
-    """
-    coeffs, ctx = _coerce_point(alpha, len(mats), p)
-    stack = np.asarray(mats, dtype=gfp.exact_float(len(mats), p))
-    n, d, _ = stack.shape
-    out = coeffs.T.astype(stack.dtype) @ stack.reshape(n, d * d)
-    return gfp.float_mod(out, p).astype(np.int64).reshape(ctx.k, d, d), ctx
+    def mul(x, y):
+        return (x[..., :, None] * y[..., None, :]).reshape(*x.shape[:-1], k * k) @ fold % p
 
-
-def _powers(op: np.ndarray, ctx: FieldCtx):
-    """Slices of N, N^2, ..., N^(p-1) in turn; N^p, which is zero, is never formed."""
-    power = op
-    for _ in range(ctx.p - 2):
-        yield power
-        power = gfq.matmul(power, op, ctx)
-    yield power
+    powers = [np.zeros_like(rows), rows]  # powers[e][:, v] = alpha_v^e
+    powers[0][..., 0] = 1
+    for _ in range(count - 1):
+        powers.append(mul(powers[-1], rows))
+    powers = np.stack(powers, axis=2)
+    return [rows] + [functools.reduce(mul, (powers[:, v, exps[:, v]] for v in range(n)))
+                     for exps in (symrank.monomials(n, s)[0][::-1] for s in range(2, count + 1))]
 
 
-# Bytes of prepared powers (``gfq.prepare``) held at once; a larger set of
-# points is ranked in chunks of this size, which bounds the held codes and
-# the stacked elimination's temporaries whatever the number of points.
-_STACK_BYTES = 8 << 20
+def _evaluate(coeffs: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
+    """sum_j alpha^(e_j) C_j at each point, as (P, k, d, d) float slices over
+    GF(p), for a (T, d, d) stack of C_j in exact floats and the (P, T, k)
+    coefficient rows of the alpha^(e_j): one float GEMM, (P k x T) times
+    (T x d^2), reduced by ``gfp.float_mod``.  With the block's stack and
+    the points' rows this is N itself."""
+    b, t, k = values.shape
+    d = coeffs.shape[1]
+    ftype = np.result_type(coeffs, gfp.exact_float(t, p))
+    weights = values.transpose(0, 2, 1).reshape(b * k, t).astype(ftype)
+    out = weights @ coeffs.reshape(t, d * d)
+    return gfp.float_mod(out, p).reshape(b, k, d, d)
 
 
-def _held_powers(stack: np.ndarray, points: list, p: int, count: int):
-    """Chunks (field, per-point prepared powers) of one block's points.
+# Bytes of the prepared powers held at once (the stacked elimination's
+# input), of one evaluation GEMM's float output, kept far below them, and
+# of the coefficients of N^2 .. N^count built for a block.
+_STACK_BYTES, _EVAL_BYTES, _FIXED_BYTES = 8 << 20, 1 << 20, 256 << 20
 
-    Each point's operator and its first ``count`` powers N .. N^count are
-    formed one point at a time, as slice products of the block's stack,
-    and only their prepared forms are held; N^(count+1) is never formed.
-    A chunk ends once it holds ``_STACK_BYTES``, or where the next point
-    lies in another field.
-    """
-    held, size, held_ctx = [], 0, None
-    for alpha in points:
-        op, ctx = _point_operator(stack, alpha, p)
-        if held and ctx is not held_ctx:
-            yield held_ctx, held
-            held, size = [], 0
-        prepared = [gfq.prepare(power, ctx)
-                    for power in itertools.islice(_powers(op, ctx), count)]
-        held.append(prepared)
-        held_ctx, size = ctx, size + sum(x.nbytes for x in prepared)
-        if size >= _STACK_BYTES:
-            yield held_ctx, held
-            held, size = [], 0
-    if held:
-        yield held_ctx, held
+
+def _fixed_coefficients(stack: np.ndarray, p: int, count: int) -> list[np.ndarray] | None:
+    """``symrank.power_coefficients``, or None past its budget or codes."""
+    n, d = stack.shape[:2]
+    t = sum(math.comb(n + s - 1, s) for s in range(2, count + 1))
+    if t and (n > symrank.MAX_VARS or t * d * d * stack.itemsize > _FIXED_BYTES):
+        return None
+    return symrank.power_coefficients(stack, p, count)
+
+
+def _chained_powers(stack: np.ndarray, rows: np.ndarray, ctx: FieldCtx,
+                    count: int) -> list[np.ndarray]:
+    """N .. N^count at a batch of points, each power from the one before:
+    N^s = sum_a t^a (P_a N) over the slices P_a of N^(s-1), and t^a times
+    the k GF(p) products P_a N is one ``_evaluate`` with the coefficient
+    rows of t^a .. t^(a+k-1), columns of ``FieldCtx.reduction``."""
+    p, k = ctx.p, ctx.k
+    ops = _evaluate(stack, rows, p).astype(gfp.exact_float(stack.shape[1], p), copy=False)
+    powers = [ops]
+    for _ in range(count - 1):
+        step = [sum(_evaluate(gfp.float_mod(prev[a] @ op, p), ctx.reduction.T[None, a:a + k], p)[0]
+                    for a in range(k)) for prev, op in zip(powers[-1], ops)]
+        powers.append(gfp.float_mod(np.stack(step), p))
+    return powers
 
 
 def _block_ranks(stack: np.ndarray, points: list, p: int, count: int) -> np.ndarray:
-    """Ranks of N, .., N^count over GF(p^k) at each point of one block.
-
-    Shape (len(points), count).  All powers of a chunk of points are
-    ranked as one stack (``gfq.ranks``): they share one shape, so one
-    column loop serves them all.
-    """
-    out = np.zeros((len(points), count), dtype=np.int64)
-    row = 0
-    for ctx, held in _held_powers(stack, points, p, count):
-        ranks = gfq.ranks([power for powers in held for power in powers], ctx)
-        out[row:row + len(held)] = np.reshape(ranks, (len(held), count))
-        row += len(held)
-    return out
+    """Ranks (len(points), count) of N, .., N^count over GF(p^k) at each
+    point of one block, for pairs (coefficient rows, field) from
+    ``_coerce_point``.  Only prepared forms are held, and all powers of a
+    chunk of points, which ends once it holds ``_STACK_BYTES`` or where the
+    next point lies in another field, are ranked as one stack."""
+    coeffs = _fixed_coefficients(stack, p, count)
+    ranks, held = [], []
+    for ctx, run in itertools.groupby(points, key=lambda point: point[1]):
+        rows = np.array([r for r, _ in run])
+        batch = max(1, _EVAL_BYTES // (ctx.k * stack[0].nbytes))
+        for lo in range(0, len(rows), batch):
+            if coeffs is None:
+                evaluated = _chained_powers(stack, rows[lo:lo + batch], ctx, count)
+            else:
+                values = _monomial_values(rows[lo:lo + batch], ctx, count)
+                evaluated = (_evaluate(c, v, p) for c, v in zip(coeffs, values))
+            for i, powers in enumerate(zip(*[gfq.prepare(x, ctx) for x in evaluated])):
+                held += powers
+                if lo + i + 1 == len(rows) or len(held) * held[0].nbytes >= _STACK_BYTES:
+                    ranks += gfq.ranks(held, ctx)
+                    held = []
+    return np.array(ranks, dtype=np.int64).reshape(len(points), count)
 
 
 def rank_vectors_at(acts, points) -> list[RankVector]:
     """Rank vectors of N at many points, summed over the module's blocks."""
-    p, points = acts.p, list(points)
+    p = acts.p
+    points = [_coerce_point(alpha, acts.n, p) for alpha in points]
     total = np.zeros((len(points), p + 1), dtype=np.int64)
     for stack, mult in acts.blocks:
         total[:, 0] += mult * stack.shape[1]
@@ -243,16 +263,15 @@ def are_free_at(acts, points) -> list[bool]:
     in the stack only while every block so far is free.  Agrees with
     ``RankVector.is_free`` of ``rank_vector_at``, which reads N^(p-1).
     """
-    p, points = acts.p, list(points)
+    p = acts.p
     if acts.dim % p:
         warnings.warn(f"dim {acts.dim} not divisible by {p}; module cannot be free",
                       RuntimeWarning, stacklevel=2)
+    points = [_coerce_point(alpha, acts.n, p) for alpha in points]
     free = np.ones(len(points), dtype=bool)
     for stack, _ in acts.blocks:
         d = stack.shape[1]
         if d % p:
-            for alpha in points:  # points are validated in every case
-                _coerce_point(alpha, acts.n, p)
             return [False] * len(points)
         idx = np.flatnonzero(free)
         rank_n = _block_ranks(stack, [points[i] for i in idx], p, 1)[:, 0]

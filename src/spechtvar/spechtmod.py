@@ -115,8 +115,12 @@ class _TabloidTable:
         """Permutation of tabloid indices induced by letter map x -> img[x-1].
 
         The image of v puts letter img[x] in row v[x], so its key is
-        v @ w[img - 1]: the permuted table is never formed.
+        v @ w[img - 1]: the permuted table is never formed.  PreconditionViolated
+        unless ``img`` is a permutation of 1..m: other maps give tabloids too.
         """
+        img = np.asarray(img)
+        if not np.array_equal(np.sort(img), np.arange(1, self.m + 1)):
+            raise PreconditionViolated(f"letter map is not a permutation of 1..{self.m}")
         return self._find(_keys(self.rows, self.weights[img - 1]))
 
 

@@ -35,9 +35,10 @@ is the layout of the division's right-hand side.  The first step has no
 divisor, and its plan covers every column of degree 2c.  Entries are held
 as exact floats below p, in float32 wherever the products' sums stay below
 2**24.
-The powers N^s are built one variable at a time, N^(s-1) A_v, by
-``gfp.mod_matmul``; this module keeps only what is specific to polynomials
-(monomial codes, step plans and the Bareiss loop).
+The coefficients of N^s are built one variable at a time, N^(s-1) A_v
+(``power_coefficients``), and random mode evaluates the same stacks at
+points (``jordan``); the rest is specific to polynomials (monomial codes,
+step plans and the Bareiss loop).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import PreconditionViolated, TooLarge
 
 _RADIX = 512
 MAX_EXACT_DIM = 32
-_MAX_VARS = 7
+MAX_VARS = 7
 # bound on one column block's gathered convolution (w x T x rows floats),
 # and on the index rows of one gather of the divisor's triangle
 _CHUNK_BYTES = 2**20
@@ -265,17 +266,31 @@ def _next_power(cur: np.ndarray, lin: np.ndarray, nvars: int, deg: int,
                 p: int) -> np.ndarray:
     """Coefficients of N^(deg+1) from those of N^deg and of N.
 
-    cur is (T(deg), d, d), cur[a] the coefficient of m_a in N^deg, and lin
-    is (nvars, d, d), the coefficients of the degree-1 monomials in N.  The
-    coefficient of m_a * t_v sums cur[a] @ lin[v]: one GF(p) product per
-    variable, scattered through ``_pair_targets``.
+    cur[a] (T(deg), d, d) is the coefficient in N^deg of the a-th monomial
+    of degree deg in ascending code order (``monomials`` reversed), and lin
+    (nvars, d, d) holds the A_i.  The coefficient of m_a * t_v sums
+    cur[a] @ lin[v], added at its target (``_pair_targets``); at most nvars
+    products, so ``gfp.exact_float(nvars * d, p)`` holds the sums exactly.
     """
-    t, d = cur.shape[0], cur.shape[1]
-    targets = _pair_targets(nvars, deg, 1)
-    out = np.zeros((len(monomials(nvars, deg + 1)[1]), d, d), dtype=np.int64)
-    for v, a_v in enumerate(lin):
-        out[targets[:, v]] += gfp.mod_matmul(cur.reshape(-1, d), a_v, p).reshape(t, d, d)
-    out %= p
+    d = cur.shape[1]
+    t_next = len(monomials(nvars, deg + 1)[1])
+    targets = t_next - 1 - _pair_targets(nvars, deg, 1)[::-1, ::-1]  # ascending order
+    ftype = gfp.exact_float(nvars * d, p)
+    out = np.zeros((t_next, d, d), dtype=ftype)
+    for (a, v), j in np.ndenumerate(targets):
+        out[j] += cur[a].astype(ftype, copy=False) @ lin[v].astype(ftype, copy=False)
+    return gfp.float_mod(out, p)
+
+
+def power_coefficients(gens: np.ndarray, p: int, count: int) -> list[np.ndarray]:
+    """Coefficients over GF(p) of N, .., N^count for N = sum_i t_i A_i, from
+    the (n, d, d) stack ``gens`` of the A_i in exact floats.  Entry s - 1
+    is (T(s), d, d) in exact floats, one matrix per monomial of degree s in
+    ascending code order (``monomials`` reversed), so entry 0 is ``gens``
+    itself, not a copy."""
+    out = [gens]
+    for s in range(1, count):
+        out.append(_next_power(out[-1], gens, len(gens), s, p))
     return out
 
 
@@ -288,14 +303,9 @@ def generic_power_ranks(gens: list[np.ndarray], p: int, powers: int) -> list[int
     nvars = len(gens)
     if d > MAX_EXACT_DIM:
         raise TooLarge(f"dimension {d} exceeds exact-mode cap {MAX_EXACT_DIM}")
-    if nvars > _MAX_VARS:
-        raise TooLarge(f"{nvars} variables exceed exact-mode cap {_MAX_VARS}")
-    exps = monomials(nvars, 1)[0]
-    lin = np.array([gens[int(np.flatnonzero(e)[0])] for e in exps], dtype=np.int64) % p
-    ranks = []
-    cur = lin
-    for s in range(1, powers + 1):
-        if s > 1:
-            cur = _next_power(cur, lin, nvars, s - 1, p)
-        ranks.append(generic_rank(np.moveaxis(cur, 0, 2), nvars, s, p))
-    return ranks
+    if nvars > MAX_VARS:
+        raise TooLarge(f"{nvars} variables exceed exact-mode cap {MAX_VARS}")
+    stack = (np.array(gens, dtype=np.int64) % p).astype(gfp.exact_float(nvars, p))
+    # generic_rank reads the monomials in descending code order
+    return [generic_rank(np.moveaxis(coeffs[::-1], 0, 2), nvars, s, p)
+            for s, coeffs in enumerate(power_coefficients(stack, p, powers), start=1)]

@@ -139,6 +139,23 @@ def test_table9_matches_golden(capsys):
     assert all(row.endswith("\ttrue") for row in rows)
 
 
+# stdout of the point-evaluation path, written by the CLI before the powers
+# of N were evaluated from coefficient stacks
+_GOLDEN_RUNS = [
+    (["jordan", "--mu", "(4,3,1,1)", "--p", "3"], "jordan_4311_p3.json"),
+    (["jordan", "--mu", "(7,3)", "--p", "5"], "jordan_73_p5.json"),
+    (["variety", "--mu", "(6,3)", "--p", "3", "--ext", "2", "--out", "tsv"],
+     "variety_63_p3_ext2.tsv"),
+]
+
+
+@pytest.mark.parametrize("argv,golden", _GOLDEN_RUNS, ids=[g for _, g in _GOLDEN_RUNS])
+def test_stdout_matches_golden(argv, golden, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert out == (GOLDEN.parent / golden).read_text()
+
+
 def test_young_summand_set(capsys):
     rep = run_json(["young", "--r", "9", "--m", "4", "--p", "3"], capsys)["report"]
     assert rep["s_values"] == [1, 2, 4]

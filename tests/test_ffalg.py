@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from spechtvar import gfp, gfq
+from oracles import slice_matmul
+from spechtvar import gfp, gfq, jordan
 from spechtvar.errors import ArityMismatch
 from spechtvar.ffalg import FieldCtx, MultiPoly
-from spechtvar.jordan import _point_operator
 
 
 # -- field construction ------------------------------------------------------
@@ -97,18 +97,18 @@ def entries_matmul(ctx, a, b):
 
 
 def point_slices(ctx, entries) -> np.ndarray:
-    """Slices (k, d, d) of a square GF(p^k) matrix M, built by jordan._point_operator.
+    """Slices (k, d, d) of a square GF(p^k) matrix M, evaluated as jordan's N.
 
     M = sum_c t^c M_c is the operator sum_c alpha_c M_c at the point
     alpha = (t^0, ..., t^(k-1)), with the coefficient slices M_c as the
-    generator matrices.
+    generator matrices (``jordan._evaluate`` of their stack).
     """
-    slices = [np.array([[e.coeffs[c] for e in row] for row in entries], dtype=np.int64)
-              for c in range(ctx.k)]
+    slices = np.array([[[e.coeffs[c] for e in row] for row in entries]
+                       for c in range(ctx.k)], dtype=np.float32)
     point = tuple(ctx.element([int(c == j) for j in range(ctx.k)]) for c in range(ctx.k))
-    op, op_ctx = _point_operator(slices, point, ctx.p)
+    rows, op_ctx = jordan._coerce_point(point, ctx.k, ctx.p)
     assert op_ctx.k == ctx.k
-    return op
+    return jordan._evaluate(slices, rows[None], ctx.p)[0].astype(np.int64)
 
 
 def blowup(ctx, slices) -> np.ndarray:
@@ -147,13 +147,13 @@ def test_rank_matches_naive_elimination(p, k):
 
 
 def test_blowup_is_multiplicative():
-    # the slice product is the product over GF(9), and its blowup is the
-    # product of the blowups
+    # the slice product (the tests' oracle) is the product over GF(9), and
+    # its blowup is the product of the blowups
     ctx = FieldCtx.get(3, 2)
     rng = np.random.default_rng(11)
     a = random_entries(ctx, 4, 4, rng)
     b = random_entries(ctx, 4, 4, rng)
-    prod = gfq.matmul(point_slices(ctx, a), point_slices(ctx, b), ctx)
+    prod = slice_matmul(point_slices(ctx, a), point_slices(ctx, b), ctx)
     assert np.array_equal(prod, point_slices(ctx, entries_matmul(ctx, a, b)))
     lhs = blowup(ctx, prod)
     rhs = gfp.mod_matmul(blowup(ctx, point_slices(ctx, a)),

@@ -1,4 +1,5 @@
-"""The GF(q) kernel (stacked log/Zech elimination, slice products) against oracles.
+"""The GF(q) kernel (stacked log/Zech elimination) and the evaluated powers
+of N against oracles.
 
 ``gfq._blowup_rank`` is the rank path for fields above the table cap; it
 is called directly here as the oracle, and at k = 1 it is ``gfp.rank`` of
@@ -6,7 +7,10 @@ the matrix itself.  ``rank_logs`` below is the one-matrix-at-a-time
 log/Zech elimination that the stack kernel replaced, kept as the stack's
 oracle: it adds with ``%``, ``np.where`` and its own table ``zech_table``
 (log(1 + g^n), the table ``LogTables.plus`` replaced).  The prime fields
-GF(p) = GF(p^1) are ranked by the same stack.
+GF(p) = GF(p^1) are ranked by the same stack.  ``oracles.slice_matmul``,
+the GF(p^k) product that once formed each power of N at a point, builds
+the planted matrices here, and its chain is the oracle of the powers that
+``jordan`` evaluates from GF(p) coefficient stacks.
 """
 
 import itertools
@@ -16,12 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spechtvar import gfp, gfq, jordan
+from oracles import point_operator, point_powers, slice_matmul
+from spechtvar import gfp, gfq, jordan, symrank
 from spechtvar.errors import PreconditionViolated
 from spechtvar.ffalg import TABLE_CAP, FieldCtx
-from spechtvar.jordan import (GenericTypeReport, JordanType, RankVector,
-                              _point_operator, _powers, are_free_at, generic_type,
-                              is_free_at, rank_vector_at, rank_vectors_at)
+from spechtvar.jordan import (GenericTypeReport, JordanType, RankVector, are_free_at,
+                              generic_type, is_free_at, rank_vector_at, rank_vectors_at)
 from spechtvar.spechtmod import PermutationActions, perm_module_actions, restricted_actions
 from spechtvar.variety import projective_points
 
@@ -45,7 +49,7 @@ def planted_slices(ctx, rows, cols, rank, rng, density=1.0):
     if not rank:
         return np.zeros((ctx.k, rows, cols), dtype=np.int64)
     x = random_slices(ctx, rows, rank, rng, density)
-    return gfq.matmul(x, random_slices(ctx, rank, cols, rng, density), ctx)
+    return slice_matmul(x, random_slices(ctx, rank, cols, rng, density), ctx)
 
 
 def zech_table(ctx):
@@ -170,7 +174,7 @@ def test_rank_and_stop_at_match_blowup(p, k):
             # X Y has rank <= planted, and generically equal to it
             x = random_slices(ctx, d, planted, rng, density)
             y = random_slices(ctx, planted, d + 3, rng, density)
-            m = gfq.matmul(x, y, ctx) if planted else np.zeros((k, d, d + 3), dtype=np.int64)
+            m = slice_matmul(x, y, ctx) if planted else np.zeros((k, d, d + 3), dtype=np.int64)
             want = gfq._blowup_rank(m, ctx)
             assert want <= planted
             assert gfq.rank(m, ctx) == want, (planted, density)
@@ -278,7 +282,7 @@ def test_kernel_on_cancelling_rows(p, k):
     for rows, cols, r in ((6, 6, 1), (7, 5, 2), (5, 8, 3), (4, 4, 4)):
         coeff = random_slices(ctx, rows, r, rng)
         coeff[0, :, 0] = 1 + rng.integers(0, p - 1, rows)  # nonzero multiples
-        m = gfq.matmul(coeff, random_slices(ctx, r, cols, rng), ctx)
+        m = slice_matmul(coeff, random_slices(ctx, r, cols, rng), ctx)
         want = assert_kernel_matches([m, m, np.zeros_like(m)], ctx)
         assert want[0] == want[1] <= r and want[2] == 0
     # row 1 = -row 0 and row 2 = row 0 + row 1 over the whole row
@@ -296,14 +300,14 @@ def test_slice_product_matches_blowup_product(p, k):
     rng = np.random.default_rng(p + 10 * k)
     x = random_slices(ctx, 7, 5, rng)
     y = random_slices(ctx, 5, 6, rng)
-    assert np.array_equal(blowup(ctx, gfq.matmul(x, y, ctx)),
+    assert np.array_equal(blowup(ctx, slice_matmul(x, y, ctx)),
                           gfp.mod_matmul(blowup(ctx, x), blowup(ctx, y), p))
 
 
 def folded_product(x, y, ctx):
     """The slice product reduced mod p at every step: the k^2 block products
     by one ``mod_matmul``, their antidiagonal sums in int64, and the fold by
-    ``reduction`` by a second ``mod_matmul``.  ``gfq.matmul`` keeps all of
+    ``reduction`` by a second ``mod_matmul``.  ``slice_matmul`` keeps all of
     this in float and reduces once, at the end."""
     k, m, inner = x.shape
     n = y.shape[2]
@@ -325,7 +329,7 @@ def test_slice_product_matches_the_general_fold(p, k):
     for rows, inner, cols in [(1, 1, 1), (7, 5, 6), (35, 35, 35), (118, 120, 121)]:
         x = random_slices(ctx, rows, inner, rng)
         y = random_slices(ctx, inner, cols, rng)
-        got = gfq.matmul(x, y, ctx)
+        got = slice_matmul(x, y, ctx)
         assert got.shape == (k, rows, cols) and got.dtype == np.int64
         assert np.array_equal(got, folded_product(x, y, ctx))
         if k == 1:
@@ -349,7 +353,7 @@ def test_slice_product_either_side_of_the_float32_limit(inner, ftype, monkeypatc
     for x, y in [(np.full((12, 3, inner), 4), np.full((12, inner, 3), 4)),
                  (random_slices(ctx, 3, inner, rng), random_slices(ctx, inner, 3, rng))]:
         chosen.clear()
-        got = gfq.matmul(x, y, ctx)
+        got = slice_matmul(x, y, ctx)
         assert chosen == [ftype]
         assert np.array_equal(got, folded_product(x, y, ctx))
 
@@ -362,7 +366,7 @@ def test_rank_matches_blowup_on_small_matrices(field, d, planted, seed):
     rng = np.random.default_rng(seed)
     m = random_slices(ctx, d, d, rng, density=rng.random())
     if planted < d:  # a matrix of rank <= planted: zero all but planted rows
-        m = gfq.matmul(random_slices(ctx, d, d, rng), m * (np.arange(d) < planted)[:, None],
+        m = slice_matmul(random_slices(ctx, d, d, rng), m * (np.arange(d) < planted)[:, None],
                        ctx)
     want = gfq._blowup_rank(m, ctx)
     assert gfq.rank(m, ctx) == want
@@ -371,11 +375,12 @@ def test_rank_matches_blowup_on_small_matrices(field, d, planted, seed):
 # -- point operators ---------------------------------------------------------------
 
 def blowup_rank_vector(acts, alpha) -> RankVector:
-    """rank_vector_at with every rank taken on the companion blowup."""
+    """rank_vector_at with every power a chain of slice products and every
+    rank taken on the companion blowup."""
     total = np.zeros(acts.p + 1, dtype=np.int64)
     for stack, mult in acts.blocks:
-        op, ctx = _point_operator(stack, alpha, acts.p)
-        ranks = [op.shape[1]] + [gfq._blowup_rank(pw, ctx) for pw in _powers(op, ctx)]
+        powers, ctx = point_powers(stack, alpha, acts.p)
+        ranks = [stack.shape[1]] + [gfq._blowup_rank(pw, ctx) for pw in powers]
         total += mult * np.array(ranks + [0])
     return RankVector(acts.p, tuple(int(x) for x in total))
 
@@ -384,8 +389,11 @@ def blowup_rank_vector(acts, alpha) -> RankVector:
     (lambda: restricted_actions((4, 3, 2), 3, 3), 8, 1),
     (lambda: perm_module_actions((3, 3, 3), 3, 3), 2, 6),
     (lambda: restricted_actions((8, 2), 2, 5), 2, 6),
-], ids=["S(4,3,2)-GF(3^8)", "M(3,3,3)-GF(9)", "S(8,2)-p5-GF(25)"])
+    (lambda: restricted_actions((23, 1), 8, 3), 8, 2),
+], ids=["S(4,3,2)-GF(3^8)", "M(3,3,3)-GF(9)", "S(8,2)-p5-GF(25)", "S(23,1)-n8-GF(3^8)"])
+@pytest.mark.filterwarnings("ignore:dim .* not divisible:RuntimeWarning")
 def test_point_operators_match_blowup(module, k, points):
+    # n = 8 is past symrank's monomial codes, so S^(23,1) chains its powers
     acts = module()
     ctx = FieldCtx.get(acts.p, k)
     rng = np.random.default_rng(k)
@@ -397,18 +405,6 @@ def test_point_operators_match_blowup(module, k, points):
         assert is_free_at(acts, pt) == want.is_free, pt
 
 
-def point_operator_loop(mats, alpha, p):
-    """N at a point by one scaled add of A_i per nonzero coefficient, the
-    loop ``_point_operator``'s single product replaced."""
-    coeffs, ctx = jordan._coerce_point(alpha, len(mats), p)
-    d = mats[0].shape[0]
-    out = np.zeros((ctx.k, d, d), dtype=np.int64)
-    for row, m in zip(coeffs, mats):
-        for c in np.flatnonzero(row):
-            out[c] += row[c] * m.astype(np.int64)
-    return out % p, ctx
-
-
 @pytest.mark.parametrize("module,ks", [
     (lambda: restricted_actions((5, 2, 1, 1), 3, 3), (1, 3, 8, 12)),
     (lambda: restricted_actions((4, 3, 1), 4, 2), (1, 2, 8, 12)),
@@ -416,13 +412,15 @@ def point_operator_loop(mats, alpha, p):
     (lambda: perm_module_actions((4, 2), 3, 2), (1, 3)),
 ], ids=["S(5,2,1,1)-p3", "S(4,3,1)-p2", "S(7,3)-p5", "M(4,2)-p2-block"])
 def test_point_operator_matches_the_loop(module, ks):
+    # N is the degree-1 evaluation: the block's stack is its own coefficient
+    # stack, used as it is, and one GEMM of a point's rows with it gives
+    # the loop's operator
     acts = module()
     p = acts.p
     rng = np.random.default_rng(p)
     for stack, _ in acts.blocks:
         assert stack.dtype == gfp.exact_float(acts.n, p) and stack.flags.c_contiguous
-        # a module's stack is used as it is; a plain list is converted
-        assert np.asarray(stack, dtype=gfp.exact_float(acts.n, p)) is stack
+        assert symrank.power_coefficients(stack, p, 1)[0] is stack
         mats = list(stack)
         pts = [tuple(rng.integers(-2 * p, 3 * p, acts.n)) for _ in range(3)]
         pts = [pt for pt in pts if np.any(np.array(pt) % p)]
@@ -431,11 +429,13 @@ def test_point_operator_matches_the_loop(module, ks):
             pts += [ctx.random_point(rng, acts.n) for _ in range(3)]
             pts.append((ctx.zero,) * (acts.n - 1) + (ctx.one,))
         for pt in pts:
-            want, want_ctx = point_operator_loop(mats, pt, p)
-            for given in (mats, stack):
-                got, ctx = _point_operator(given, pt, p)
-                assert ctx is want_ctx
-                assert got.dtype == np.int64 and np.array_equal(got, want), pt
+            want, want_ctx = point_operator(mats, pt, p)
+            rows, ctx = jordan._coerce_point(pt, acts.n, p)
+            assert ctx is want_ctx
+            (values,) = jordan._monomial_values(rows[None], ctx, 1)
+            assert np.array_equal(values[0], rows)
+            got = jordan._evaluate(stack, values, p)
+            assert got.dtype == stack.dtype and np.array_equal(got[0], want), pt
 
 
 @pytest.mark.parametrize("module", [
@@ -459,8 +459,8 @@ def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_byt
     pts.append((1,) + (0,) * (acts.n - 1))
     prepared = []
     for pt in pts:
-        op, ctx = _point_operator(stack, pt, p)
-        prepared.append((ctx, [gfq.prepare(pw, ctx) for pw in _powers(op, ctx)]))
+        powers, ctx = point_powers(stack, pt, p)
+        prepared.append((ctx, [gfq.prepare(pw, ctx) for pw in powers]))
     per_matrix = [[rank_logs(c.astype(np.int64), ctx) for c in codes]
                   for ctx, codes in prepared]
     # one stack per power over each run of points in one field
@@ -478,6 +478,7 @@ def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_byt
         calls.append(len(mats))
         return real(mats, ctx)
     monkeypatch.setattr(gfq, "ranks", spy)
+    pts = [jordan._coerce_point(pt, acts.n, p) for pt in pts]
     got = jordan._block_ranks(stack, pts, p, p - 1)
     assert got.tolist() == per_matrix
     assert all(c % (p - 1) == 0 for c in calls) and sum(calls) == len(pts) * (p - 1)
@@ -485,6 +486,63 @@ def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_byt
     calls.clear()
     assert jordan._block_ranks(stack, pts, p, 1)[:, 0].tolist() == [r[0] for r in per_matrix]
     assert sum(calls) == len(pts)
+
+
+def evaluated_powers(stack, points, p, count, chained=False):
+    """N .. N^count at each point as ``jordan._block_ranks`` forms them before
+    preparing, plus the field: the coefficient stacks are built once, and
+    each run of points in one field takes one GEMM per power; or, chained,
+    each power from the one before."""
+    coeffs = symrank.power_coefficients(stack, p, count)
+    out = []
+    coerced = [jordan._coerce_point(pt, len(stack), p) for pt in points]
+    for ctx, run in itertools.groupby(coerced, key=lambda point: point[1]):
+        rows = np.array([r for r, _ in run])
+        if chained:
+            evaluated = jordan._chained_powers(stack, rows, ctx, count)
+        else:
+            values = jordan._monomial_values(rows, ctx, count)
+            evaluated = [jordan._evaluate(c, v, p) for c, v in zip(coeffs, values)]
+        out += [(powers, ctx) for powers in zip(*evaluated)]
+    return out
+
+
+_EVALUATED = {
+    2: (lambda: restricted_actions((4, 3, 1), 4, 2), lambda: perm_module_actions((4, 2), 3, 2)),
+    3: (lambda: restricted_actions((5, 2, 2), 3, 3), lambda: perm_module_actions((6, 3), 3, 3)),
+    5: (lambda: restricted_actions((7, 3), 2, 5), lambda: perm_module_actions((8, 2), 2, 5)),
+}
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (3, 2), (2, 3), (3, 8), (5, 8),
+                                 (5, 12)])
+def test_evaluated_powers_match_the_slice_product_chain(p, k):
+    # N^s = sum_e alpha^e C_e from the GF(p) coefficient stacks, and N^s
+    # chained from N^(s-1) for blocks of many variables, equal the chain
+    # N, N N, .. of GF(p^k) slice products bit for bit, for every power
+    # below p, on every block of a Specht and a permutation module; integer
+    # points and points of GF(p^k), some with zero coordinates, interleaved
+    # in one call
+    ctx = FieldCtx.get(p, k)
+    rng = np.random.default_rng(10 * p + k)
+    for module in _EVALUATED[p]:
+        acts = module()
+        n = acts.n
+        ints = [tuple(rng.integers(-p, 2 * p, n)) for _ in range(3)]
+        ints = [pt for pt in ints if np.any(np.array(pt) % p)]
+        ints += [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (p - 1,)]
+        drawn = [ctx.random_point(rng, n) for _ in range(3)]
+        fields = drawn + [(drawn[0][0] or ctx.one,) + (ctx.zero,) * (n - 1),
+                          (ctx.zero,) + tuple(x or ctx.one for x in drawn[1][1:])]
+        pts = ints[:2] + fields[:3] + ints[2:] + fields[3:]
+        for (stack, _), chained in itertools.product(acts.blocks, (False, True)):
+            got = evaluated_powers(stack, pts, p, p - 1, chained)
+            assert len(got) == len(pts)
+            for pt, (powers, got_ctx) in zip(pts, got):
+                want, want_ctx = point_powers(stack, pt, p)
+                assert got_ctx is want_ctx
+                for s, (g, w) in enumerate(zip(powers, want), start=1):
+                    assert g.dtype.kind == "f" and np.array_equal(g, w), (pt, s, chained)
 
 
 def module_matrices(acts):

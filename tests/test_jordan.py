@@ -1,9 +1,11 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from spechtvar import gfq
+from spechtvar import jordan, symrank
 from spechtvar.errors import (ArityMismatch, PreconditionViolated, RankCheckFailed,
                               ZeroPoint)
 from spechtvar.ffalg import FieldCtx
@@ -126,7 +128,11 @@ def test_531_is_free_at_extension_points():
 @pytest.mark.parametrize("mu", [(3, 3, 3), (8, 1)], ids=["p|dim", "p!|dim"])
 def test_many_point_functions_validate_every_point(mu):
     acts = restricted_actions(mu, 3, 3)
-    for bad, err in (((0, 0, 0), ZeroPoint), ((1, 1), ArityMismatch)):
+    # zero, too few coordinates, another characteristic, two fields in one point
+    other = (FieldCtx.get(2, 2).one, 0, 0)
+    mixed = (FieldCtx.get(3, 2).one, FieldCtx.get(3, 3).one, 0)
+    for bad, err in (((0, 0, 0), ZeroPoint), ((1, 1), ArityMismatch),
+                     (other, ArityMismatch), (mixed, ArityMismatch)):
         with pytest.raises(err):
             rank_vectors_at(acts, [(1, 0, 0), bad])
         with pytest.raises(err), warnings.catch_warnings():
@@ -151,7 +157,8 @@ def test_many_points_match_one_point_at_a_time():
 @pytest.mark.parametrize("mu,p,n,k", [((7, 2), 3, 3, 2), ((8, 2), 5, 2, 2)],
                          ids=["S(7,2)-GF(9)", "S(8,2)-GF(25)"])
 def test_freeness_forms_no_power(monkeypatch, mu, p, n, k):
-    # are_free_at ranks N alone, so it never calls the slice product
+    # are_free_at ranks N alone: it builds no coefficients of a power, and
+    # evaluates only the block's own stack, the coefficients of N
     acts = restricted_actions(mu, n, p)
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(p)
@@ -160,10 +167,66 @@ def test_freeness_forms_no_power(monkeypatch, mu, p, n, k):
     want = [rv.is_free for rv in rank_vectors_at(acts, pts)]
     assert any(want) and not all(want)
 
-    def no_product(*args):
+    def no_power(*args):
         raise AssertionError("a power of N was formed")
-    monkeypatch.setattr(gfq, "matmul", no_product)
+    monkeypatch.setattr(symrank, "_next_power", no_power)
+    evaluated = []
+    real = jordan._evaluate
+
+    def spy(coeffs, values, p):
+        evaluated.append(coeffs)
+        return real(coeffs, values, p)
+    monkeypatch.setattr(jordan, "_evaluate", spy)
     assert are_free_at(acts, pts) == want
+    assert evaluated and all(coeffs is acts.A for coeffs in evaluated)
+
+
+def test_powers_at_a_point_stay_small():
+    # N^2 at a GF(3^8) point is one evaluation GEMM of the point's monomial
+    # values with the coefficient stack: no k^2 block product, whose
+    # buffers put this call's peak at 22.8 MiB
+    acts = restricted_actions((4, 3, 1, 1), 3, 3)
+    pt = FieldCtx.get(3, 8).random_point(np.random.default_rng(0), acts.n)
+    want = rank_vector_at(acts, pt)  # tables and monomial caches built outside the trace
+    tracemalloc.start()
+    try:
+        got = rank_vector_at(acts, pt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and got.ranks == (216, 144, 72, 0)
+    assert peak < 15 * 2**20
+
+
+def test_coefficient_stacks_within_their_bounds(monkeypatch):
+    # built once per call up to symrank's 7 variables and _FIXED_BYTES;
+    # N alone needs no monomial, whatever the number of variables
+    ((stack, _),) = restricted_actions((5, 2, 2), 3, 3).blocks
+    assert jordan._fixed_coefficients(stack, 3, 2)[0] is stack
+    ((wide, _),) = restricted_actions((23, 1), 8, 3).blocks
+    assert jordan._fixed_coefficients(wide, 3, 2) is None
+    assert jordan._fixed_coefficients(wide, 3, 1) == [wide]
+    # S^(7,3), p = 5: 3 + 4 + 5 monomials of degrees 2..4 in 2 variables
+    ((block, _),) = restricted_actions((7, 3), 2, 5).blocks
+    need = sum(math.comb(2 + s - 1, s) for s in (2, 3, 4)) * block[0].nbytes
+    monkeypatch.setattr(jordan, "_FIXED_BYTES", need)
+    assert [len(c) for c in jordan._fixed_coefficients(block, 5, 4)] == [2, 3, 4, 5]
+    monkeypatch.setattr(jordan, "_FIXED_BYTES", need - 1)
+    assert jordan._fixed_coefficients(block, 5, 4) is None
+
+
+@pytest.mark.parametrize("mu,p,n", [((5, 2, 2), 3, 3), ((7, 3), 5, 2)])
+def test_powers_chained_past_the_stack_bound(monkeypatch, mu, p, n):
+    # with no room for coefficient stacks every power at a point is formed
+    # from the one before, with the same rank vectors
+    acts = restricted_actions(mu, n, p)
+    rng = np.random.default_rng(p)
+    pts = [FieldCtx.get(p, k).random_point(rng, n) for k in (1, 2, 8, 8)]
+    pts += [(1,) + (0,) * (n - 1)]
+    want = rank_vectors_at(acts, pts)
+    monkeypatch.setattr(jordan, "_FIXED_BYTES", 0)
+    monkeypatch.setattr(symrank, "power_coefficients", None)  # never built
+    assert rank_vectors_at(acts, pts) == want
 
 
 def test_is_free_warns_when_dim_not_divisible():

@@ -101,14 +101,14 @@ def test_one_rank_route_per_field():
         "gfq.ranks"]
 
     def is_k_one(mod, node):
-        if mod != "gfq" or not isinstance(node, ast.Compare):
+        if mod not in ("gfq", "jordan") or not isinstance(node, ast.Compare):
             return False
         sides = [node.left, *node.comparators]
         return (any(isinstance(x, ast.Constant) and x.value == 1 for x in sides)
                 and any(getattr(x, "attr", getattr(x, "id", None)) == "k" for x in sides))
-    # the one k == 1 branch is the product's: over GF(p) the slice product
-    # is the product, and it has nothing to fold
-    assert _scopes(is_k_one) == ["gfq.matmul"]
+    # no k == 1 branch: GF(p) points are evaluated, prepared and ranked on
+    # the path of every other field
+    assert _scopes(is_k_one) == []
     # the GF(p) eliminator always runs to the full rank
     assert _scopes(lambda mod, node: mod == "gfp" and (
         (isinstance(node, ast.arg) and node.arg == "stop_at")
@@ -155,18 +155,41 @@ def test_sweeps_and_generic_types_hand_over_stacks():
 
 
 def test_point_operator_builds_no_blowup():
-    # N is assembled as coefficient slices: no multiplication matrices, no kron
-    uses = _calls(lambda mod, node: _calls_method(node, "mul_matrix")
-                  or _calls_method(node, "kron"))
-    assert "jordan._point_operator" not in uses
-    # nor does the slice product form the kd x kd multiplication matrix of
-    # a factor: no kron, no mul_matrix, no multiplication-by-t^c matrices
-    assert "gfq.matmul" not in uses
-    assert "gfq.matmul" not in _scopes(lambda mod, node: isinstance(node, ast.Attribute)
-                                       and node.attr == "tmats")
+    # N and its powers are evaluated from GF(p) coefficient stacks: the
+    # point-evaluation path (jordan, and symrank's builder) forms no
+    # multiplication matrix, no kron and no multiplication-by-t^c matrix
+    def on_path(scopes):
+        return [s for s in scopes if s.split(".")[0] in ("jordan", "symrank")]
+    assert on_path(_calls(lambda mod, node: _calls_method(node, "mul_matrix")
+                          or _calls_method(node, "kron"))) == []
+    assert on_path(_scopes(lambda mod, node: isinstance(node, ast.Attribute)
+                           and node.attr == "tmats")) == []
+    # the slice product gfq.matmul (now the tests' oracle), the per-point
+    # power chain and the per-point operator are gone
+    gone = {"_powers", "_point_operator"}
+
+    def names_gone(mod, node):
+        if isinstance(node, ast.FunctionDef):
+            return node.name in gone or (mod == "gfq" and node.name == "matmul")
+        if isinstance(node, ast.Attribute):
+            return node.attr in gone or (node.attr == "matmul"
+                                         and getattr(node.value, "id", None) == "gfq")
+        return isinstance(node, ast.Name) and node.id in gone
+    assert _scopes(names_gone) == []
     # multiplication matrices are built only for the table build
     assert set(_calls(lambda mod, node: _calls_method(node, "mul_matrix"))) == {
         "ffalg.tables"}
+
+
+def test_one_builder_of_power_coefficients():
+    # exact mode and random mode share one builder of the coefficients of
+    # N^s, and only it takes the recurrence step
+    def names(name):
+        return sorted(_calls(lambda mod, node: getattr(node.func, "id",
+                                                       getattr(node.func, "attr", None)) == name))
+    assert names("_next_power") == ["symrank.power_coefficients"]
+    assert names("power_coefficients") == ["jordan._fixed_coefficients",
+                                           "symrank.generic_power_ranks"]
 
 
 def test_one_point_walk():

@@ -70,6 +70,16 @@ def test_perm_action_sparse_examples():
     assert [cyc[i] for i in inv] == [0, 1, 2]
 
 
+def test_apply_letters_rejects_a_map_that_is_not_a_permutation():
+    # [1, 1, 3] sends {12|3} and {13|2} to the same tabloid, and every key
+    # it forms is a tabloid's, so only the map itself can be checked
+    table = _tabloid_table((2, 1))
+    for img in ([1, 1, 3], [1, 2], [1, 2, 3, 4], [0, 1, 2], [2, 3, 4], [[1, 2, 3]]):
+        with pytest.raises(PreconditionViolated):
+            table.apply_letters(np.array(img))
+    assert table.apply_letters(np.array([3, 1, 2])).tolist() == [1, 2, 0]
+
+
 def _dict_index(table):
     """Oracle: the tabloid index by a bytes-key probe per tabloid."""
     return {row.tobytes(): i for i, row in enumerate(table.rows)}

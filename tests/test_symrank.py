@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import point_powers
 from spechtvar import gfp, gfq, symrank
 from spechtvar.errors import TooLarge
 from spechtvar.ffalg import FieldCtx
-from spechtvar.jordan import _point_operator
 from spechtvar.spechtmod import restricted_actions
 from spechtvar.symrank import (_bareiss_step, _lookup, _next_power, _pair_targets,
                                generic_power_ranks, monomials)
@@ -194,18 +194,16 @@ def test_step_is_bit_identical_to_the_whole_numerator(p, nvars, deg, prev_deg, s
 def eval_rank_oracle(gens, p, power, trials=6, seed=0):
     """Max rank of (sum a_i A_i)^power over random GF(p^6) points.
 
-    The point operator is N as 6 coefficient slices; the GF(q) kernel's
-    rank is checked against the GF(p) companion blowup, whose rank is 6
-    times the rank over GF(p^6).
+    The power is a chain of slice products of N, as 6 coefficient slices;
+    the GF(q) kernel's rank is checked against the GF(p) companion blowup,
+    whose rank is 6 times the rank over GF(p^6).
     """
     ctx = FieldCtx.get(p, 6)
     rng = np.random.default_rng(seed)
     best = 0
     for _ in range(trials):
-        n, n_ctx = _point_operator(gens, ctx.random_point(rng, len(gens)), p)
-        acc = n
-        for _ in range(power - 1):
-            acc = gfq.matmul(acc, n, n_ctx)
+        powers, n_ctx = point_powers(gens, ctx.random_point(rng, len(gens)), p, power)
+        acc = powers[-1]
         big = sum(np.kron(s, ctx.tmats[c]) for c, s in enumerate(acc)) % p
         r, rem = divmod(gfp.rank(big, p), n_ctx.k)
         assert rem == 0
@@ -341,9 +339,11 @@ def test_next_power_is_bit_identical_to_sym_matmul(p, nvars, s, d):
     lin = _linear_slices([rng.integers(0, p, (d, d)) for _ in range(nvars)], p)
     # N^(s-1) with random coefficients: the step need not see a true power
     cur = rng.integers(0, p, (len(monomials(nvars, s - 1)[1]), d, d))
-    got = _next_power(cur, lin, nvars, s - 1, p)
+    # _next_power reads and writes monomials in ascending code order, the
+    # reverse of ``monomials`` and of sym_matmul's
+    got = _next_power(cur[::-1], lin[::-1], nvars, s - 1, p)[::-1]
     want = sym_matmul(np.moveaxis(cur, 0, 2), np.moveaxis(lin, 0, 2), nvars, s - 1, 1, p)
-    assert got.dtype == np.int64
+    assert got.dtype == gfp.exact_float(nvars * d, p)
     assert np.array_equal(np.moveaxis(got, 0, 2), want)
 
 
@@ -351,9 +351,9 @@ def test_next_power_against_evaluation():
     rng = np.random.default_rng(8)
     p, nvars, d = 3, 2, 4
     gens = [rng.integers(0, p, (d, d)) for _ in range(nvars)]
-    lin = _linear_slices(gens, p)
+    lin = np.array(gens)  # t_1, t_2: ascending code order
     sq = np.moveaxis(_next_power(lin, lin, nvars, 1, p), 0, 2)
-    exps2 = monomials(nvars, 2)[0]
+    exps2 = monomials(nvars, 2)[0][::-1]
     for t1 in range(p):
         for t2 in range(p):
             point = np.array([t1, t2])
@@ -362,3 +362,20 @@ def test_next_power_against_evaluation():
             weights = np.array([np.prod(point**e) for e in exps2]) % p
             via_sym = (sq @ weights) % p
             assert np.array_equal(via_sym, direct)
+
+
+@pytest.mark.parametrize("mu,n,p", [((5, 2, 2), 3, 3), ((7, 3), 2, 5), ((4, 3, 1), 4, 2)])
+def test_power_coefficients_start_from_the_stack(mu, n, p):
+    # entry 0 is the module's stack itself, and entry s - 1 is the
+    # ascending-order reverse of the coefficients that exact mode's
+    # recurrence built in int64
+    ((stack, _),) = restricted_actions(mu, n, p).blocks
+    coeffs = symrank.power_coefficients(stack, p, p - 1)
+    assert coeffs[0] is stack and len(coeffs) == p - 1
+    lin = _linear_slices(list(stack.astype(np.int64)), p)
+    cur = lin
+    for s in range(2, p):
+        cur = np.moveaxis(sym_matmul(np.moveaxis(cur, 0, 2), np.moveaxis(lin, 0, 2),
+                                     n, s - 1, 1, p), 2, 0)
+        assert coeffs[s - 1].dtype.kind == "f"
+        assert np.array_equal(coeffs[s - 1][::-1], cur)
