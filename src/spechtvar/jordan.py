@@ -9,17 +9,17 @@ Points are evaluated many at a time (``rank_vectors_at``,
 ``are_free_at``).  The A_i lie over GF(p), so N^s = sum_e alpha^e C_e
 over the monomials of degree s, for GF(p) matrices C_e built once per
 call (``symrank.power_coefficients``, shared with exact mode): a power
-of a batch of points is one float GEMM, and no product over GF(p^k) is
-formed except for blocks of many variables.  All powers of a chunk of
-points are ranked as one stack (``gfq.ranks``).  The module is read only
-through its ``blocks``, pairs (stack, multiplicity) of an (n, d, d)
-stack of the A_i in ``gfp.exact_float(n, p)``: orbit blocks of a
-permutation module, or the single block ``acts.A``.  Rank vectors add
-over blocks.  Freeness is decided in one place, ``are_free_at``, from
-rank N alone: N has d - rank N Jordan blocks, each of size at most p, so
-a block of dimension d is free iff p | d and rank N = d - d/p.  No power
-of N is formed for it.  GF(p) points are the case k = 1 and take the
-same path.
+of a batch of points is one float GEMM, or N^(s-1) N where the call has
+too few points to repay building the C_e (``_coefficients``).  All powers
+of a chunk of points are ranked as one stack (``gfq.ranks``).  The
+module is read only through its ``blocks``, pairs (stack, multiplicity)
+of an (n, d, d) stack of the A_i in ``gfp.exact_float(n, p)``: orbit
+blocks of a permutation module, or the single block ``acts.A``.  Rank
+vectors add over blocks.  Freeness is decided in one place,
+``are_free_at``, from rank N alone: N has d - rank N Jordan blocks, each
+of size at most p, so a block of dimension d is free iff p | d and
+rank N = d - d/p.  No power of N is formed for it.  GF(p) points are the
+case k = 1 and take the same path.
 
 Generic types come in two modes: randomized sampling over GF(p^8) with
 entrywise-max certification (retried over GF(p^12)), and exact
@@ -160,7 +160,7 @@ def _monomial_values(rows: np.ndarray, ctx: FieldCtx, count: int) -> list[np.nda
         powers.append(mul(powers[-1], rows))
     powers = np.stack(powers, axis=2)
     return [rows] + [functools.reduce(mul, (powers[:, v, exps[:, v]] for v in range(n)))
-                     for exps in (symrank.monomials(n, s)[0][::-1] for s in range(2, count + 1))]
+                     for exps in (symrank.exponents(n, s)[::-1] for s in range(2, count + 1))]
 
 
 def _evaluate(coeffs: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
@@ -178,18 +178,18 @@ def _evaluate(coeffs: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
 
 
 # Bytes of the prepared powers held at once (the stacked elimination's
-# input), of one evaluation GEMM's float output, kept far below them, and
-# of the coefficients of N^2 .. N^count built for a block.
-_STACK_BYTES, _EVAL_BYTES, _FIXED_BYTES = 8 << 20, 1 << 20, 256 << 20
+# input), and of one evaluation GEMM's float output, kept far below them.
+_STACK_BYTES, _EVAL_BYTES = 8 << 20, 1 << 20
 
 
-def _fixed_coefficients(stack: np.ndarray, p: int, count: int) -> list[np.ndarray] | None:
-    """``symrank.power_coefficients``, or None past its budget or codes."""
-    n, d = stack.shape[:2]
-    t = sum(math.comb(n + s - 1, s) for s in range(2, count + 1))
-    if t and (n > symrank.MAX_VARS or t * d * d * stack.itemsize > _FIXED_BYTES):
-        return None
-    return symrank.power_coefficients(stack, p, count)
+def _coefficients(stack: np.ndarray, points: list, p: int, count: int) -> list[np.ndarray] | None:
+    """``symrank.power_coefficients`` of a block, or None where chaining the
+    powers at these points takes fewer d x d products over GF(p): k^2 per
+    power and point of GF(p^k), against n T(s) for each s < count."""
+    n = len(stack)
+    build = n * sum(math.comb(n + s - 1, s) for s in range(1, count))
+    chain = (count - 1) * sum(ctx.k ** 2 for _, ctx in points)
+    return symrank.power_coefficients(stack, p, count) if build <= chain else None
 
 
 def _chained_powers(stack: np.ndarray, rows: np.ndarray, ctx: FieldCtx,
@@ -214,7 +214,7 @@ def _block_ranks(stack: np.ndarray, points: list, p: int, count: int) -> np.ndar
     ``_coerce_point``.  Only prepared forms are held, and all powers of a
     chunk of points, which ends once it holds ``_STACK_BYTES`` or where the
     next point lies in another field, are ranked as one stack."""
-    coeffs = _fixed_coefficients(stack, p, count)
+    coeffs = _coefficients(stack, points, p, count)
     ranks, held = [], []
     for ctx, run in itertools.groupby(points, key=lambda point: point[1]):
         rows = np.array([r for r, _ in run])

@@ -9,9 +9,9 @@ of the current degree.
 Monomials of a fixed degree are identified by the integer code
 sum(e_i * 512**i).  Codes add when monomials multiply and valid codes have
 all base-512 digits below 512, so code order is a monomial order and code
-arithmetic never aliases distinct monomials.  This caps the machinery at 7
-variables and total degree < 512, far above anything a 32-dimensional
-matrix can produce.
+arithmetic never aliases distinct monomials.  This caps the elimination at
+7 variables and degree < 512, far above what a 32-dimensional matrix can
+produce; ``exponents`` lists monomials in code order with no cap.
 
 The exact division by the previous pivot solves a triangular linear system
 on coefficients: with LM the pivot's leading monomial (largest code),
@@ -36,9 +36,9 @@ divisor, and its plan covers every column of degree 2c.  Entries are held
 as exact floats below p, in float32 wherever the products' sums stay below
 2**24.
 The coefficients of N^s are built one variable at a time, N^(s-1) A_v
-(``power_coefficients``), and random mode evaluates the same stacks at
-points (``jordan``); the rest is specific to polynomials (monomial codes,
-step plans and the Bareiss loop).
+(``power_coefficients``, for any number of variables), and random mode
+evaluates the same stacks at points (``jordan``); the rest is specific to
+polynomials (monomial codes, step plans and the Bareiss loop).
 """
 
 from __future__ import annotations
@@ -63,20 +63,23 @@ _plans_nbytes = 0  # sum of the nbytes of the plans in _PLANS
 
 
 @lru_cache(maxsize=None)
-def monomials(nvars: int, deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent rows (T, nvars) and codes (T,), sorted by descending code."""
+def exponents(nvars: int, deg: int) -> np.ndarray:
+    """Exponent rows (T, nvars) of the monomials of degree deg, in
+    descending lexicographic order of (e_(n-1), .., e_0)."""
     if nvars == 1:
-        exps = np.array([[deg]], dtype=np.int64)
-    else:
-        rows = []
-        for e0 in range(deg + 1):
-            sub = monomials(nvars - 1, deg - e0)[0]
-            rows.append(np.hstack([np.full((len(sub), 1), e0, dtype=np.int64), sub]))
-        exps = np.vstack(rows)
-    radix = _RADIX ** np.arange(nvars, dtype=np.int64)
-    codes = exps @ radix
-    order = np.argsort(-codes, kind="stable")
-    return exps[order], codes[order]
+        return np.array([[deg]], dtype=np.int64)
+    return np.vstack([np.hstack([sub, np.full((len(sub), 1), e, dtype=np.int64)])
+                      for e in range(deg, -1, -1) for sub in [exponents(nvars - 1, deg - e)]])
+
+
+@lru_cache(maxsize=None)
+def monomials(nvars: int, deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent rows (T, nvars) and codes (T,), sorted by descending code:
+    the order of ``exponents``, as every digit of a code is below 512."""
+    if nvars > MAX_VARS or deg >= _RADIX:
+        raise PreconditionViolated(f"no codes for {nvars} variables of degree {deg}")
+    exps = exponents(nvars, deg)
+    return exps, exps @ _RADIX ** np.arange(nvars, dtype=np.int64)
 
 
 def _lookup(codes_desc: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -105,15 +108,12 @@ def _sum_positions(codes_desc: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.n
 
 @lru_cache(maxsize=4)
 def _pair_targets(nvars: int, d1: int, d2: int) -> np.ndarray:
-    """(T1, T2) indices of m_a * m_b inside monomials(nvars, d1 + d2)."""
-    codes1 = monomials(nvars, d1)[1]
-    codes2 = monomials(nvars, d2)[1]
-    codes12 = monomials(nvars, d1 + d2)[1]
-    idx = _sum_positions(codes12, codes1, codes2)
-    if (idx < 0).any():
-        raise PreconditionViolated(f"monomial products of degrees {d1}, {d2} "
-                                   f"missing from degree {d1 + d2}")
-    return idx
+    """(T1, T2) indices of m_a * m_b inside exponents(nvars, d1 + d2): these
+    products are every monomial of degree d1 + d2, and ``np.unique`` sorts
+    their reversed rows ascending, the reverse of ``exponents``' order."""
+    prods = exponents(nvars, d1)[:, None] + exponents(nvars, d2)[None]
+    _, inv = np.unique(prods[..., ::-1].reshape(-1, nvars), axis=0, return_inverse=True)
+    return len(exponents(nvars, d1 + d2)) - 1 - inv.reshape(prods.shape[:2])
 
 
 def _step_plan(nvars: int, deg: int, prev_deg: int,
@@ -267,13 +267,13 @@ def _next_power(cur: np.ndarray, lin: np.ndarray, nvars: int, deg: int,
     """Coefficients of N^(deg+1) from those of N^deg and of N.
 
     cur[a] (T(deg), d, d) is the coefficient in N^deg of the a-th monomial
-    of degree deg in ascending code order (``monomials`` reversed), and lin
+    of degree deg in ascending order (``exponents`` reversed), and lin
     (nvars, d, d) holds the A_i.  The coefficient of m_a * t_v sums
     cur[a] @ lin[v], added at its target (``_pair_targets``); at most nvars
     products, so ``gfp.exact_float(nvars * d, p)`` holds the sums exactly.
     """
     d = cur.shape[1]
-    t_next = len(monomials(nvars, deg + 1)[1])
+    t_next = len(exponents(nvars, deg + 1))
     targets = t_next - 1 - _pair_targets(nvars, deg, 1)[::-1, ::-1]  # ascending order
     ftype = gfp.exact_float(nvars * d, p)
     out = np.zeros((t_next, d, d), dtype=ftype)
@@ -286,8 +286,8 @@ def power_coefficients(gens: np.ndarray, p: int, count: int) -> list[np.ndarray]
     """Coefficients over GF(p) of N, .., N^count for N = sum_i t_i A_i, from
     the (n, d, d) stack ``gens`` of the A_i in exact floats.  Entry s - 1
     is (T(s), d, d) in exact floats, one matrix per monomial of degree s in
-    ascending code order (``monomials`` reversed), so entry 0 is ``gens``
-    itself, not a copy."""
+    ascending order (``exponents`` reversed), so entry 0 is ``gens``
+    itself, not a copy.  Any number of variables."""
     out = [gens]
     for s in range(1, count):
         out.append(_next_power(out[-1], gens, len(gens), s, p))

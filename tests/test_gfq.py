@@ -518,7 +518,7 @@ _EVALUATED = {
                                  (5, 12)])
 def test_evaluated_powers_match_the_slice_product_chain(p, k):
     # N^s = sum_e alpha^e C_e from the GF(p) coefficient stacks, and N^s
-    # chained from N^(s-1) for blocks of many variables, equal the chain
+    # chained from N^(s-1) where that takes fewer products, equal the chain
     # N, N N, .. of GF(p^k) slice products bit for bit, for every power
     # below p, on every block of a Specht and a permutation module; integer
     # points and points of GF(p^k), some with zero coordinates, interleaved

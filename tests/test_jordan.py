@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import warnings
 
@@ -198,35 +197,48 @@ def test_powers_at_a_point_stay_small():
     assert peak < 15 * 2**20
 
 
-def test_coefficient_stacks_within_their_bounds(monkeypatch):
-    # built once per call up to symrank's 7 variables and _FIXED_BYTES;
-    # N alone needs no monomial, whatever the number of variables
-    ((stack, _),) = restricted_actions((5, 2, 2), 3, 3).blocks
-    assert jordan._fixed_coefficients(stack, 3, 2)[0] is stack
-    ((wide, _),) = restricted_actions((23, 1), 8, 3).blocks
-    assert jordan._fixed_coefficients(wide, 3, 2) is None
-    assert jordan._fixed_coefficients(wide, 3, 1) == [wide]
-    # S^(7,3), p = 5: 3 + 4 + 5 monomials of degrees 2..4 in 2 variables
-    ((block, _),) = restricted_actions((7, 3), 2, 5).blocks
-    need = sum(math.comb(2 + s - 1, s) for s in (2, 3, 4)) * block[0].nbytes
-    monkeypatch.setattr(jordan, "_FIXED_BYTES", need)
-    assert [len(c) for c in jordan._fixed_coefficients(block, 5, 4)] == [2, 3, 4, 5]
-    monkeypatch.setattr(jordan, "_FIXED_BYTES", need - 1)
-    assert jordan._fixed_coefficients(block, 5, 4) is None
+def test_powers_chain_where_that_takes_fewer_products():
+    # the coefficient stacks are built where that takes no more d x d
+    # products than chaining every power at every point: n T(s) for each
+    # s < count against k^2 per power and point; N alone needs neither
+    def points(acts, *ks):
+        rng = np.random.default_rng(len(ks))
+        return [jordan._coerce_point(FieldCtx.get(acts.p, k).random_point(rng, acts.n),
+                                     acts.n, acts.p) for k in ks]
+    acts = restricted_actions((5, 2, 2), 3, 3)
+    ((stack, _),) = acts.blocks
+    assert jordan._coefficients(stack, points(acts, 1), 3, 1) == [stack]
+    assert jordan._coefficients(stack, points(acts, 1, 2), 3, 2) is None  # 9 > 1 + 4
+    assert jordan._coefficients(stack, points(acts, 3), 3, 2)[0] is stack  # 9 <= 9
+    # S^(7,3), p = 5: 2 (2 + 3 + 4) = 18 products against 3 per GF(5) point
+    acts = restricted_actions((7, 3), 2, 5)
+    ((stack, _),) = acts.blocks
+    assert jordan._coefficients(stack, points(acts, *[1] * 5), 5, 4) is None
+    got = jordan._coefficients(stack, points(acts, *[1] * 6), 5, 4)
+    assert [len(c) for c in got] == [2, 3, 4, 5]
+    # eight variables: 8 * 8 = 64 products against 64 per GF(3^8) point
+    acts = restricted_actions((23, 1), 8, 3)
+    ((wide, _),) = acts.blocks
+    assert [len(c) for c in jordan._coefficients(wide, points(acts, 8), 3, 2)] == [8, 36]
+    assert jordan._coefficients(wide, points(acts, 2, 2, 2), 3, 2) is None
 
 
-@pytest.mark.parametrize("mu,p,n", [((5, 2, 2), 3, 3), ((7, 3), 5, 2)])
-def test_powers_chained_past_the_stack_bound(monkeypatch, mu, p, n):
-    # with no room for coefficient stacks every power at a point is formed
-    # from the one before, with the same rank vectors
+@pytest.mark.parametrize("mu,p,n", [((5, 2, 2), 3, 3), ((7, 3), 5, 2), ((23, 1), 3, 8)])
+def test_chained_powers_rank_like_the_stacks(monkeypatch, mu, p, n):
+    # whichever way the powers at a point are formed, every point of one
+    # call has the same rank vector
     acts = restricted_actions(mu, n, p)
     rng = np.random.default_rng(p)
     pts = [FieldCtx.get(p, k).random_point(rng, n) for k in (1, 2, 8, 8)]
     pts += [(1,) + (0,) * (n - 1)]
     want = rank_vectors_at(acts, pts)
-    monkeypatch.setattr(jordan, "_FIXED_BYTES", 0)
-    monkeypatch.setattr(symrank, "power_coefficients", None)  # never built
+    assert [rank_vector_at(acts, pt) for pt in pts] == want
+    monkeypatch.setattr(jordan, "_coefficients", lambda *args: None)
     assert rank_vectors_at(acts, pts) == want
+    monkeypatch.undo()
+    monkeypatch.setattr(jordan, "_coefficients", lambda stack, points, p, count:
+                        symrank.power_coefficients(stack, p, count))
+    assert [rank_vector_at(acts, pt) for pt in pts] == want
 
 
 def test_is_free_warns_when_dim_not_divisible():

@@ -188,7 +188,7 @@ def test_one_builder_of_power_coefficients():
         return sorted(_calls(lambda mod, node: getattr(node.func, "id",
                                                        getattr(node.func, "attr", None)) == name))
     assert names("_next_power") == ["symrank.power_coefficients"]
-    assert names("power_coefficients") == ["jordan._fixed_coefficients",
+    assert names("power_coefficients") == ["jordan._coefficients",
                                            "symrank.generic_power_ranks"]
 
 

@@ -11,6 +11,7 @@ The powers of N are checked against ``sym_matmul``, the segment-sum
 polynomial product that built them before.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,11 +21,11 @@ from hypothesis import strategies as st
 
 from oracles import point_powers
 from spechtvar import gfp, gfq, symrank
-from spechtvar.errors import TooLarge
+from spechtvar.errors import PreconditionViolated, TooLarge
 from spechtvar.ffalg import FieldCtx
 from spechtvar.spechtmod import restricted_actions
 from spechtvar.symrank import (_bareiss_step, _lookup, _next_power, _pair_targets,
-                               generic_power_ranks, monomials)
+                               exponents, generic_power_ranks, monomials)
 
 
 def _mul_many(vecs, poly, nvars, d1, d2, p):
@@ -136,6 +137,29 @@ def test_monomials_count_and_order():
     assert (exps.sum(axis=1) == 4).all()
     assert (np.diff(codes) < 0).all()  # strictly descending codes
     assert len({tuple(e) for e in exps}) == 15
+
+
+def test_exponents_have_no_cap_and_codes_have_one():
+    # code order is the order of the exponent rows, which go on past the
+    # 7 variables that int64 codes in radix 512 can hold
+    for nvars, deg in ((1, 3), (3, 4), (7, 3)):
+        assert monomials(nvars, deg)[0] is exponents(nvars, deg)
+    wide = exponents(10, 3)
+    assert len(wide) == math.comb(12, 3) and (wide.sum(axis=1) == 3).all()
+    assert [tuple(e[::-1]) for e in wide] == sorted((tuple(e[::-1]) for e in wide),
+                                                    reverse=True)
+    with pytest.raises(PreconditionViolated):
+        monomials(8, 1)
+    with pytest.raises(PreconditionViolated):
+        monomials(2, 512)
+
+
+@pytest.mark.parametrize("nvars,d1,d2", [(2, 3, 1), (4, 2, 2), (7, 1, 3), (10, 2, 1),
+                                         (20, 1, 1)])
+def test_pair_targets_match_exponent_sums(nvars, d1, d2):
+    rows = {tuple(e): j for j, e in enumerate(exponents(nvars, d1 + d2))}
+    want = [[rows[tuple(a + b)] for b in exponents(nvars, d2)] for a in exponents(nvars, d1)]
+    assert _pair_targets(nvars, d1, d2).tolist() == want
 
 
 def test_divide_rows_recovers_planted_quotient():
