@@ -4,7 +4,9 @@ Matrices are integer ndarrays with entries in {0, ..., p-1}.  Products route
 through float BLAS: with entries below p and inner dimension m, every
 accumulated sum stays below m*(p-1)^2, so float32 is exact up to 2**24 and
 float64 up to 2**53.  `float_mod` is the one rule that reduces such float
-products mod p, before any cast to integers.  Elimination is a blocked
+products mod p, before any cast to integers; it works in place through one
+scratch tile of `TILE_BYTES`, so it allocates no quotient the size of its
+input.  Elimination is a blocked
 right-looking LU so that the trailing updates are BLAS matmuls as well; that
 is what makes exhaustive freeness sweeps affordable.  A unit lower
 triangular system needs no elimination: `solve_unit_lower` runs a blocked
@@ -25,6 +27,10 @@ import numpy as np
 from .errors import NoSolution, PreconditionViolated, RankDeficient
 
 _PANEL = 64
+# Working set of one tile, in bytes: float_mod's scratch quotient, and the
+# product of each row tile of spechtmod's construction check.  It fits a
+# per-core L2, so each tile's passes stay in cache.
+TILE_BYTES = 1 << 19
 
 
 @lru_cache(maxsize=None)
@@ -50,17 +56,28 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def float_mod(y: np.ndarray, p: int) -> np.ndarray:
-    """``y`` mod p in place, for integer-valued floats y with |y| below 2**24
-    (float32) or 2**53 (float64).
+    """``y`` mod p in place, and returned, for integer-valued floats y with
+    |y| below 2**24 (float32) or 2**53 (float64).
 
     y/p is an integer or lies at least 1/p from one, and its rounding error
     is below 1/p, so floor(y/p) is exact; np.remainder gives the same
-    result at about 20 times the cost.
+    result at about 20 times the cost.  y is reduced as one flat view, a
+    tile of TILE_BYTES at a time, through one scratch quotient of that
+    size; an input of at most one tile is one pass.  PreconditionViolated
+    unless y is contiguous, since a flat view of any other array is a copy.
     """
-    q = y / p
-    np.floor(q, out=q)
-    q *= p
-    y -= q
+    if not (y.flags.c_contiguous or y.flags.f_contiguous):
+        raise PreconditionViolated("float_mod reduces a contiguous array in place")
+    flat = y.ravel(order="A")  # a view, in y's memory order
+    step = TILE_BYTES // flat.itemsize
+    scratch = np.empty(min(step, flat.size), dtype=flat.dtype)
+    for lo in range(0, flat.size, step):
+        part = flat[lo: lo + step]
+        q = scratch[: part.size]
+        np.divide(part, p, out=q)
+        np.floor(q, out=q)
+        q *= p
+        part -= q
     return y
 
 

@@ -19,7 +19,8 @@ LNM 682, 8.11), and the row-reading order of the standard tableaux lists a
 dominated one later.  `standard_basis` checks this minor on every build.
 With P_i the tabloid permutation of g_i, each action is pulled back to the
 d x d matrix Y_i = A_i + I with B Y_i = P_i B: forward substitution solves
-it on the minor alone, then B Y_i = P_i B is checked on every row of B.
+it on the minor alone, then B Y_i = P_i B is checked on every row of B, in
+row tiles whose products take about ``gfp.TILE_BYTES`` each.
 
 With ``SPECHTVAR_CACHE`` set, `restricted_actions` keeps the A_i on disk:
 one raw, digest-checked record ``KEY.bin`` per module (`_load_cached`).
@@ -47,7 +48,10 @@ from .partitions import (Partition, conjugate, dim_specht, format_partition,
 _TABLOID_CAP = 10**6
 _COLGROUP_CAP = 10**7
 _DIM_CAP = 2000
-_BATCH = 2**20  # letters, or matrix entries, handled per vectorised step
+_BATCH = 2**20  # letters handled per vectorised step; 2**17 was no faster
+# Fewest rows of B per tile of the check of B Y = P B, whatever gfp.TILE_BYTES
+# gives: shorter tiles make GEMMs too short to run at BLAS speed.
+_MIN_TILE_ROWS = 64
 _DIGEST_BYTES = 32  # a sha256 digest, at the head of a cache record
 
 
@@ -351,8 +355,10 @@ def _solve_on_minor(b: np.ndarray, rows: np.ndarray, sources: np.ndarray,
     comes in that type.  The rows B[source_i[rows]] are written into one
     array and solved in place by forward substitution on the minor, so no
     elimination runs.  B Y_i = B[source_i] is then checked on every row of
-    B, a block at a time; a failing row raises NoSolution, since Y is the
-    only candidate.
+    B, in tiles of max(_MIN_TILE_ROWS, gfp.TILE_BYTES // (n d itemsize))
+    rows: each tile's product is one GEMM of about TILE_BYTES, reduced and
+    compared while it is in cache.  A failing row raises NoSolution, since Y
+    is the only candidate.
     """
     d, n = len(rows), len(sources)
     b = np.asarray(b, dtype=gfp.exact_float(d, p))
@@ -360,11 +366,10 @@ def _solve_on_minor(b: np.ndarray, rows: np.ndarray, sources: np.ndarray,
     for i, source in enumerate(sources):
         y[:, i] = b[source[rows]]
     gfp.solve_unit_lower(b[rows], y.reshape(d, n * d), p)
-    step = max(1, _BATCH // (n * d))
+    step = max(_MIN_TILE_ROWS, gfp.TILE_BYTES // (n * d * b.itemsize))
     for lo in range(0, len(b), step):
         prod = gfp.float_mod(b[lo: lo + step] @ y.reshape(d, n * d), p)
-        if not np.array_equal(prod.reshape(-1, n, d),
-                              b[sources[:, lo: lo + step]].swapaxes(0, 1)):
+        if not np.array_equal(prod.reshape(-1, n, d), b[sources[:, lo: lo + step].T]):
             raise NoSolution(f"B Y = P B fails in rows {lo}..{min(lo + step, len(b)) - 1}")
     return y
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,43 @@ def test_float_mod_is_exact(p):
         assert got.dtype == ftype and np.array_equal(got, ends % p)
     big = np.arange(2**53 - 5000, 2**53, dtype=np.int64)
     assert np.array_equal(gfp.float_mod(big.astype(np.float64), p), big % p)
+
+
+@pytest.mark.parametrize("ftype", [np.float32, np.float64])
+@pytest.mark.parametrize("ndim", [1, 3])
+def test_float_mod_in_tiles(ftype, ndim):
+    # around the tile boundaries, in place, and only on contiguous arrays
+    tile = gfp.TILE_BYTES // np.dtype(ftype).itemsize
+    rng = np.random.default_rng(tile + ndim)
+    for size in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 7):
+        ints = rng.integers(-2**23, 2**23, size=size)
+        shape = (size,) if ndim == 1 else (1, size, 1)
+        y = ints.astype(ftype).reshape(shape)
+        for p in (2, 3, 5):
+            z = y.copy()
+            assert gfp.float_mod(z, p) is z
+            assert z.dtype == ftype and np.array_equal(z, (ints % p).reshape(shape))
+        if size > 1:
+            view = y[::2] if ndim == 1 else y[:, ::2]
+            with pytest.raises(PreconditionViolated):
+                gfp.float_mod(view, 3)
+            assert np.array_equal(view, ints[::2].reshape(view.shape))  # left as it was
+    z = np.asfortranarray(rng.integers(-99, 99, size=(5, tile // 3, 4)).astype(ftype))
+    want = z.astype(np.int64) % 7
+    assert gfp.float_mod(z, 7) is z and np.array_equal(z, want)
+
+
+def test_float_mod_allocates_under_two_tiles():
+    y = np.arange(2**23, dtype=np.float32)  # 32 MiB
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gfp.float_mod(y, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2 * gfp.TILE_BYTES
+    assert np.array_equal(y[-5:], np.arange(2**23 - 5, 2**23) % 5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

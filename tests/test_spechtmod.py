@@ -331,11 +331,15 @@ def test_minor_without_unit_diagonal_raises_rank_check(monkeypatch):
         standard_basis((3, 2), 3)
 
 
-@pytest.mark.parametrize("batch", [spechtmod._BATCH, 3])
-def test_solve_on_minor_checks_every_row(monkeypatch, batch):
-    # a batch of 3 entries checks the one-generator, 5-column system one row
-    # at a time, and builds B one tabloid at a time
+@pytest.mark.parametrize("batch, tile", [(spechtmod._BATCH, gfp.TILE_BYTES), (3, 3)])
+def test_solve_on_minor_checks_every_row(monkeypatch, batch, tile):
+    # a tile of 3 float32 entries, with no row floor, checks the
+    # one-generator, 5-column system one row at a time; a batch of 3 letters
+    # builds B one tabloid at a time
     monkeypatch.setattr(spechtmod, "_BATCH", batch)
+    monkeypatch.setattr(gfp, "TILE_BYTES", tile * 4)
+    if tile == 3:
+        monkeypatch.setattr(spechtmod, "_MIN_TILE_ROWS", 1)
     basis = standard_basis((3, 2), 3)
     b, rows = basis.B, basis.standard_rows
     assert np.array_equal(b, _polytabloid_loop((3, 2), 3))
@@ -352,6 +356,59 @@ def test_solve_on_minor_checks_every_row(monkeypatch, batch):
         bad[row] = next(j for j in range(len(b)) if not np.array_equal(b[j], b[source[row]]))
         with pytest.raises(NoSolution):
             _solve_on_minor(b, rows, bad[None], 3)
+
+
+def _check_tiles(monkeypatch, mu, n, p):
+    """The A_i of S^mu, and the heights of the check's row tiles: the
+    products reduced after the forward substitution."""
+    events = []
+    real_solve, real_mod = gfp.solve_unit_lower, gfp.float_mod
+
+    def solve(*args):
+        out = real_solve(*args)
+        events.append("solved")
+        return out
+
+    def reduce(y, q):
+        events.append(y.shape)
+        return real_mod(y, q)
+    with monkeypatch.context() as m:
+        m.setattr(gfp, "solve_unit_lower", solve)
+        m.setattr(gfp, "float_mod", reduce)
+        acts = restricted_actions(mu, n, p, use_conjugate=False)
+    products = events[events.index("solved") + 1:]
+    assert all(shape[1:] == (n * acts.dim,) for shape in products)
+    return acts.A, [shape[0] for shape in products]
+
+
+def _split(count, rows):
+    return [rows] * (count // rows) + [count % rows] * (count % rows > 0)
+
+
+@pytest.mark.parametrize("mu, p", [((5, 3, 2), 2), ((4, 3, 2), 3), ((5, 4, 1), 5)])
+def test_check_tiles_give_the_same_actions(monkeypatch, mu, p):
+    # B Y = P B is checked in tiles of max(_MIN_TILE_ROWS, TILE_BYTES // (n d
+    # itemsize)) rows of B; the A_i are the same bytes whatever the tiles:
+    # one row each, the 64-row floor, a short last tile, and one tile
+    monkeypatch.delenv("SPECHTVAR_CACHE", raising=False)
+    n = sum(mu) // p
+    d, count = dim_specht(mu), tabloid_count(mu)
+    entry = n * d * np.dtype(gfp.exact_float(d, p)).itemsize  # bytes of a product row
+    reference, tiles = _check_tiles(monkeypatch, mu, n, p)
+    assert tiles == _split(count, max(64, gfp.TILE_BYTES // entry))
+    if mu == (5, 3, 2):  # n d = 2250 columns: the floor sets the default tiles
+        assert gfp.TILE_BYTES // entry < 64 and tiles[0] == 64
+    assert count % 64 and count % 11  # both splits end in a short tile
+    cases = [(1, entry, 1),  # no floor, a one-row budget
+             (64, entry, 64),  # the floor
+             (1, 11 * entry, 11),  # a short last tile
+             (64, count * entry, count)]  # one tile
+    for floor, budget, rows in cases:
+        monkeypatch.setattr(spechtmod, "_MIN_TILE_ROWS", floor)
+        monkeypatch.setattr(gfp, "TILE_BYTES", budget)
+        stack, tiles = _check_tiles(monkeypatch, mu, n, p)
+        assert tiles == _split(count, rows)
+        assert stack.dtype == reference.dtype and stack.tobytes() == reference.tobytes()
 
 
 def test_construction_eliminates_at_most_d_rows(monkeypatch):
