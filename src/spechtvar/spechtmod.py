@@ -20,7 +20,8 @@ dominated one later.  `standard_basis` checks this minor on every build.
 With P_i the tabloid permutation of g_i, each action is pulled back to the
 d x d matrix Y_i = A_i + I with B Y_i = P_i B: forward substitution solves
 it on the minor alone, then B Y_i = P_i B is checked on every row of B, in
-row tiles whose products take about ``gfp.TILE_BYTES`` each.
+row tiles whose products take about ``gfp.TILE_BYTES`` each, or at least
+``_MIN_TILE_ROWS`` rows.
 
 With ``SPECHTVAR_CACHE`` set, `restricted_actions` keeps the A_i on disk:
 one raw, digest-checked record ``KEY.bin`` per module (`_load_cached`).
@@ -50,8 +51,10 @@ _COLGROUP_CAP = 10**7
 _DIM_CAP = 2000
 _BATCH = 2**20  # letters handled per vectorised step; 2**17 was no faster
 # Fewest rows of B per tile of the check of B Y = P B, whatever gfp.TILE_BYTES
-# gives: shorter tiles make GEMMs too short to run at BLAS speed.
-_MIN_TILE_ROWS = 64
+# gives: BLAS packs all of Y for every tile's GEMM, so shorter tiles spend
+# more of the check packing.  64 made the (6,3,3), p = 3 check slower than
+# 158-row tiles; 128 did not.
+_MIN_TILE_ROWS = 128
 _DIGEST_BYTES = 32  # a sha256 digest, at the head of a cache record
 
 
@@ -356,9 +359,10 @@ def _solve_on_minor(b: np.ndarray, rows: np.ndarray, sources: np.ndarray,
     array and solved in place by forward substitution on the minor, so no
     elimination runs.  B Y_i = B[source_i] is then checked on every row of
     B, in tiles of max(_MIN_TILE_ROWS, gfp.TILE_BYTES // (n d itemsize))
-    rows: each tile's product is one GEMM of about TILE_BYTES, reduced and
-    compared while it is in cache.  A failing row raises NoSolution, since Y
-    is the only candidate.
+    rows: each tile's product is one GEMM of about TILE_BYTES, or of
+    _MIN_TILE_ROWS rows where those take more, reduced and compared while
+    it is in cache.  A failing row raises NoSolution, since Y is the only
+    candidate.
     """
     d, n = len(rows), len(sources)
     b = np.asarray(b, dtype=gfp.exact_float(d, p))

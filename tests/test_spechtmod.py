@@ -389,20 +389,21 @@ def _split(count, rows):
 def test_check_tiles_give_the_same_actions(monkeypatch, mu, p):
     # B Y = P B is checked in tiles of max(_MIN_TILE_ROWS, TILE_BYTES // (n d
     # itemsize)) rows of B; the A_i are the same bytes whatever the tiles:
-    # one row each, the 64-row floor, a short last tile, and one tile
+    # one row each, the row floor, a short last tile, and one tile
     monkeypatch.delenv("SPECHTVAR_CACHE", raising=False)
     n = sum(mu) // p
     d, count = dim_specht(mu), tabloid_count(mu)
     entry = n * d * np.dtype(gfp.exact_float(d, p)).itemsize  # bytes of a product row
+    floor = spechtmod._MIN_TILE_ROWS
     reference, tiles = _check_tiles(monkeypatch, mu, n, p)
-    assert tiles == _split(count, max(64, gfp.TILE_BYTES // entry))
+    assert tiles == _split(count, max(floor, gfp.TILE_BYTES // entry))
     if mu == (5, 3, 2):  # n d = 2250 columns: the floor sets the default tiles
-        assert gfp.TILE_BYTES // entry < 64 and tiles[0] == 64
-    assert count % 64 and count % 11  # both splits end in a short tile
+        assert gfp.TILE_BYTES // entry < floor and tiles[0] == floor
+    assert count % floor and count % 11  # both splits end in a short tile
     cases = [(1, entry, 1),  # no floor, a one-row budget
-             (64, entry, 64),  # the floor
+             (floor, entry, floor),  # the floor
              (1, 11 * entry, 11),  # a short last tile
-             (64, count * entry, count)]  # one tile
+             (floor, count * entry, count)]  # one tile
     for floor, budget, rows in cases:
         monkeypatch.setattr(spechtmod, "_MIN_TILE_ROWS", floor)
         monkeypatch.setattr(gfp, "TILE_BYTES", budget)
