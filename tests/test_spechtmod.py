@@ -404,8 +404,8 @@ def test_check_tiles_give_the_same_actions(monkeypatch, mu, p):
              (floor, entry, floor),  # the floor
              (1, 11 * entry, 11),  # a short last tile
              (floor, count * entry, count)]  # one tile
-    for floor, budget, rows in cases:
-        monkeypatch.setattr(spechtmod, "_MIN_TILE_ROWS", floor)
+    for least, budget, rows in cases:
+        monkeypatch.setattr(spechtmod, "_MIN_TILE_ROWS", least)
         monkeypatch.setattr(gfp, "TILE_BYTES", budget)
         stack, tiles = _check_tiles(monkeypatch, mu, n, p)
         assert tiles == _split(count, rows)
