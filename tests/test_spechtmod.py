@@ -331,7 +331,8 @@ def test_minor_without_unit_diagonal_raises_rank_check(monkeypatch):
         standard_basis((3, 2), 3)
 
 
-@pytest.mark.parametrize("batch, tile", [(spechtmod._BATCH, gfp.TILE_BYTES), (3, 3)])
+@pytest.mark.parametrize("batch, tile", [(spechtmod._BATCH, gfp.TILE_BYTES), (3, 3)],
+                         ids=[str(spechtmod._BATCH), "3"])  # named by batch
 def test_solve_on_minor_checks_every_row(monkeypatch, batch, tile):
     # a tile of 3 float32 entries, with no row floor, checks the
     # one-generator, 5-column system one row at a time; a batch of 3 letters
