@@ -1,8 +1,13 @@
 """Field contexts GF(p^k), their elements, and multivariate polynomials.
 
-GF(p^k) is GF(p)[t] / (modulus) with the modulus chosen deterministically:
-the monic irreducible of degree k whose non-leading coefficient vector
-(c_0, ..., c_{k-1}) encodes to the smallest integer sum(c_i * p^i).
+GF(p^k) is GF(p)[t] / (f), f the monic irreducible of degree k whose
+non-leading coefficient vector (c_0, ..., c_{k-1}) encodes to the smallest
+integer sum(c_i * p^i).  A context is built from the companion matrix C of
+f, multiplication by t on the power basis: ``FieldCtx.reduction`` holds the
+first columns of C^e, the coefficients of t^e (e <= 2k - 2), and
+``tmats[c]`` = C^c is a window of them.  f is found by Rabin's test
+(M. O. Rabin, SIAM J. Comput. 9, 1980) as identities between powers of C,
+products fold t^e by the ``reduction`` columns, and a^-1 = a^(q-2).
 Elements carry their coefficient vector; the same encoding doubles as a
 stable integer code for storage and enumeration order.
 
@@ -15,7 +20,7 @@ log: g^a + g^b = g^(max(a, b) + plus[|a - b|]).  ``gfq`` eliminates on
 d-by-d matrices of log codes with them, and the sweeps normalise points
 and apply the Frobenius by lookup.
 ``FieldCtx.mul_matrix`` gives the k-by-k multiplication matrix of an
-element over GF(p); the tables are built with it.
+element over GF(p); the tables, g included, are built from its powers.
 """
 
 from __future__ import annotations
@@ -26,126 +31,48 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, PreconditionViolated
+from .errors import ArityMismatch, NonTermination, PreconditionViolated
 
 
-# ---------------------------------------------------------------------------
-# univariate polynomial helpers over GF(p), coefficient tuples low -> high
-
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    a = list(a)
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) >= len(f):
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(f)
-        if c:
-            for i, y in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * y) % p
-        a.pop()
-        _ptrim(a)
-        if not a:
-            break
-    return a
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return _ptrim(out)
-
-
-def _pquot(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        q[shift] = c
-        if c:
-            for i, y in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * y) % p
-        a.pop()
-        _ptrim(a)
-    return _ptrim(q)
-
-
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin test: x^(p^k) = x mod f, and gcd(x^(p^(k/q)) - x, f) = 1."""
+def _companion(f: Sequence[int], p: int) -> np.ndarray:
+    """Companion matrix of the monic f = (c_0, .., c_k): t^j -> t^(j+1) mod f."""
     k = len(f) - 1
-    if k < 1:
-        return False
-    # x^p mod f by square and multiply
-    xp = [0, 1]
-    result = [1]
-    e = p
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, xp, p), f, p)
-        e >>= 1
-        if e:
-            xp = _pmod(_pmul(xp, xp, p), f, p)
-    xp = result  # x^p mod f
-    # iterate Frobenius by composition: g(x) -> g(x^p) mod f
-    def frob(g: list[int]) -> list[int]:
-        out: list[int] = []
-        for c in reversed(g):
-            out = _pmod(_pmul(out, xp, p), f, p)
-            if c:
-                if not out:
-                    out = [c]
-                else:
-                    out[0] = (out[0] + c) % p
-        return out
+    out = np.zeros((k, k), dtype=np.int64)
+    out[np.arange(1, k), np.arange(k - 1)] = 1
+    out[:, -1] = [-c % p for c in f[:k]]
+    return out
 
-    powers = [[0, 1]]
-    for _ in range(k):
-        powers.append(frob(powers[-1]))
-    if _psub(powers[k], [0, 1], p):
-        return False
-    primes = {q for q in range(2, k + 1) if k % q == 0 and all(q % r for r in range(2, q))}
-    for q in primes:
-        g = _pgcd(f, _psub(powers[k // q], [0, 1], p), p)
-        if len(g) != 1:
-            return False
-    return True
+
+def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p for a square int64 matrix, by square and multiply."""
+    out = np.eye(len(m), dtype=np.int64)
+    for bit in bin(e)[2:]:
+        out = out @ out % p
+        if bit == "1":
+            out = out @ m % p
+    return out
 
 
 @lru_cache(maxsize=None)
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Coefficients (c_0..c_k) of the deterministic degree-k modulus."""
-    if k == 1:
-        return (0, 1)
+    """Coefficients (c_0..c_k) of the deterministic degree-k modulus.
+
+    Rabin's test on the companion matrix C: C^(p^k) = C, so every factor
+    of f has degree dividing k and the ring GF(p)[C] is a product of fields
+    GF(p^d), d | k; then, for each prime r | k, U = C^(p^(k/r)) - C is a
+    unit there, U^(p^k - 1) = I, iff gcd(t^(p^(k/r)) - t, f) = 1.
+    """
+    ident = np.eye(k, dtype=np.int64)
     for code in range(p**k):
-        coeffs = [(code // p**i) % p for i in range(k)] + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible found")  # unreachable
+        f = [(code // p**i) % p for i in range(k)] + [1]
+        frob = [_companion(f, p)]  # C^(p^j)
+        for _ in range(k):
+            frob.append(_mat_pow(frob[-1], p, p))
+        if (np.array_equal(frob[k], frob[0])
+                and all(np.array_equal(_mat_pow((frob[k // r] - frob[0]) % p, p**k - 1, p), ident)
+                        for r in _prime_factors(k))):
+            return tuple(f)
+    raise NonTermination(f"no irreducible of degree {k} over GF({p})")
 
 
 def _is_prime(p: int) -> bool:
@@ -200,25 +127,20 @@ class FieldCtx:
             raise PreconditionViolated(f"p = {p} is not prime")
         if not 1 <= k <= 12:
             raise PreconditionViolated(f"extension degree {k} outside 1..12")
+        if k > 1 and k * (p - 1) ** 2 >= 2**63:
+            raise PreconditionViolated(f"GF({p}^{k}): k (p-1)^2 reaches 2^63, past int64")
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = _least_irreducible(p, k)
-        # t^j mod modulus for j up to 2k-2, as length-k coefficient tuples
-        tpow = []
-        cur = [1]
-        for _ in range(2 * k - 1):
-            tpow.append(tuple(cur + [0] * (k - len(cur))))
-            cur = _pmod(_pmul(cur, [0, 1], p), list(self.modulus), p)
-        self._tpow = tpow
-        # multiplication-by-t^c matrices: columns are coeffs of t^(c+j)
-        mats = np.zeros((k, k, k), dtype=np.int64)
-        for c in range(k):
-            for j in range(k):
-                mats[c, :, j] = tpow[c + j]
-        self.tmats = mats
-        # column e holds the power-basis coefficients of t^e, e <= 2k - 2
-        self.reduction = np.array(tpow, dtype=np.int64).T
+        # column e is the first column of C^e: the coefficients of t^e
+        companion = _companion(self.modulus, p)
+        columns = [np.eye(k, dtype=np.int64)[:, 0]]
+        for _ in range(2 * k - 2):
+            columns.append(companion @ columns[-1] % p)
+        self.reduction = np.stack(columns, axis=1)
+        # multiplication by t^c is C^c, whose column j is that of t^(c+j)
+        self.tmats = np.stack([self.reduction[:, c:c + k] for c in range(k)])
 
     @classmethod
     @lru_cache(maxsize=None)  # unbounded: jordan._block_ranks groups points by context identity
@@ -287,26 +209,27 @@ class FieldCtx:
             raise PreconditionViolated(f"no log tables for GF({self.p}^{self.k}): "
                                        f"{self.q} elements exceed {TABLE_CAP}")
         p, k, order = self.p, self.k, self.q - 1
-        g = next(c for c in range(1, self.q)
-                 if all(self.element(c) ** (order // r) != self.one
-                        for r in _prime_factors(order)))
+        # g is primitive iff no power g^(order/r), r a prime factor of
+        # order, is 1: read on powers of its multiplication matrix
+        ident, factors = np.eye(k, dtype=np.int64), _prime_factors(order)
+        g = next(c for c in range(1, self.q) for m in [self.mul_matrix(self.element(c))]
+                 if all((_mat_pow(m, order // r, p) != ident).any() for r in factors))
         # coefficient rows of g^0 .. g^(b-1) by doubling with the
         # multiplication matrix of g^(2^j); each further block of b powers
         # is those rows times the matrix of g^s, turned into codes at once
-        rows = np.zeros((1, k), dtype=np.int64)
-        rows[0, 0] = 1
-        step = self.element(g)
+        rows = ident[:1]
+        step = self.mul_matrix(self.element(g))
         while len(rows) < min(order, _TABLE_BLOCK):
-            rows = np.concatenate([rows, rows @ self.mul_matrix(step).T % p])
-            step = step * step
+            rows = np.concatenate([rows, rows @ step.T % p])
+            step = step @ step % p
         weights = p ** np.arange(k)
         exp = np.empty(2 * order, dtype=np.int32)
         codes = exp[:order]
-        shift = self.one  # g^s
+        shift = ident  # the matrix of g^s
         for s in range(0, order, len(rows)):
-            block = rows[:order - s] @ self.mul_matrix(shift).T % p
+            block = rows[:order - s] @ shift.T % p
             codes[s:s + len(block)] = block @ weights
-            shift = shift * step
+            shift = shift @ step % p
         exp[order:] = codes
         logs = np.full(self.q, -1, dtype=np.int32)
         logs[codes] = np.arange(order, dtype=np.int32)
@@ -375,39 +298,25 @@ class FieldElement:
 
     def __mul__(self, other):
         o = self._lift(other)
-        p, k = self.ctx.p, self.ctx.k
+        ctx = self.ctx
+        p, k = ctx.p, ctx.k
         raw = [0] * (2 * k - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(o.coeffs):
                     raw[i + j] += a * b
-        out = [raw[c] % p for c in range(k)]
-        for e in range(k, 2 * k - 1):
-            if raw[e] % p:
-                red = self.ctx._tpow[e]
-                v = raw[e] % p
-                for c in range(k):
-                    if red[c]:
-                        out[c] = (out[c] + v * red[c]) % p
-        return FieldElement(self.ctx, tuple(out))
+        # t^e, e >= k, folds in by column e of ``reduction``, in Python
+        # ints: an int64 fold of these sums could overflow for large p
+        for e, column in enumerate(ctx.reduction.T[k:].tolist(), start=k):
+            raw[:k] = [x + raw[e] * r for x, r in zip(raw, column)]
+        return FieldElement(ctx, tuple(x % p for x in raw[:k]))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        p = self.ctx.p
-        # extended Euclid on (modulus, self)
-        r0, r1 = list(self.ctx.modulus), _ptrim(list(self.coeffs))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q = _pquot(r0, r1, p)
-            r0, r1 = r1, _psub(r0, _pmul(q, r1, p), p)
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        c = pow(r1[0], p - 2, p)
-        inv = [(c * x) % p for x in s1]
-        inv = inv[: self.ctx.k] + [0] * max(0, self.ctx.k - len(inv))
-        return FieldElement(self.ctx, tuple(inv))
+        return self ** (self.ctx.q - 2)
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()

@@ -6,16 +6,18 @@ accumulated sum stays below m*(p-1)^2, so float32 is exact up to 2**24 and
 float64 up to 2**53.  `float_mod` is the one rule that reduces such float
 products mod p, before any cast to integers; it works in place through one
 scratch tile of `TILE_BYTES`, so it allocates no quotient the size of its
-input.  Elimination is a blocked
-right-looking LU so that the trailing updates are BLAS matmuls as well; that
-is what makes exhaustive freeness sweeps affordable.  A unit lower
-triangular system needs no elimination: `solve_unit_lower` runs a blocked
-forward substitution on floats, reduced by `float_mod` without leaving the
-float type.  Each block of rows takes one matmul against the rows solved
-above it and one against the inverse of its diagonal block, and those
-inverses come from one batched product series; so the solve is all matmuls.
-It serves module construction (the standard-tabloid minor) and exact mode's
-division by the previous Bareiss pivot (``symrank``).
+input.  Elimination is a blocked right-looking LU so that the trailing
+updates are BLAS matmuls as well.  In the package it serves only the
+companion blowup of GF(5^12), the one field above the log table cap
+(``gfq``), and ``nullspace`` for interpolation; the sweeps rank on
+``gfq._rank_stack``.  A unit lower triangular system needs no elimination:
+`solve_unit_lower` runs a blocked forward substitution on floats, reduced by
+`float_mod` without leaving the float type.  Each block of rows takes one
+matmul against the rows solved above it and one against the inverse of its
+diagonal block, and those inverses come from one batched product series; so
+the solve is all matmuls.  It serves module construction (the
+standard-tabloid minor) and exact mode's division by the previous Bareiss
+pivot (``symrank``).
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import gfp
+from . import gfp, symrank
 from .errors import InconsistentCounts, TooManyPoints, ZeroPoint
 from .ffalg import TABLE_CAP, FieldCtx, FieldElement, MultiPoly
 from .jordan import are_free_at, rank_vectors_at
@@ -245,15 +245,15 @@ def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiP
     for homogeneous forms only (scaling multiplies the value by a unit).
     """
     n, p, k = sample.n, sample.p, sample.k
-    exps = list(_exponents(n, degree))
+    exps = symrank.exponents(n, degree)[:, ::-1]  # descending lexicographic
     pts = np.array(sorted(sample.points), dtype=np.int64).reshape(-1, n)
     # k coefficient rows per point, one column per monomial
-    vals = _monomials_at(pts, np.array(exps, dtype=np.int64), FieldCtx.get(p, k))
+    vals = _monomials_at(pts, exps, FieldCtx.get(p, k))
     rows = vals.transpose(0, 2, 1).reshape(-1, len(exps))
     basis = gfp.nullspace(rows, p)
     out = []
     for j in range(basis.shape[1]):
-        terms = {e: int(basis[i, j]) for i, e in enumerate(exps) if basis[i, j]}
+        terms = {tuple(e): int(basis[i, j]) for i, e in enumerate(exps.tolist()) if basis[i, j]}
         out.append(MultiPoly(p=p, nvars=n, terms=terms))
     return out
 
@@ -268,15 +268,6 @@ def interpolate_forms(sample: LocusSample, degree: int) -> list[MultiPoly]:
     for d in range(1, degree + 1):
         out.extend(homogeneous_vanishing_forms(sample, d))
     return out
-
-
-def _exponents(nvars: int, total: int):
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _exponents(nvars - 1, total - head):
-            yield (head,) + tail
 
 
 def _form_cuts_out(sample: LocusSample, f: MultiPoly) -> bool:
@@ -305,22 +296,19 @@ def _pattern_kind(sample: LocusSample) -> str | None:
     return None
 
 
-def classify(acts: RestrictedActions, k: int, max_degree: int | None = None
-             ) -> VarietyClass:
+def classify(acts: RestrictedActions, k: int) -> VarietyClass:
     """Catalogue kind of the module's locus over GF(p^k).
 
-    Hypersurface detection interpolates forms of increasing degree and
-    accepts only a one-dimensional space whose zero set equals the locus
-    over the sampled field.
+    Hypersurface detection interpolates forms of increasing degree, up to
+    (p-1)^2, and accepts only a one-dimensional space whose zero set equals
+    the locus over the sampled field.
     """
     sample = enumerate_locus(acts, k)
     kind = _pattern_kind(sample)
     if kind is not None:
         est = {"zero": 0, "full": sample.n, "axes-union": 1}[kind]
         return VarietyClass(kind=kind, est_dim=est)
-    if max_degree is None:
-        max_degree = (sample.p - 1) ** 2
-    for deg in range(1, max_degree + 1):
+    for deg in range(1, (sample.p - 1) ** 2 + 1):
         forms = homogeneous_vanishing_forms(sample, deg)
         if not forms:
             continue

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import slice_matmul
-from spechtvar import gfp, gfq, jordan
-from spechtvar.errors import ArityMismatch
+from spechtvar import ffalg, gfp, gfq, jordan
+from spechtvar.errors import ArityMismatch, PreconditionViolated
 from spechtvar.ffalg import FieldCtx, MultiPoly
 
 
@@ -22,6 +22,64 @@ def test_modulus_is_deterministic_and_least():
     assert brute_has_root((1, 0, 0, 1), 2)
     assert brute_has_root((0, 1, 0, 1), 2)
     assert not brute_has_root((1, 1, 0, 1), 2)
+
+
+# codes sum(c_i * p^i) of the moduli t^k + ... + c_0 for k = 1, 2, ...:
+# element codes, and so every printed point, depend on them
+MODULUS_CODES = {
+    2: [0, 3, 3, 3, 5, 3, 3, 27, 3, 9, 5, 9],
+    3: [0, 1, 7, 5, 7, 5, 11, 11, 64, 19, 11, 11],
+    5: [0, 2, 6, 2, 21, 7, 6, 2, 38, 33, 11, 9],
+    7: [0, 1, 2, 8, 10, 2, 43, 10],
+}
+
+
+@pytest.mark.parametrize("p", sorted(MODULUS_CODES))
+def test_moduli_match_golden_codes(p):
+    for k, code in enumerate(MODULUS_CODES[p], start=1):
+        ctx = FieldCtx.get(p, k)
+        assert ctx.modulus == tuple(code // p**i % p for i in range(k)) + (1,), (p, k)
+        # reduction columns are t^0 .. t^(2k-2), and tmats[c] multiplies by t^c
+        assert ctx.reduction.shape == (k, 2 * k - 1)
+        for c in range(k):
+            assert np.array_equal(ctx.tmats[c], ctx.reduction[:, c:c + k])
+            assert tuple(ctx.tmats[c][:, 0]) == ctx.element(p**c).coeffs
+
+
+def test_largest_prime_with_int64_products():
+    # k (p-1)^2 < 2^63 at p = 2^31 - 1, k = 2: the field is built, with
+    # Python-int products, and t^2 + 1 is irreducible as p = 3 mod 4
+    ctx = FieldCtx(2**31 - 1, 2)
+    assert ctx.modulus == (1, 0, 1)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        a = ctx.random_element(rng)
+        if a:
+            assert a * a.inverse() == ctx.one
+    assert ctx.element([0, 1]) ** 2 == -ctx.one
+
+
+def test_int64_overflow_is_refused_before_any_build(monkeypatch):
+    # k (p-1)^2 >= 2^63: refused before the modulus search starts
+    def search(p, k):
+        raise AssertionError(f"modulus search started for GF({p}^{k})")
+    monkeypatch.setattr(ffalg, "_least_irreducible", search)
+    with pytest.raises(PreconditionViolated, match="2\\^63"):
+        FieldCtx(2**31 - 1, 3)
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_products_and_inverses_agree_with_log_tables(p, k):
+    ctx = FieldCtx.get(p, k)
+    t = ctx.tables
+    elems = [ctx.element(c) for c in range(ctx.q)]
+    for a in range(1, ctx.q):
+        for b in range(1, ctx.q):
+            assert (elems[a] * elems[b]).to_index() == t.exp[t.log[a] + t.log[b]]
+        assert elems[a] * elems[a].inverse() == ctx.one
+        assert elems[a] * ctx.zero == ctx.zero
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero.inverse()
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (3, 1)])

@@ -327,3 +327,18 @@ def test_jordan_reads_modules_only_through_blocks():
                 else node.attr if isinstance(node, ast.Attribute) else None)
         return name in gone
     assert _scopes(names_gone) == []
+
+
+def test_fields_come_from_the_companion_matrix():
+    # ffalg keeps no univariate polynomial library: the modulus search,
+    # products and inverses read powers of the companion matrix, and no
+    # third table of t^e sits beside ``reduction`` and ``tmats``
+    gone = {"_ptrim", "_pmul", "_pmod", "_pgcd", "_psub", "_pquot", "_is_irreducible",
+            "_tpow"}
+
+    def names_gone(mod, node):
+        name = (node.name if isinstance(node, ast.FunctionDef)
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name in gone
+    assert _scopes(names_gone) == []

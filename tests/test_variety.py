@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from spechtvar import spechtmod, variety
+from spechtvar import spechtmod, symrank, variety
 from spechtvar.errors import ArityMismatch, InconsistentCounts, TooManyPoints, ZeroPoint
 from spechtvar.ffalg import FieldCtx, MultiPoly
 from spechtvar.jordan import is_free_at, rank_vector_at
@@ -356,7 +356,7 @@ def test_forms_on_code_tables_match_poly_eval(k, affine):
            else list(projective_points(ctx, 3)))
     coords = [tuple(ctx.element(c) for c in pt) for pt in pts]
     arr = np.array(pts, dtype=np.int64)
-    exps = [e for d in range(5) for e in variety._exponents(3, d)]
+    exps = [tuple(e) for d in range(5) for e in symrank.exponents(3, d)[:, ::-1].tolist()]
     mono = variety._monomials_at(arr, np.array(exps), ctx)
     for col, e in enumerate(exps):
         for row, x in enumerate(coords):
