@@ -25,6 +25,7 @@ element over GF(p); the tables, g included, are built from its powers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -76,7 +77,7 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -175,12 +176,15 @@ class FieldCtx:
             if not 0 <= value < self.q:
                 value %= self.p  # scalars embed via the prime subfield
                 return FieldElement(self, (value,) + (0,) * (self.k - 1))
-            digits = tuple((value // self.p**i) % self.p for i in range(self.k))
-            return FieldElement(self, digits)
+            return FieldElement(self, tuple(self.digits(value).tolist()))
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) != self.k:
             raise ArityMismatch(f"need {self.k} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)
+
+    def digits(self, codes) -> np.ndarray:
+        """Coefficient rows (..., k) of an integer array of codes below q."""
+        return np.asarray(codes, dtype=np.int64)[..., None] // self.p ** np.arange(self.k) % self.p
 
     def random_element(self, rng: np.random.Generator) -> "FieldElement":
         return FieldElement(self, tuple(int(x) for x in rng.integers(0, self.p, self.k)))

@@ -77,9 +77,10 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
     Right-looking elimination, one column at a time for the whole stack.
     At column j every matrix with a free row (not yet a pivot row) that is
-    nonzero there takes the first such row as the pivot row r, and each of
-    its free rows i below with a nonzero in column j gains -(a_ij / a_rj)
-    times row r.  The updates of all matrices are one set of numpy passes
+    nonzero there takes the first such row as the pivot row r, where it
+    stands, and each of its free rows i below with a nonzero in column j
+    gains -(a_ij / a_rj) times row r.  No row moves; the rank is the count
+    of pivot rows.  The updates of all matrices are one set of numpy passes
     on the flat stack, over the union of the pivot rows' nonzero columns,
     in blocks of rows of ``_UPDATE_ENTRIES`` entries.
 
@@ -101,8 +102,7 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     a[a < 0] = zero
     flat = a.reshape(b * m, n)
     lin = a.reshape(-1)
-    base = np.arange(b) * m  # flat index of each matrix's first row
-    top = base.copy()  # flat index of each matrix's first free row
+    ranks = np.zeros(b, dtype=np.int64)
     free = np.ones(b * m, dtype=bool)  # rows not yet taken as a pivot row
     left = b * m
     for j in range(n):
@@ -118,16 +118,9 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx) -> np.ndarray:
         lead[0] = True
         np.not_equal(mat[1:], mat[:-1], out=lead[1:])
         live = mat[lead]
-        src = rows[lead]
-        piv = top[live]
-        moved = src != piv
-        if moved.any():
-            # the free rows before ``src``, ``piv`` among them, are zero in
-            # column j, so no other candidate moves
-            swap = np.concatenate([piv[moved], src[moved]])
-            flat[swap] = flat[np.concatenate([src[moved], piv[moved]])]
+        piv = rows[lead]
         free[piv] = False
-        top[live] += 1
+        ranks[live] += 1
         left -= live.size
         rest = ~lead
         rows = rows[rest]
@@ -154,7 +147,7 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx) -> np.ndarray:
                     lin[at] = np.maximum(add, zero, out=add)
         if not left:
             break
-    return top - base
+    return ranks
 
 
 def _reduce(x: np.ndarray, order: int) -> None:

@@ -143,11 +143,11 @@ def _coerce_point(alpha, n: int, p: int) -> tuple[np.ndarray, FieldCtx]:
     return coeffs, ctx
 
 
-def _monomial_values(rows: np.ndarray, ctx: FieldCtx, count: int) -> list[np.ndarray]:
-    """Coefficient rows (P, T(s), k) of alpha^e, for the monomials t^e of
-    degree s = 1..count in ``symrank.power_coefficients``' order, at the P
-    points of ``rows`` (P, n, k).  Rows multiply as polynomials in t folded
-    by ``FieldCtx.reduction``, for all points and monomials at once."""
+def _monomial_values(rows: np.ndarray, ctx: FieldCtx, exps: np.ndarray) -> np.ndarray:
+    """Coefficient rows (P, M, k) of alpha^e for the M exponent rows e of
+    ``exps`` (M, n), at the P points of ``rows`` (P, n, k); alpha^0 = 1,
+    also where alpha = 0.  Rows multiply as polynomials in t folded by
+    ``FieldCtx.reduction``, for all points and monomials at once."""
     p, k, n = ctx.p, ctx.k, rows.shape[1]
     fold = ctx.reduction.T[np.add.outer(np.arange(k), np.arange(k)).ravel()]
 
@@ -156,11 +156,10 @@ def _monomial_values(rows: np.ndarray, ctx: FieldCtx, count: int) -> list[np.nda
 
     powers = [np.zeros_like(rows), rows]  # powers[e][:, v] = alpha_v^e
     powers[0][..., 0] = 1
-    for _ in range(count - 1):
+    for _ in range(exps.max(initial=1) - 1):
         powers.append(mul(powers[-1], rows))
     powers = np.stack(powers, axis=2)
-    return [rows] + [functools.reduce(mul, (powers[:, v, exps[:, v]] for v in range(n)))
-                     for exps in (symrank.exponents(n, s)[::-1] for s in range(2, count + 1))]
+    return functools.reduce(mul, (powers[:, v, exps[:, v]] for v in range(n)))
 
 
 def _evaluate(coeffs: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
@@ -210,12 +209,12 @@ def _chained_powers(stack: np.ndarray, rows: np.ndarray, ctx: FieldCtx,
 
 def _block_ranks(stack: np.ndarray, points: list, p: int, count: int) -> np.ndarray:
     """Ranks (len(points), count) of N, .., N^count over GF(p^k) at each
-    point of one block, for pairs (coefficient rows, field) from
-    ``_coerce_point``.  Only prepared forms are held, and all powers of a
-    chunk of points, which ends once it holds ``_STACK_BYTES`` or where the
-    next point lies in another field, are ranked as one stack."""
+    point of one block, for pairs (coefficient rows, field).  Only prepared
+    forms are held, and all powers of a chunk of points, which ends once it
+    holds ``_STACK_BYTES`` or where the next point lies in another field,
+    are ranked as one stack."""
     coeffs = _coefficients(stack, points, p, count)
-    ranks, held = [], []
+    n, ranks, held = len(stack), [], []
     for ctx, run in itertools.groupby(points, key=lambda point: point[1]):
         rows = np.array([r for r, _ in run])
         batch = max(1, _EVAL_BYTES // (ctx.k * stack[0].nbytes))
@@ -223,7 +222,9 @@ def _block_ranks(stack: np.ndarray, points: list, p: int, count: int) -> np.ndar
             if coeffs is None:
                 evaluated = _chained_powers(stack, rows[lo:lo + batch], ctx, count)
             else:
-                values = _monomial_values(rows[lo:lo + batch], ctx, count)
+                chunk = rows[lo:lo + batch]  # N's values are the rows themselves
+                values = [chunk] + [_monomial_values(chunk, ctx, symrank.exponents(n, s)[::-1])
+                                    for s in range(2, count + 1)]
                 evaluated = (_evaluate(c, v, p) for c, v in zip(coeffs, values))
             for i, powers in enumerate(zip(*[gfq.prepare(x, ctx) for x in evaluated])):
                 held += powers
@@ -233,15 +234,19 @@ def _block_ranks(stack: np.ndarray, points: list, p: int, count: int) -> np.ndar
     return np.array(ranks, dtype=np.int64).reshape(len(points), count)
 
 
-def rank_vectors_at(acts, points) -> list[RankVector]:
-    """Rank vectors of N at many points, summed over the module's blocks."""
+def _rank_vectors(acts, points: list) -> list[RankVector]:
+    """``rank_vectors_at`` on pairs (coefficient rows, field)."""
     p = acts.p
-    points = [_coerce_point(alpha, acts.n, p) for alpha in points]
     total = np.zeros((len(points), p + 1), dtype=np.int64)
     for stack, mult in acts.blocks:
         total[:, 0] += mult * stack.shape[1]
         total[:, 1:p] += mult * _block_ranks(stack, points, p, p - 1)
     return [RankVector(p, tuple(int(x) for x in row)) for row in total]
+
+
+def rank_vectors_at(acts, points) -> list[RankVector]:
+    """Rank vectors of N at many points, summed over the module's blocks."""
+    return _rank_vectors(acts, [_coerce_point(alpha, acts.n, acts.p) for alpha in points])
 
 
 def rank_vector_at(acts, alpha) -> RankVector:
@@ -251,6 +256,20 @@ def rank_vector_at(acts, alpha) -> RankVector:
 
 def jordan_at_point(acts, alpha) -> JordanType:
     return JordanType.from_rank_vector(rank_vector_at(acts, alpha))
+
+
+def _free(acts, points: list) -> list[bool]:
+    """``are_free_at`` on pairs (coefficient rows, field), without its warning."""
+    p = acts.p
+    free = np.ones(len(points), dtype=bool)
+    for stack, _ in acts.blocks:
+        d = stack.shape[1]
+        if d % p:
+            return [False] * len(points)
+        idx = np.flatnonzero(free)
+        rank_n = _block_ranks(stack, [points[i] for i in idx], p, 1)[:, 0]
+        free[idx] = rank_n == d - d // p
+    return free.tolist()
 
 
 def are_free_at(acts, points) -> list[bool]:
@@ -267,16 +286,7 @@ def are_free_at(acts, points) -> list[bool]:
     if acts.dim % p:
         warnings.warn(f"dim {acts.dim} not divisible by {p}; module cannot be free",
                       RuntimeWarning, stacklevel=2)
-    points = [_coerce_point(alpha, acts.n, p) for alpha in points]
-    free = np.ones(len(points), dtype=bool)
-    for stack, _ in acts.blocks:
-        d = stack.shape[1]
-        if d % p:
-            return [False] * len(points)
-        idx = np.flatnonzero(free)
-        rank_n = _block_ranks(stack, [points[i] for i in idx], p, 1)[:, 0]
-        free[idx] = rank_n == d - d // p
-    return free.tolist()
+    return _free(acts, [_coerce_point(alpha, acts.n, p) for alpha in points])
 
 
 def is_free_at(acts, alpha) -> bool:

@@ -24,12 +24,12 @@ coordinate-wise by GF(p)^*.  The rank vector is not: the conjugate
 operator is c A_i plus terms in J^2, not c A_i, and S^(3,3,3) over GF(9)
 has points whose rank vector changes when one coordinate is doubled.
 
-Freeness is ``jordan.are_free_at`` and rank vectors are
-``jordan.rank_vectors_at``: a sweep hands all its orbit representatives
-to one call, which ranks them as stacks.  Both accept Specht and
-permutation modules.
-Forms are evaluated on code tables (``_monomials_at``), not on
-``FieldElement`` objects.
+Freeness is ``jordan._free`` and rank vectors ``jordan._rank_vectors``,
+the bodies of ``are_free_at`` and ``rank_vectors_at``: a sweep hands all
+its orbit representatives, as coefficient rows (``FieldCtx.digits`` of
+their codes), to one call, which ranks them as stacks.  Both accept
+Specht and permutation modules.  Forms are evaluated on such rows by
+``jordan._monomial_values``, which needs no tables.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ import numpy as np
 
 from . import gfp, symrank
 from .errors import InconsistentCounts, TooManyPoints, ZeroPoint
-from .ffalg import TABLE_CAP, FieldCtx, FieldElement, MultiPoly
-from .jordan import are_free_at, rank_vectors_at
+from .ffalg import TABLE_CAP, FieldCtx, MultiPoly
+from .jordan import _free, _monomial_values, _rank_vectors
 from .partitions import Partition
 from .spechtmod import RestrictedActions
 
@@ -184,9 +184,9 @@ def _point_orbits(p: int, n: int, k: int, *, torus: bool = False
     return tuple(orbits)
 
 
-def _representatives(orbits, ctx: FieldCtx) -> list[tuple[FieldElement, ...]]:
-    """The first point of each orbit, as field elements."""
-    return [tuple(ctx.element(c) for c in orbit[0]) for orbit in orbits]
+def _representatives(orbits, ctx: FieldCtx) -> list[tuple[np.ndarray, FieldCtx]]:
+    """The first point of each orbit, as pairs (coefficient rows, field)."""
+    return [(rows, ctx) for rows in ctx.digits([orbit[0] for orbit in orbits])]
 
 
 def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
@@ -194,16 +194,14 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
 
     Freeness is decided once per orbit of Frobenius x S_n x the GF(p)^*
     torus, so the locus is a union of such orbits; the representatives
-    are decided together (``are_free_at``).
+    are decided together (``jordan._free``).
     """
-    p, n, d = acts.p, acts.n, acts.dim
+    p, n = acts.p, acts.n
     key = (type(acts).__name__, acts.mu, n, p, k)
     sample = _LOCUS_MEMO.pop(key, None)
     if sample is None:
         orbits = _point_orbits(p, n, k, torus=True)
-        # p must divide d for freeness anywhere; skipping also skips the warning
-        free = (are_free_at(acts, _representatives(orbits, FieldCtx.get(p, k)))
-                if d % p == 0 else [False] * len(orbits))
+        free = _free(acts, _representatives(orbits, FieldCtx.get(p, k)))
         points = {pt for orbit, f in zip(orbits, free) if not f for pt in orbit}
         sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
                              total_projective_points=sum(map(len, orbits)))
@@ -213,29 +211,12 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
     return sample
 
 
-def _monomials_at(points: np.ndarray, exps: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Power-basis coefficients of x^e for every point x and exponent e.
-
-    ``points`` is a (P, n) array of codes and ``exps`` an (M, n) array of
-    exponent vectors; the result has shape (P, M, k).  The code of x^e is
-    exp[sum_i e_i log x_i mod (q - 1)], and 0 where a coordinate with
-    e_i > 0 is 0 (x^0 = 1 even at x = 0).  Needs ``ctx.tables``: every
-    sweep with n >= 2 is over a field with tables (``_point_orbits``
-    refuses the others), and for n = 1 the locus is empty or the one point
-    (1), which ``classify`` settles without interpolating.
-    """
-    t = ctx.tables
-    logs = t.log[points].astype(np.int64)
-    codes = t.exp[np.maximum(logs, 0) @ exps.T % t.order]
-    codes[(logs < 0) @ (exps > 0).T] = 0
-    return codes[:, :, None] // ctx.p ** np.arange(ctx.k) % ctx.p
-
-
-def _form_values(f: MultiPoly, points: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Power-basis coefficients of f(x) for every point x, shape (P, k)."""
+def _form_values(f: MultiPoly, points, ctx: FieldCtx) -> np.ndarray:
+    """Power-basis coefficients of f(x) at P points of codes, shape (P, k)."""
     exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.nvars)
     coeffs = np.array(list(f.terms.values()), dtype=np.int64)
-    return np.tensordot(coeffs, _monomials_at(points, exps, ctx), axes=(0, 1)) % ctx.p
+    values = _monomial_values(ctx.digits(points), ctx, exps)
+    return np.tensordot(coeffs, values, axes=(0, 1)) % ctx.p
 
 
 def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiPoly]:
@@ -244,11 +225,11 @@ def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiP
     Vanishing is evaluated on the stored representatives, which is sound
     for homogeneous forms only (scaling multiplies the value by a unit).
     """
-    n, p, k = sample.n, sample.p, sample.k
+    n, p, ctx = sample.n, sample.p, FieldCtx.get(sample.p, sample.k)
     exps = symrank.exponents(n, degree)[:, ::-1]  # descending lexicographic
     pts = np.array(sorted(sample.points), dtype=np.int64).reshape(-1, n)
     # k coefficient rows per point, one column per monomial
-    vals = _monomials_at(pts, exps, FieldCtx.get(p, k))
+    vals = _monomial_values(ctx.digits(pts), ctx, exps)
     rows = vals.transpose(0, 2, 1).reshape(-1, len(exps))
     basis = gfp.nullspace(rows, p)
     out = []
@@ -278,8 +259,7 @@ def _form_cuts_out(sample: LocusSample, f: MultiPoly) -> bool:
     every member of every orbit is evaluated.
     """
     pts = [pt for orbit in _point_orbits(sample.p, sample.n, sample.k) for pt in orbit]
-    values = _form_values(f, np.array(pts, dtype=np.int64),
-                          FieldCtx.get(sample.p, sample.k))
+    values = _form_values(f, pts, FieldCtx.get(sample.p, sample.k))
     vanishes = ~values.any(axis=1)
     return bool((vanishes == [pt in sample.points for pt in pts]).all())
 
@@ -408,10 +388,10 @@ def sweep_rank_vectors(acts: RestrictedActions, k: int):
 
     One rank vector per orbit of ``_point_orbits``, reported for each of
     its points: the Frobenius and coordinate permutations keep it.  The
-    representatives are ranked together (``rank_vectors_at``).
+    representatives are ranked together (``jordan._rank_vectors``).
     """
     orbits = _point_orbits(acts.p, acts.n, k)
-    rvs = rank_vectors_at(acts, _representatives(orbits, FieldCtx.get(acts.p, k)))
+    rvs = _rank_vectors(acts, _representatives(orbits, FieldCtx.get(acts.p, k)))
     for orbit, rv in zip(orbits, rvs):
         for pt in orbit:
             yield pt, rv.is_free, rv

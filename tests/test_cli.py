@@ -193,6 +193,7 @@ def test_cache_dir_is_scoped_to_its_command(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["info", "--mu", "nope"],
     ["info", "--mu", "(3,2)", "--p", "9"],
+    ["info", "--mu", "(3)", "--p", "1" + "0" * 400],  # past float range, not prime
     ["jordan", "--mu", "(8,1)", "--p", "7"],  # module construction gates p
     ["jordan", "--mu", "(8,1)", "--samples", "0"],
     ["variety", "--mu", "(3,3,3)", "--ext", "0"],

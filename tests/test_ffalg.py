@@ -108,6 +108,23 @@ def test_element_enumeration_roundtrip():
         assert ctx.element(i) == e
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_digits_are_the_coefficients_of_codes(p, k):
+    # every code of GF(4), GF(8), GF(9), GF(25) and GF(27): its digits are
+    # its element's coefficients, which encode back to the code; an array
+    # of codes gives one row of k digits per code
+    ctx = FieldCtx.get(p, k)
+    codes = np.arange(ctx.q)
+    for c in codes.tolist():
+        assert tuple(ctx.digits(c).tolist()) == ctx.element(c).coeffs
+        assert ctx.element(ctx.digits(c).tolist()).to_index() == c
+    points = codes[::-1].reshape(-1, 1) if ctx.q % 2 else codes.reshape(-1, 2)
+    got = ctx.digits(points)
+    assert got.dtype == np.int64 and got.shape == points.shape + (k,)
+    assert got.tolist() == [[list(ctx.element(c).coeffs) for c in row]
+                            for row in points.tolist()]
+
+
 def test_mul_matrix_is_ring_hom():
     ctx = FieldCtx.get(5, 2)
     rng = np.random.default_rng(3)

@@ -256,7 +256,7 @@ def test_kernel_leaves_rows_alone_where_their_pivot_row_is_zero(p, k):
     # column 0 the pivot rows of the first two are nonzero in columns {1}
     # and {2, 3}, so both are updated over the union {1, 2, 3}, each
     # across columns where its own pivot row is zero, on entries both zero
-    # and nonzero there.  The third pivots in its row 2, after a swap; the
+    # and nonzero there.  The third pivots in its row 2, where it stands; the
     # fourth has no pivot in column 0 and starts at column 1; the fifth,
     # the identity, needs no update
     ctx = FieldCtx.get(p, k)
@@ -271,6 +271,35 @@ def test_kernel_leaves_rows_alone_where_their_pivot_row_is_zero(p, k):
     # and each alone, and in the reverse order
     assert [gfq.ranks([gfq.prepare(m, ctx)], ctx)[0] for m in mats] == want
     assert gfq.ranks([gfq.prepare(m, ctx) for m in mats[::-1]], ctx) == want[::-1]
+
+
+def staircase_slices(ctx, rows, cols, rng):
+    """Slices of a random matrix whose rows start at their first nonzero
+    column, latest first: zero before it, nonzero at it.  Row 2 copies
+    row 3, so the rank falls short of min(rows, cols)."""
+    m = random_slices(ctx, rows, cols, rng)
+    leads = np.sort(rng.integers(0, cols, rows))[::-1]
+    m[:, np.arange(cols) < leads[:, None]] = 0
+    m[0, np.arange(rows), leads] = rng.integers(1, ctx.p, rows)
+    m[:, 2] = m[:, 3]
+    return m
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_kernel_pivots_below_free_rows_that_are_zero_there(p, k):
+    # each matrix's rows are ordered by their first nonzero column, latest
+    # first, so at most columns its pivot row lies below free rows that are
+    # zero there (in column 0, below row 0 at least): the kernel takes the
+    # pivot where it stands.  Ranks against the blowup
+    ctx = FieldCtx.get(p, k)
+    rng = np.random.default_rng(13 * p + k)
+    for rows, cols in ((10, 12), (12, 8)):
+        mats = [staircase_slices(ctx, rows, cols, rng) for _ in range(6)]
+        for m in mats:
+            nonzero = np.flatnonzero(m[:, :, 0].any(axis=0))
+            assert nonzero.size == 0 or nonzero[0] > 0
+        want = assert_kernel_matches(mats, ctx)
+        assert all(w < rows for w in want) and max(want) > 1
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -413,8 +442,9 @@ def test_point_operators_match_blowup(module, k, points):
 ], ids=["S(5,2,1,1)-p3", "S(4,3,1)-p2", "S(7,3)-p5", "M(4,2)-p2-block"])
 def test_point_operator_matches_the_loop(module, ks):
     # N is the degree-1 evaluation: the block's stack is its own coefficient
-    # stack, used as it is, and one GEMM of a point's rows with it gives
-    # the loop's operator
+    # stack, used as it is, the values of the monomials x_1 .. x_n are the
+    # point's rows, and one GEMM of them with the stack gives the loop's
+    # operator
     acts = module()
     p = acts.p
     rng = np.random.default_rng(p)
@@ -432,7 +462,7 @@ def test_point_operator_matches_the_loop(module, ks):
             want, want_ctx = point_operator(mats, pt, p)
             rows, ctx = jordan._coerce_point(pt, acts.n, p)
             assert ctx is want_ctx
-            (values,) = jordan._monomial_values(rows[None], ctx, 1)
+            values = jordan._monomial_values(rows[None], ctx, np.eye(acts.n, dtype=np.int64))
             assert np.array_equal(values[0], rows)
             got = jordan._evaluate(stack, values, p)
             assert got.dtype == stack.dtype and np.array_equal(got[0], want), pt
@@ -491,17 +521,19 @@ def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_byt
 def evaluated_powers(stack, points, p, count, chained=False):
     """N .. N^count at each point as ``jordan._block_ranks`` forms them before
     preparing, plus the field: the coefficient stacks are built once, and
-    each run of points in one field takes one GEMM per power; or, chained,
-    each power from the one before."""
+    each run of points in one field takes one GEMM per power, with N's
+    values the points' rows and those of N^s the degree-s monomials'; or,
+    chained, each power from the one before."""
     coeffs = symrank.power_coefficients(stack, p, count)
-    out = []
-    coerced = [jordan._coerce_point(pt, len(stack), p) for pt in points]
+    n, out = len(stack), []
+    coerced = [jordan._coerce_point(pt, n, p) for pt in points]
     for ctx, run in itertools.groupby(coerced, key=lambda point: point[1]):
         rows = np.array([r for r, _ in run])
         if chained:
             evaluated = jordan._chained_powers(stack, rows, ctx, count)
         else:
-            values = jordan._monomial_values(rows, ctx, count)
+            values = [rows] + [jordan._monomial_values(rows, ctx, symrank.exponents(n, s)[::-1])
+                               for s in range(2, count + 1)]
             evaluated = [jordan._evaluate(c, v, p) for c, v in zip(coeffs, values)]
         out += [(powers, ctx) for powers in zip(*evaluated)]
     return out

@@ -141,7 +141,11 @@ def test_rank_stack_update_is_branch_free():
 
 def test_sweeps_and_generic_types_hand_over_stacks():
     # the many-point callers rank their points together: no per-point
-    # rank_vector_at / is_free_at call inside them
+    # rank_vector_at / is_free_at call inside them.  The sweeps hand their
+    # orbit representatives over as coefficient rows, straight to the
+    # private bodies of the public many-point functions, which only coerce
+    # points and call them; generic types draw field elements and go
+    # through the public function
     def per_point(mod, node):
         f = node.func
         return getattr(f, "id", getattr(f, "attr", None)) in ("rank_vector_at", "is_free_at")
@@ -150,8 +154,11 @@ def test_sweeps_and_generic_types_hand_over_stacks():
     assert not callers & hot, callers & hot
     def names(name):
         return set(_calls(lambda mod, node: getattr(node.func, "id", None) == name))
-    assert names("rank_vectors_at") >= {"jordan.generic_type", "variety.sweep_rank_vectors"}
-    assert names("are_free_at") >= {"variety.enumerate_locus"}
+    assert names("_rank_vectors") == {"jordan.rank_vectors_at", "variety.sweep_rank_vectors"}
+    assert names("_free") == {"jordan.are_free_at", "variety.enumerate_locus"}
+    assert "jordan.generic_type" in names("rank_vectors_at")
+    assert not {s for s in names("rank_vectors_at") | names("are_free_at")
+                if s.startswith("variety.")}
 
 
 def test_point_operator_builds_no_blowup():
@@ -201,12 +208,40 @@ def test_one_point_walk():
 
 
 def test_variety_evaluates_forms_on_code_tables():
-    # interpolation reads monomial values from log/exp tables
-    # (variety._monomials_at), never from FieldElement arithmetic
+    # interpolation evaluates monomials on the coefficient rows of its code
+    # points, with jordan's one monomial evaluator: never from
+    # FieldElement arithmetic, which variety does not import, and from no
+    # log tables; the table evaluator it replaced is gone
     def names_poly_eval(mod, node):
         f = node.func
         return mod == "variety" and getattr(f, "id", getattr(f, "attr", None)) == "poly_eval"
     assert _calls(names_poly_eval) == []
+    assert _scopes(lambda mod, node: mod == "variety" and isinstance(node, ast.ImportFrom)
+                   and any(alias.name == "FieldElement" for alias in node.names)) == []
+    forms = {"variety._form_values", "variety.homogeneous_vanishing_forms"}
+    assert set(_calls(lambda mod, node: getattr(node.func, "id", None)
+                      == "_monomial_values")) == forms | {"jordan._block_ranks"}
+    assert not forms & set(_scopes(lambda mod, node: isinstance(node, ast.Attribute)
+                                   and node.attr == "tables"))
+
+    def names_gone(mod, node):
+        name = (node.name if isinstance(node, ast.FunctionDef)
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name == "_monomials_at"
+    assert _scopes(names_gone) == []
+
+
+def test_rank_stack_moves_no_rows():
+    # pivot rows stay where they are found: the GF(q) kernel keeps no
+    # first-free-row index (top, base) and stores into no rows of its flat
+    # stack, only into entries of the linear view
+    def kernel_has(match):
+        return "gfq._rank_stack" in _scopes(lambda mod, node: mod == "gfq" and match(node))
+    assert not kernel_has(lambda node: isinstance(node, ast.Name) and node.id in ("top", "base"))
+    assert not kernel_has(lambda node: isinstance(node, ast.Subscript)
+                          and isinstance(node.ctx, ast.Store)
+                          and getattr(node.value, "id", None) == "flat")
 
 
 def test_bareiss_steps_take_blocks_of_rows():

@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from spechtvar import spechtmod, symrank, variety
+from spechtvar import jordan, spechtmod, symrank, variety
 from spechtvar.errors import ArityMismatch, InconsistentCounts, TooManyPoints, ZeroPoint
-from spechtvar.ffalg import FieldCtx, MultiPoly
+from spechtvar.ffalg import TABLE_CAP, FieldCtx, MultiPoly
 from spechtvar.jordan import is_free_at, rank_vector_at
 from spechtvar.spechtmod import perm_module_actions, restricted_actions
 from spechtvar.variety import (CATALOGUE_P3_9, classify, classify_stable,
@@ -19,7 +19,8 @@ QUARTIC = MultiPoly(p=3, nvars=3, terms={(2, 2, 0): 1, (0, 2, 2): 1, (2, 0, 2): 
 
 def poly_eval(f, point):
     """f at a point with coordinates in one field, by ``FieldElement``
-    arithmetic: the oracle of the code-table evaluation ``_monomials_at``."""
+    arithmetic: the oracle of the evaluation on coefficient rows
+    (``jordan._monomial_values``)."""
     if len(point) != f.nvars:
         raise ArityMismatch(f"point has {len(point)} coordinates, poly has {f.nvars}")
     ctx = point[0].ctx
@@ -345,28 +346,49 @@ def test_poly_eval_matches_direct_expansion():
         poly_eval(f, pt[:2])
 
 
+def _check_forms_against_poly_eval(ctx, pts, forms):
+    """``jordan._monomial_values`` on the coefficient rows of these code
+    points, for every monomial in 3 variables of degree <= 4, and
+    ``variety._form_values`` of each form, against ``poly_eval``."""
+    coords = [tuple(ctx.element(c) for c in pt) for pt in pts]
+    exps = [tuple(e) for d in range(5) for e in symrank.exponents(3, d)[:, ::-1].tolist()]
+    mono = jordan._monomial_values(ctx.digits(pts), ctx, np.array(exps))
+    assert mono.shape == (len(pts), len(exps), ctx.k)
+    for col, e in enumerate(exps):
+        for row, x in enumerate(coords):
+            assert tuple(mono[row, col]) == poly_eval(MultiPoly.monomial(ctx.p, e), x).coeffs
+    for f in forms:
+        values = variety._form_values(f, pts, ctx)
+        for row, x in enumerate(coords):
+            assert tuple(values[row]) == poly_eval(f, x).coeffs, (f, pts[row])
+
+
 @pytest.mark.parametrize("k, affine", [(2, True), (3, False)], ids=["GF9", "GF27"])
 def test_forms_on_code_tables_match_poly_eval(k, affine):
-    # interpolation evaluates monomials and forms on log/exp code tables;
+    # interpolation evaluates monomials and forms on the coefficient rows of
+    # code points, multiplied as polynomials folded by the modulus;
     # poly_eval on FieldElements is the reference.  Over GF(9) every
     # affine point, zero coordinates included; over GF(27) every
     # projective point
     ctx = FieldCtx.get(3, k)
     pts = (list(itertools.product(range(ctx.q), repeat=3)) if affine
            else list(projective_points(ctx, 3)))
-    coords = [tuple(ctx.element(c) for c in pt) for pt in pts]
-    arr = np.array(pts, dtype=np.int64)
-    exps = [tuple(e) for d in range(5) for e in symrank.exponents(3, d)[:, ::-1].tolist()]
-    mono = variety._monomials_at(arr, np.array(exps), ctx)
-    for col, e in enumerate(exps):
-        for row, x in enumerate(coords):
-            assert tuple(mono[row, col]) == poly_eval(MultiPoly.monomial(3, e), x).coeffs
     rng = np.random.default_rng(k)
     forms = [QUARTIC] + [_random_form(rng, 3, 3, terms, 4) for terms in (2, 5, 8)]
-    for f in forms:
-        values = variety._form_values(f, arr, ctx)
-        for row, x in enumerate(coords):
-            assert tuple(values[row]) == poly_eval(f, x).coeffs, (f, pts[row])
+    _check_forms_against_poly_eval(ctx, pts, forms)
+
+
+def test_forms_match_poly_eval_over_a_field_without_tables():
+    # GF(5^12) is above the table cap, and forms are evaluated there all
+    # the same: the evaluation reads no log tables
+    ctx = FieldCtx.get(5, 12)
+    assert ctx.q > TABLE_CAP
+    rng = np.random.default_rng(512)
+    pts = [tuple(int(c) for c in rng.integers(0, ctx.q, 3)) for _ in range(6)]
+    pts += [(0, int(rng.integers(1, ctx.q)), 1), (1, 0, 0)]
+    forms = [_random_form(rng, 5, 3, terms, 4) for terms in (1, 3, 6)]
+    _check_forms_against_poly_eval(ctx, pts, forms)
+    assert "tables" not in vars(ctx)
 
 
 def _check_sweep_against_direct_evaluation(acts, k, total):
