@@ -176,15 +176,18 @@ class FieldCtx:
             if not 0 <= value < self.q:
                 value %= self.p  # scalars embed via the prime subfield
                 return FieldElement(self, (value,) + (0,) * (self.k - 1))
-            return FieldElement(self, tuple(self.digits(value).tolist()))
+            digits = tuple((value // self.p**i) % self.p for i in range(self.k))
+            return FieldElement(self, digits)
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) != self.k:
             raise ArityMismatch(f"need {self.k} coefficients, got {len(coeffs)}")
         return FieldElement(self, coeffs)
 
     def digits(self, codes) -> np.ndarray:
-        """Coefficient rows (..., k) of an integer array of codes below q."""
-        return np.asarray(codes, dtype=np.int64)[..., None] // self.p ** np.arange(self.k) % self.p
+        """Coefficient rows (..., k) of codes below q: code // p^i, by repeated division."""
+        steps = np.full(np.shape(codes) + (self.k,), self.p, dtype=np.int64)
+        steps[..., 0] = codes
+        return np.remainder(np.floor_divide.accumulate(steps, -1, out=steps), self.p, out=steps)
 
     def random_element(self, rng: np.random.Generator) -> "FieldElement":
         return FieldElement(self, tuple(int(x) for x in rng.integers(0, self.p, self.k)))

@@ -102,9 +102,7 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     a[a < 0] = zero
     flat = a.reshape(b * m, n)
     lin = a.reshape(-1)
-    ranks = np.zeros(b, dtype=np.int64)
     free = np.ones(b * m, dtype=bool)  # rows not yet taken as a pivot row
-    left = b * m
     for j in range(n):
         # candidates in flat order, so each matrix's first one leads its run;
         # a matrix of full rank has none
@@ -117,15 +115,12 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx) -> np.ndarray:
         lead = np.empty(rows.size, dtype=bool)
         lead[0] = True
         np.not_equal(mat[1:], mat[:-1], out=lead[1:])
-        live = mat[lead]
         piv = rows[lead]
         free[piv] = False
-        ranks[live] += 1
-        left -= live.size
         rest = ~lead
         rows = rows[rest]
         if rows.size:
-            owner = (np.cumsum(lead) - 1)[rest]  # position of each row's matrix in live
+            owner = (np.cumsum(lead) - 1)[rest]  # position of each row's pivot in piv
             pivot_rows = flat[piv, j + 1:]
             cols = j + 1 + np.flatnonzero((pivot_rows >= 0).any(axis=0))
             if cols.size:
@@ -145,9 +140,9 @@ def _rank_stack(a: np.ndarray, ctx: FieldCtx) -> np.ndarray:
                     add += plus.take(gap, mode="clip")
                     _reduce(add, order)
                     lin[at] = np.maximum(add, zero, out=add)
-        if not left:
+        if not free.any():
             break
-    return ranks
+    return (~free).reshape(b, m).sum(axis=1)
 
 
 def _reduce(x: np.ndarray, order: int) -> None:

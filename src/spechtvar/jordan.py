@@ -147,8 +147,13 @@ def _monomial_values(rows: np.ndarray, ctx: FieldCtx, exps: np.ndarray) -> np.nd
     """Coefficient rows (P, M, k) of alpha^e for the M exponent rows e of
     ``exps`` (M, n), at the P points of ``rows`` (P, n, k); alpha^0 = 1,
     also where alpha = 0.  Rows multiply as polynomials in t folded by
-    ``FieldCtx.reduction``, for all points and monomials at once."""
+    ``FieldCtx.reduction``, for all monomials at once and for the points
+    in batches, whose (batch, M, k, k) products stay within ``_EVAL_BYTES``."""
     p, k, n = ctx.p, ctx.k, rows.shape[1]
+    batch = max(1, _EVAL_BYTES // (8 * len(exps) * k * k))
+    if len(rows) > batch:
+        return np.concatenate([_monomial_values(rows[lo:lo + batch], ctx, exps)
+                               for lo in range(0, len(rows), batch)])
     fold = ctx.reduction.T[np.add.outer(np.arange(k), np.arange(k)).ravel()]
 
     def mul(x, y):
@@ -177,7 +182,8 @@ def _evaluate(coeffs: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
 
 
 # Bytes of the prepared powers held at once (the stacked elimination's
-# input), and of one evaluation GEMM's float output, kept far below them.
+# input), and of one evaluation GEMM's float output or one batch's monomial
+# products, kept far below them.
 _STACK_BYTES, _EVAL_BYTES = 8 << 20, 1 << 20
 
 
@@ -261,14 +267,13 @@ def jordan_at_point(acts, alpha) -> JordanType:
 def _free(acts, points: list) -> list[bool]:
     """``are_free_at`` on pairs (coefficient rows, field), without its warning."""
     p = acts.p
+    if any(stack.shape[1] % p for stack, _ in acts.blocks):
+        return [False] * len(points)
     free = np.ones(len(points), dtype=bool)
     for stack, _ in acts.blocks:
         d = stack.shape[1]
-        if d % p:
-            return [False] * len(points)
         idx = np.flatnonzero(free)
-        rank_n = _block_ranks(stack, [points[i] for i in idx], p, 1)[:, 0]
-        free[idx] = rank_n == d - d // p
+        free[idx] = _block_ranks(stack, [points[i] for i in idx], p, 1)[:, 0] == d - d // p
     return free.tolist()
 
 

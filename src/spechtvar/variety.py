@@ -215,8 +215,7 @@ def _form_values(f: MultiPoly, points, ctx: FieldCtx) -> np.ndarray:
     """Power-basis coefficients of f(x) at P points of codes, shape (P, k)."""
     exps = np.array(list(f.terms), dtype=np.int64).reshape(-1, f.nvars)
     coeffs = np.array(list(f.terms.values()), dtype=np.int64)
-    values = _monomial_values(ctx.digits(points), ctx, exps)
-    return np.tensordot(coeffs, values, axes=(0, 1)) % ctx.p
+    return _monomial_values(ctx.digits(points), ctx, exps).transpose(0, 2, 1) @ coeffs % ctx.p
 
 
 def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiPoly]:
@@ -229,8 +228,7 @@ def homogeneous_vanishing_forms(sample: LocusSample, degree: int) -> list[MultiP
     exps = symrank.exponents(n, degree)[:, ::-1]  # descending lexicographic
     pts = np.array(sorted(sample.points), dtype=np.int64).reshape(-1, n)
     # k coefficient rows per point, one column per monomial
-    vals = _monomial_values(ctx.digits(pts), ctx, exps)
-    rows = vals.transpose(0, 2, 1).reshape(-1, len(exps))
+    rows = _monomial_values(ctx.digits(pts), ctx, exps).transpose(0, 2, 1).reshape(-1, len(exps))
     basis = gfp.nullspace(rows, p)
     out = []
     for j in range(basis.shape[1]):

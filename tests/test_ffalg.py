@@ -125,6 +125,20 @@ def test_digits_are_the_coefficients_of_codes(p, k):
                             for row in points.tolist()]
 
 
+def test_element_codes_are_exact_in_large_fields():
+    # element() splits a code into digits with Python ints, and digits()
+    # by repeated division: in GF(59^12) p^(k-1) is above 2^63, and in
+    # GF(101^10) so are some codes
+    ctx = FieldCtx.get(59, 12)
+    assert ctx.element(1) == ctx.one and ctx.element(1) + 1 == ctx.element(2)
+    assert ctx.element(ctx.q - 1).coeffs == (58,) * 12
+    codes = [1, 59**10 + 2, 2**63 - 1]
+    assert ctx.digits(codes).tolist() == [list(ctx.element(c).coeffs) for c in codes]
+    ctx = FieldCtx.get(101, 10)
+    for code in (2**63, 2**63 + 5, ctx.q - 1):
+        assert ctx.element(code).to_index() == code
+
+
 def test_mul_matrix_is_ring_hom():
     ctx = FieldCtx.get(5, 2)
     rng = np.random.default_rng(3)

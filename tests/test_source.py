@@ -211,7 +211,8 @@ def test_variety_evaluates_forms_on_code_tables():
     # interpolation evaluates monomials on the coefficient rows of its code
     # points, with jordan's one monomial evaluator: never from
     # FieldElement arithmetic, which variety does not import, and from no
-    # log tables; the table evaluator it replaced is gone
+    # log tables; the table evaluator it replaced is gone.  The evaluator
+    # calls itself on its batches of points
     def names_poly_eval(mod, node):
         f = node.func
         return mod == "variety" and getattr(f, "id", getattr(f, "attr", None)) == "poly_eval"
@@ -220,7 +221,8 @@ def test_variety_evaluates_forms_on_code_tables():
                    and any(alias.name == "FieldElement" for alias in node.names)) == []
     forms = {"variety._form_values", "variety.homogeneous_vanishing_forms"}
     assert set(_calls(lambda mod, node: getattr(node.func, "id", None)
-                      == "_monomial_values")) == forms | {"jordan._block_ranks"}
+                      == "_monomial_values")) == forms | {"jordan._block_ranks",
+                                                          "jordan._monomial_values"}
     assert not forms & set(_scopes(lambda mod, node: isinstance(node, ast.Attribute)
                                    and node.attr == "tables"))
 

@@ -391,6 +391,41 @@ def test_forms_match_poly_eval_over_a_field_without_tables():
     assert "tables" not in vars(ctx)
 
 
+def test_forms_are_evaluated_in_bounded_batches_of_points(monkeypatch):
+    # jordan._monomial_values takes the points in batches whose
+    # (batch, M, k, k) products stay within jordan._EVAL_BYTES: over GF(81)
+    # a batch of quartics takes 546 of the 6643 projective points.  Values
+    # and vanishing forms do not depend on how the points are batched:
+    # over GF(27), one point a batch, or seven
+    exps = symrank.exponents(3, 4)[:, ::-1]
+    evaluate, batches = jordan._monomial_values, []
+
+    def spy(rows, ctx, exps):
+        batches.append(len(rows))
+        return evaluate(rows, ctx, exps)
+    monkeypatch.setattr(jordan, "_monomial_values", spy)
+    ctx = FieldCtx.get(3, 4)
+    rows = ctx.digits(list(projective_points(ctx, 3)))
+    per_point = 8 * len(exps) * ctx.k**2
+    assert np.array_equal(spy(rows, ctx, exps)[::97], evaluate(rows[::97], ctx, exps))
+    assert batches[0] == len(rows) == sum(batches[1:]) and len(batches) > 2
+    assert max(batches[1:]) * per_point <= jordan._EVAL_BYTES < (max(batches[1:]) + 1) * per_point
+    monkeypatch.undo()
+
+    ctx = FieldCtx.get(3, 3)
+    pts = list(projective_points(ctx, 3))
+    sample = enumerate_locus(restricted_actions((3, 3, 3), 3, 3), 3)
+
+    def forms():
+        return (variety._form_values(QUARTIC, pts, ctx).tolist(),
+                variety.homogeneous_vanishing_forms(sample, 4))
+    want = forms()
+    assert want[1]
+    for size in (1, 7):
+        monkeypatch.setattr(jordan, "_EVAL_BYTES", size * 8 * len(exps) * ctx.k**2)
+        assert forms() == want
+
+
 def _check_sweep_against_direct_evaluation(acts, k, total):
     # sweep_rank_vectors evaluates one point per Frobenius x S_n orbit and
     # copies its rank vector to the rest; rank_vector_at at every point is
