@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .ffalg import FieldCtx, MultiPoly
-from .jordan import (JordanType, complementary_check, generic_type,
-                     rank_vectors_at, stable_type)
+from .jordan import (JordanType, _rank_vectors, complementary_check,
+                     generic_type, stable_type)
 from .partitions import (Partition, branching_set, conjugate, contained_p,
                          dim_specht, format_partition, p_core_weight,
                          partitions_of, syt_count)
@@ -254,13 +254,14 @@ _EXACT_PERM = (((9,), 3, 3), ((3, 3), 2, 3), ((4, 2), 3, 2))
 def _first_change(roster, trials) -> int | None:
     """Index of the first trial (point, image) whose two rank vectors differ.
 
-    Trial i is on ``roster[i % len(roster)]``; each module's points and
-    images are ranked in one ``rank_vectors_at`` call.
+    Points and images are pairs (coefficient rows, field).  Trial i is on
+    ``roster[i % len(roster)]``; each module's points and images are
+    ranked in one ``_rank_vectors`` call.
     """
     changed = []
     for m, acts in enumerate(roster):
         pairs = trials[m::len(roster)]
-        rvs = rank_vectors_at(acts, [a for a, _ in pairs] + [b for _, b in pairs])
+        rvs = _rank_vectors(acts, [a for a, _ in pairs] + [b for _, b in pairs])
         changed += [m + j * len(roster)
                     for j, (a, b) in enumerate(zip(rvs, rvs[len(pairs):])) if a != b]
     return min(changed, default=None)
@@ -275,30 +276,28 @@ def property_suites() -> tuple[bool, str]:
                       perm_module_actions((4, 2), 3, 2)]
     # validity: the RankVector constructor rejects non-monotone or
     # non-convex profiles, so surviving 500 evaluations is the check; the
-    # points are drawn in trial order and ranked per (module, field)
+    # points are drawn in trial order, as coefficient rows, and ranked per
+    # (module, field)
     groups: dict[tuple[int, int], list] = {}
     for i in range(500):
         m = i % len(roster)
         ctx = FieldCtx.get(roster[m].p, 1 + i % 3)
-        groups.setdefault((m, ctx.k), []).append(ctx.random_point(rng, roster[m].n))
+        groups.setdefault((m, ctx.k), []).append((ctx.random_rows(rng, roster[m].n), ctx))
     for (m, _), points in groups.items():
-        for rv in rank_vectors_at(roster[m], points):
+        for rv in _rank_vectors(roster[m], points):
             JordanType.from_rank_vector(rv)
     scaled, permuted = [], []
     for i in range(100):
         acts = dense[i % len(dense)]
         ctx = FieldCtx.get(acts.p, 2)
-        pt = ctx.random_point(rng, acts.n)
-        lam = ctx.random_element(rng)
-        while not lam:
-            lam = ctx.random_element(rng)
-        scaled.append((pt, tuple(x * lam for x in pt)))
+        pt = ctx.random_rows(rng, acts.n)
+        lam = ctx.random_rows(rng, 1)  # a nonzero scalar
+        scaled.append(((pt, ctx), (ctx.mul_rows(pt, lam), ctx)))
     for i in range(100):
         acts = dense[i % len(dense)]
         ctx = FieldCtx.get(acts.p, 2)
-        pt = ctx.random_point(rng, acts.n)
-        sigma = rng.permutation(acts.n)
-        permuted.append((pt, tuple(pt[j] for j in sigma)))
+        pt = ctx.random_rows(rng, acts.n)
+        permuted.append(((pt, ctx), (pt[rng.permutation(acts.n)], ctx)))
     for what, trials in (("scaling", scaled), ("coordinate permutation", permuted)):
         i = _first_change(dense, trials)
         if i is not None:

@@ -53,7 +53,11 @@ def _prime(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if not _is_prime(value):
+    try:
+        prime = _is_prime(value)
+    except PreconditionViolated as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if not prime:
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 

@@ -6,10 +6,14 @@ integer sum(c_i * p^i).  A context is built from the companion matrix C of
 f, multiplication by t on the power basis: ``FieldCtx.reduction`` holds the
 first columns of C^e, the coefficients of t^e (e <= 2k - 2), and
 ``tmats[c]`` = C^c is a window of them.  f is found by Rabin's test
-(M. O. Rabin, SIAM J. Comput. 9, 1980) as identities between powers of C,
-products fold t^e by the ``reduction`` columns, and a^-1 = a^(q-2).
-Elements carry their coefficient vector; the same encoding doubles as a
-stable integer code for storage and enumeration order.
+(M. O. Rabin, SIAM J. Comput. 9, 1980) as identities between powers of C.
+Field data is held as coefficient rows, int64 arrays (..., k) of the
+power-basis coefficients: ``FieldCtx.random_rows`` draws points as rows,
+``digits`` splits integer codes sum(c_i * p^i) into rows, and
+``FieldCtx.mul_rows`` is the one product of rows, folding t^e by the
+``reduction`` columns.  A ``FieldElement`` carries one element's
+coefficient vector and code; it is an input form for points and has no
+arithmetic.  Codes double as a stable order for storage and enumeration.
 
 For q = p^k <= ``TABLE_CAP`` (3^12) a context also holds log/Zech tables
 over its codes (``FieldCtx.tables``, built on first use): with a fixed
@@ -25,7 +29,6 @@ element over GF(p); the tables, g included, are built from its powers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -76,8 +79,25 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise NonTermination(f"no irreducible of degree {k} over GF({p})")
 
 
+# The first 13 primes as Miller-Rabin bases decide primality exactly below
+# psi_13, the least strong pseudoprime to all of them (J. Sorenson and
+# J. Webster, Math. Comp. 86, 2017); larger p are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin test on ``_MR_BASES``, for p below ``_MR_BOUND``."""
+    if p >= _MR_BOUND:
+        raise PreconditionViolated(f"p is not below {_MR_BOUND}, the bound under "
+                                   "which primality is decided exactly")
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d = (p - 1) >> s
+    # p passes base b iff b^d = 1 or b^(d 2^r) = -1 for some r < s
+    return all(pow(b, d, p) == 1 or any(pow(b, d << r, p) == p - 1 for r in range(s))
+               for b in _MR_BASES)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -128,8 +148,10 @@ class FieldCtx:
             raise PreconditionViolated(f"p = {p} is not prime")
         if not 1 <= k <= 12:
             raise PreconditionViolated(f"extension degree {k} outside 1..12")
-        if k > 1 and k * (p - 1) ** 2 >= 2**63:
-            raise PreconditionViolated(f"GF({p}^{k}): k (p-1)^2 reaches 2^63, past int64")
+        # int64 sums: k (p-1)^2 in products of k x k matrices over GF(p),
+        # k (p-1) + k (k-1)/2 (p-1)^2 in ``mul_rows``
+        if max(k * (p - 1) ** 2, k * (p - 1) + k * (k - 1) // 2 * (p - 1) ** 2) >= 2**63:
+            raise PreconditionViolated(f"GF({p}^{k}): sums of products reach 2^63, past int64")
         self.p = p
         self.k = k
         self.q = p**k
@@ -189,15 +211,28 @@ class FieldCtx:
         steps[..., 0] = codes
         return np.remainder(np.floor_divide.accumulate(steps, -1, out=steps), self.p, out=steps)
 
-    def random_element(self, rng: np.random.Generator) -> "FieldElement":
-        return FieldElement(self, tuple(int(x) for x in rng.integers(0, self.p, self.k)))
-
-    def random_point(self, rng: np.random.Generator, n: int) -> tuple["FieldElement", ...]:
-        """Uniform nonzero vector in GF(p^k)^n."""
+    def random_rows(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Coefficient rows (n, k) of a uniform nonzero point of GF(p^k)^n,
+        drawn again while they are all zero."""
         while True:
-            pt = tuple(self.random_element(rng) for _ in range(n))
-            if any(pt):
-                return pt
+            rows = rng.integers(0, self.p, (n, self.k))
+            if rows.any():
+                return rows
+
+    def mul_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Products of broadcastable coefficient rows (..., k), as (..., k) rows.
+
+        Entries lie in [0, p).  The rows multiply as polynomials in t: each
+        pairwise product x_i y_j is reduced mod p and added into t^(i+j),
+        folded by column i + j of ``reduction``, in one product with the
+        (k^2, k) fold.  A sum of it is at most k (p-1) + k (k-1)/2 (p-1)^2,
+        which the constructor keeps below 2^63.
+        """
+        p, k = self.p, self.k
+        prod = x[..., :, None] * y[..., None, :]
+        prod %= p
+        fold = self.reduction.T[np.add.outer(np.arange(k), np.arange(k)).ravel()]
+        return prod.reshape(*prod.shape[:-2], k * k) @ fold % p
 
     # -- matrices over GF(p) and code tables -----------------------------------
 
@@ -265,15 +300,14 @@ class FieldCtx:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """Element of GF(p^k) as a coefficient vector in the power basis."""
+    """Element of GF(p^k) as a coefficient vector in the power basis.
+
+    An input form for the coordinates of points, with no arithmetic:
+    products of field data are ``FieldCtx.mul_rows`` on coefficient rows.
+    """
 
     ctx: FieldCtx
     coeffs: tuple[int, ...]
-
-    def _lift(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            return other
-        return self.ctx.element(other)
 
     def __bool__(self):
         return any(self.coeffs)
@@ -288,57 +322,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.ctx.p, self.ctx.modulus, self.coeffs))
-
-    def __add__(self, other):
-        o = self._lift(other)
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        ctx = self.ctx
-        p, k = ctx.p, ctx.k
-        raw = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    raw[i + j] += a * b
-        # t^e, e >= k, folds in by column e of ``reduction``, in Python
-        # ints: an int64 fold of these sums could overflow for large p
-        for e, column in enumerate(ctx.reduction.T[k:].tolist(), start=k):
-            raw[:k] = [x + raw[e] * r for x, r in zip(raw, column)]
-        return FieldElement(ctx, tuple(x % p for x in raw[:k]))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        return self ** (self.ctx.q - 2)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def to_index(self) -> int:
         return sum(c * self.ctx.p**i for i, c in enumerate(self.coeffs))

@@ -5,6 +5,13 @@ coefficient slices over GF(p), ranked over GF(p^k) by ``gfq``.  The
 Jordan type is read off the rank vector (r_0, ..., r_p) by the second
 difference b_s = r_{s-1} - 2 r_s + r_{s+1}.
 
+Points arrive as pairs (coefficient rows (n, k), field): the public
+functions coerce tuples of ints or ``FieldElement``s (``_coerce_point``),
+the sweeps hand over their orbit representatives from codes
+(``FieldCtx.digits``), and ``generic_type`` draws its samples as rows
+(``FieldCtx.random_rows``).  Monomials are evaluated on the rows by
+``FieldCtx.mul_rows``.
+
 Points are evaluated many at a time (``rank_vectors_at``,
 ``are_free_at``).  The A_i lie over GF(p), so N^s = sum_e alpha^e C_e
 over the monomials of degree s, for GF(p) matrices C_e built once per
@@ -146,25 +153,20 @@ def _coerce_point(alpha, n: int, p: int) -> tuple[np.ndarray, FieldCtx]:
 def _monomial_values(rows: np.ndarray, ctx: FieldCtx, exps: np.ndarray) -> np.ndarray:
     """Coefficient rows (P, M, k) of alpha^e for the M exponent rows e of
     ``exps`` (M, n), at the P points of ``rows`` (P, n, k); alpha^0 = 1,
-    also where alpha = 0.  Rows multiply as polynomials in t folded by
-    ``FieldCtx.reduction``, for all monomials at once and for the points
-    in batches, whose (batch, M, k, k) products stay within ``_EVAL_BYTES``."""
-    p, k, n = ctx.p, ctx.k, rows.shape[1]
+    also where alpha = 0.  Rows multiply by ``FieldCtx.mul_rows``, for all
+    monomials at once and for the points in batches, whose (batch, M, k, k)
+    products stay within ``_EVAL_BYTES``."""
+    k, n = ctx.k, rows.shape[1]
     batch = max(1, _EVAL_BYTES // (8 * len(exps) * k * k))
     if len(rows) > batch:
         return np.concatenate([_monomial_values(rows[lo:lo + batch], ctx, exps)
                                for lo in range(0, len(rows), batch)])
-    fold = ctx.reduction.T[np.add.outer(np.arange(k), np.arange(k)).ravel()]
-
-    def mul(x, y):
-        return (x[..., :, None] * y[..., None, :]).reshape(*x.shape[:-1], k * k) @ fold % p
-
     powers = [np.zeros_like(rows), rows]  # powers[e][:, v] = alpha_v^e
     powers[0][..., 0] = 1
     for _ in range(exps.max(initial=1) - 1):
-        powers.append(mul(powers[-1], rows))
+        powers.append(ctx.mul_rows(powers[-1], rows))
     powers = np.stack(powers, axis=2)
-    return functools.reduce(mul, (powers[:, v, exps[:, v]] for v in range(n)))
+    return functools.reduce(ctx.mul_rows, (powers[:, v, exps[:, v]] for v in range(n)))
 
 
 def _evaluate(coeffs: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
@@ -334,7 +336,8 @@ def generic_type(acts, mode: str = "randomized", seed: int = 0,
     Randomized mode samples nonzero points of GF(p^8)^n, takes the
     entrywise max of the rank vectors, and certifies only if one sample
     attains the max everywhere (retrying over GF(p^12)).  A field's
-    samples are drawn first and ranked together (``rank_vectors_at``).
+    samples are drawn first, as coefficient rows (``FieldCtx.random_rows``),
+    and ranked together (``_rank_vectors``).
     """
     p = acts.p
     if mode == "exact":
@@ -350,8 +353,8 @@ def generic_type(acts, mode: str = "randomized", seed: int = 0,
     seen: list[RankVector] = []
     for k in (8, 12):
         ctx = FieldCtx.get(p, k)
-        seen += rank_vectors_at(acts, [ctx.random_point(rng, acts.n)
-                                       for _ in range(samples)])
+        seen += _rank_vectors(acts, [(ctx.random_rows(rng, acts.n), ctx)
+                                     for _ in range(samples)])
         # The entrywise max of convex vectors need not be convex, so take
         # the max on raw tuples and look for a sample that attains it.
         best = tuple(max(rv.ranks[i] for rv in seen) for i in range(p + 1))

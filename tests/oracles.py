@@ -5,12 +5,100 @@ formed each power of N at a point, one product per power, before N^s was
 evaluated from the GF(p) coefficient stacks of ``symrank.power_coefficients``.
 ``point_operator`` builds N at a point by one scaled add of A_i per nonzero
 coefficient, and ``point_powers`` chains the two.
+
+``Elem`` is a ``FieldElement`` with the element arithmetic the package
+dropped when field data became coefficient rows: Python-int products
+folded by ``FieldCtx.reduction``, a^-1 = a^(q-2) and powers by square and
+multiply.  ``element``, ``random_element`` and ``random_point`` build and
+draw such elements as ``FieldCtx`` did, from the same random stream as
+``FieldCtx.random_rows``.  The package's own elements keep no arithmetic,
+so a package path that still multiplies elements fails.
 """
 
 import numpy as np
 
 from spechtvar import gfp
+from spechtvar.ffalg import FieldElement
 from spechtvar.jordan import _coerce_point
+
+
+class Elem(FieldElement):
+    """Element of GF(p^k) with field arithmetic, for the tests."""
+
+    def _lift(self, other) -> "Elem":
+        return element(self.ctx, other)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        p = self.ctx.p
+        return Elem(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        p = self.ctx.p
+        return Elem(self.ctx, tuple((-a) % p for a in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        ctx = self.ctx
+        p, k = ctx.p, ctx.k
+        raw = [0] * (2 * k - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(o.coeffs):
+                    raw[i + j] += a * b
+        # t^e, e >= k, folds in by column e of ``reduction``, in Python ints
+        for e, column in enumerate(ctx.reduction.T[k:].tolist(), start=k):
+            raw[:k] = [x + raw[e] * r for x, r in zip(raw, column)]
+        return Elem(ctx, tuple(x % p for x in raw[:k]))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "Elem":
+        if not self:
+            raise ZeroDivisionError("inverse of zero")
+        return self ** (self.ctx.q - 2)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = element(self.ctx, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+def element(ctx, value) -> Elem:
+    """``ctx.element(value)`` (a code, a coefficient sequence or an element) with arithmetic."""
+    return Elem(ctx, ctx.element(value).coeffs)
+
+
+def random_element(ctx, rng) -> Elem:
+    return Elem(ctx, tuple(int(x) for x in rng.integers(0, ctx.p, ctx.k)))
+
+
+def random_point(ctx, rng, n) -> tuple[Elem, ...]:
+    """Uniform nonzero vector in GF(p^k)^n, one element draw at a time."""
+    while True:
+        pt = tuple(random_element(ctx, rng) for _ in range(n))
+        if any(pt):
+            return pt
+
+
+def as_point(rows, ctx) -> tuple[Elem, ...]:
+    """The elements whose coefficient rows (n, k) are ``rows``."""
+    return tuple(Elem(ctx, tuple(row)) for row in np.asarray(rows).tolist())
 
 
 def slice_matmul(x, y, ctx):

@@ -58,7 +58,7 @@ def test_run_all_reports_every_criterion():
 def test_invariance_trials_report_the_first_change(monkeypatch):
     # check 8 ranks each module's trials in one call; the trial it reports
     # is still the first, in trial order, whose point and image differ
-    monkeypatch.setattr(acceptance, "rank_vectors_at", lambda acts, points: list(points))
+    monkeypatch.setattr(acceptance, "_rank_vectors", lambda acts, points: list(points))
     roster = ["a", "b", "c"]
     assert acceptance._first_change(roster, [(i, i) for i in range(20)]) is None
     for bad in ({7}, {4, 11}, {19, 0}, {2, 3}):

@@ -273,6 +273,22 @@ def test_jordan_on_a_thousand_cell_row_exits_cleanly():
     assert json.loads(run.stdout)["report"]["rank_vector"] == [1, 0, 0]
 
 
+@pytest.mark.parametrize("p,code", [(10**18 + 3, 0), (3317044064679887385961981, 2),
+                                    (10**24 * 7, 2)])
+def test_large_primes_are_decided_within_seconds(p, code):
+    # --p is tested by Miller-Rabin, exact below 3317044064679887385961981:
+    # a 19-digit prime is accepted at once, where trial division ran past
+    # any timeout, and a p at or above the bound is a usage error
+    run = subprocess.run([sys.executable, "-c", _MAIN, "info", "--mu", "(3)", "--p", str(p)],
+                         env=_fresh_env(), capture_output=True, text=True, timeout=10)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if code == 0:
+        assert json.loads(run.stdout)["config"]["p"] == p
+    else:
+        assert "is not below 3317044064679887385961981" in run.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["jordan", "--mu", "(5,2,2)", "--p", "3"],
     ["variety", "--mu", "(3,3,3)", "--p", "3", "--ext", "3", "--out", "json"],

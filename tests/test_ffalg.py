@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import slice_matmul
+from oracles import element, random_element, random_point, slice_matmul
 from spechtvar import ffalg, gfp, gfq, jordan
-from spechtvar.errors import ArityMismatch, PreconditionViolated
+from spechtvar.errors import ArityMismatch, NonTermination, PreconditionViolated
 from spechtvar.ffalg import FieldCtx, MultiPoly
 
 
@@ -47,16 +47,27 @@ def test_moduli_match_golden_codes(p):
 
 
 def test_largest_prime_with_int64_products():
-    # k (p-1)^2 < 2^63 at p = 2^31 - 1, k = 2: the field is built, with
-    # Python-int products, and t^2 + 1 is irreducible as p = 3 mod 4
+    # k (p-1)^2 < 2^63 at p = 2^31 - 1, k = 2: the field is built, and
+    # t^2 + 1 is irreducible as p = 3 mod 4
     ctx = FieldCtx(2**31 - 1, 2)
     assert ctx.modulus == (1, 0, 1)
     rng = np.random.default_rng(5)
     for _ in range(5):
-        a = ctx.random_element(rng)
+        a = random_element(ctx, rng)
         if a:
             assert a * a.inverse() == ctx.one
-    assert ctx.element([0, 1]) ** 2 == -ctx.one
+    assert element(ctx, [0, 1]) ** 2 == -element(ctx, 1)
+
+
+def largest_sum(p, k):
+    """The largest int64 sum of a field's arithmetic: k (p-1)^2 in a product
+    of k x k matrices, k (p-1) + k (k-1)/2 (p-1)^2 in a product of rows."""
+    return max(k * (p - 1) ** 2, k * (p - 1) + k * (k - 1) // 2 * (p - 1) ** 2)
+
+
+# the largest primes the int64 guard admits at k = 1..4, and the next primes
+LARGEST_PRIMES = {1: (3037000493, 3037000507), 2: (2**31 - 1, 2**31 + 11),
+                  3: (1753413037, 1753413059), 4: (1239850223, 1239850277)}
 
 
 def test_int64_overflow_is_refused_before_any_build(monkeypatch):
@@ -68,18 +79,60 @@ def test_int64_overflow_is_refused_before_any_build(monkeypatch):
         FieldCtx(2**31 - 1, 3)
 
 
+@pytest.mark.parametrize("k", sorted(LARGEST_PRIMES))
+def test_int64_guard_stops_at_the_largest_sum(monkeypatch, k):
+    # a largest sum of 2^63 or more is refused before the modulus search
+    # starts, GF(p) included; the largest prime below it gets to the search
+    largest, above = LARGEST_PRIMES[k]
+    assert largest_sum(largest, k) < 2**63 <= largest_sum(above, k)
+    assert ffalg._is_prime(largest) and ffalg._is_prime(above)
+    assert not any(ffalg._is_prime(q) for q in range(largest + 1, above))
+    started = []
+
+    def search(p, k):
+        started.append(p)
+        raise NonTermination(f"modulus search started for GF({p}^{k})")
+    monkeypatch.setattr(ffalg, "_least_irreducible", search)
+    with pytest.raises(PreconditionViolated, match="2\\^63"):
+        FieldCtx(above, k)
+    assert started == []
+    with pytest.raises(NonTermination):
+        FieldCtx(largest, k)
+    assert started == [largest]
+
+
+def test_primality_is_decided_exactly_below_the_bound():
+    # Miller-Rabin on the first 13 primes agrees with trial division on small
+    # numbers, Carmichael numbers included, and rejects psi_12, the least
+    # strong pseudoprime to the first 12 prime bases; psi_13 is the bound
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+    assert [n for n in range(20000) if ffalg._is_prime(n)] == [
+        n for n in range(20000) if trial(n)]
+    for composite in (561, 1105, 41041, 3215031751, 318665857834031151167461,
+                      (10**9 + 7) * (10**9 + 9), (2**19 - 1) * (2**61 - 1)):
+        assert not ffalg._is_prime(composite)
+    for prime in (2**31 - 1, 2**61 - 1, 10**18 + 3, 2**64 - 59):
+        assert ffalg._is_prime(prime)
+    assert ffalg._is_prime(ffalg._MR_BOUND - 2) is False  # decided, not refused
+    for p in (ffalg._MR_BOUND, 10**400):
+        with pytest.raises(PreconditionViolated, match="not below"):
+            ffalg._is_prime(p)
+
+
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
 def test_products_and_inverses_agree_with_log_tables(p, k):
+    # the tests' element arithmetic (the oracle) against the package's tables
     ctx = FieldCtx.get(p, k)
     t = ctx.tables
-    elems = [ctx.element(c) for c in range(ctx.q)]
+    elems = [element(ctx, c) for c in range(ctx.q)]
     for a in range(1, ctx.q):
         for b in range(1, ctx.q):
             assert (elems[a] * elems[b]).to_index() == t.exp[t.log[a] + t.log[b]]
         assert elems[a] * elems[a].inverse() == ctx.one
         assert elems[a] * ctx.zero == ctx.zero
     with pytest.raises(ZeroDivisionError):
-        ctx.zero.inverse()
+        elems[0].inverse()
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (3, 1)])
@@ -87,9 +140,9 @@ def test_field_axioms(p, k):
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(7)
     for _ in range(25):
-        a = ctx.random_element(rng)
-        b = ctx.random_element(rng)
-        c = ctx.random_element(rng)
+        a = random_element(ctx, rng)
+        b = random_element(ctx, rng)
+        c = random_element(ctx, rng)
         assert (a + b) * c == a * c + b * c
         assert (a * b) * c == a * (b * c)
         assert (a + b) ** p == a**p + b**p  # Frobenius is additive
@@ -130,7 +183,7 @@ def test_element_codes_are_exact_in_large_fields():
     # by repeated division: in GF(59^12) p^(k-1) is above 2^63, and in
     # GF(101^10) so are some codes
     ctx = FieldCtx.get(59, 12)
-    assert ctx.element(1) == ctx.one and ctx.element(1) + 1 == ctx.element(2)
+    assert ctx.element(1) == ctx.one and element(ctx, 1) + 1 == ctx.element(2)
     assert ctx.element(ctx.q - 1).coeffs == (58,) * 12
     codes = [1, 59**10 + 2, 2**63 - 1]
     assert ctx.digits(codes).tolist() == [list(ctx.element(c).coeffs) for c in codes]
@@ -139,12 +192,60 @@ def test_element_codes_are_exact_in_large_fields():
         assert ctx.element(code).to_index() == code
 
 
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_row_products_agree_with_element_products(p, k):
+    # every pair of elements of GF(4), GF(8), GF(9), GF(25) and GF(27), as
+    # one broadcast product of (q, 1, k) by (1, q, k) rows
+    ctx = FieldCtx.get(p, k)
+    rows = ctx.digits(np.arange(ctx.q))
+    got = ctx.mul_rows(rows[:, None], rows[None, :])
+    assert got.shape == (ctx.q, ctx.q, k)
+    elems = [element(ctx, c) for c in range(ctx.q)]
+    assert got.tolist() == [[list((a * b).coeffs) for b in elems] for a in elems]
+
+
+@pytest.mark.parametrize("p,k", [(10**9 + 7, 2), (59, 12), (2**31 - 1, 2), (3037000493, 1)])
+def test_row_products_are_exact_in_large_fields(p, k):
+    # random pairs where p is large for k: the last two are the largest
+    # primes the int64 guard admits at k = 2 and k = 1
+    ctx = FieldCtx.get(p, k)
+    rng = np.random.default_rng(p % 1000 + k)
+    pairs = [(random_element(ctx, rng), random_element(ctx, rng)) for _ in range(200)]
+    pairs.append((element(ctx, [p - 1] * k), element(ctx, [p - 1] * k)))
+    x = np.array([a.coeffs for a, _ in pairs])
+    y = np.array([b.coeffs for _, b in pairs])
+    assert ctx.mul_rows(x, y).tolist() == [list((a * b).coeffs) for a, b in pairs]
+    if (p, k) == (10**9 + 7, 2):
+        # (-1 - t)^2 = 1 + 2t + t^2 = 2t, as t^2 = -1
+        assert ctx.mul_rows(np.array([p - 1, p - 1]), np.array([p - 1, p - 1])).tolist() == [0, 2]
+
+
+# (p, k, n) of the draw pins: the fields generic_type draws from, GF(p)
+# and GF(p^2) as the acceptance checks draw, and a single coordinate; over
+# GF(2)^3 one draw in eight is the zero point and is drawn again
+DRAWS = [(2, 8, 5), (3, 8, 3), (5, 8, 2), (3, 12, 4), (2, 1, 3), (3, 2, 4), (5, 12, 2), (2, 12, 1)]
+
+
+@pytest.mark.parametrize("p,k,n", DRAWS)
+def test_random_rows_are_the_element_draws(p, k, n):
+    # one draw of (n, k) digits is n draws of k element coefficients, with
+    # the same retry on the zero point: equal rows, and the generator is
+    # left in the same state
+    ctx = FieldCtx.get(p, k)
+    rows_rng, elems_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(50):
+        rows = ctx.random_rows(rows_rng, n)
+        assert rows.dtype == np.int64 and rows.shape == (n, k) and rows.any()
+        assert rows.tolist() == [list(x.coeffs) for x in random_point(ctx, elems_rng, n)]
+    assert rows_rng.bit_generator.state == elems_rng.bit_generator.state
+
+
 def test_mul_matrix_is_ring_hom():
     ctx = FieldCtx.get(5, 2)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        a = ctx.random_element(rng)
-        b = ctx.random_element(rng)
+        a = random_element(ctx, rng)
+        b = random_element(ctx, rng)
         ma, mb = ctx.mul_matrix(a), ctx.mul_matrix(b)
         assert np.array_equal(ctx.mul_matrix(a * b), (ma @ mb) % 5)
         assert np.array_equal(ctx.mul_matrix(a + b), (ma + mb) % 5)
@@ -155,7 +256,7 @@ def test_mul_matrix_is_ring_hom():
 # -- ranks over GF(p^k): the GF(q) kernel against the companion blowup -------
 
 def naive_rank_ff(rows) -> int:
-    """Textbook elimination using only FieldElement arithmetic."""
+    """Textbook elimination using only the oracle's element arithmetic."""
     rows = [list(row) for row in rows]
     width = len(rows[0]) if rows else 0
     rk, col = 0, 0
@@ -177,11 +278,11 @@ def naive_rank_ff(rows) -> int:
 
 
 def random_entries(ctx, rows, cols, rng):
-    return [[ctx.random_element(rng) for _ in range(cols)] for _ in range(rows)]
+    return [[random_element(ctx, rng) for _ in range(cols)] for _ in range(rows)]
 
 
 def entries_matmul(ctx, a, b):
-    return [[sum((a[i][m] * b[m][j] for m in range(len(b))), ctx.zero)
+    return [[sum((a[i][m] * b[m][j] for m in range(len(b))), element(ctx, 0))
              for j in range(len(b[0]))] for i in range(len(a))]
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import point_operator, point_powers, slice_matmul
+from oracles import as_point, element, point_operator, point_powers, random_point, slice_matmul
 from spechtvar import gfp, gfq, jordan, symrank
 from spechtvar.errors import PreconditionViolated
 from spechtvar.ffalg import TABLE_CAP, FieldCtx
@@ -119,20 +119,20 @@ def test_tables_agree_with_field_arithmetic(p, k):
     assert np.array_equal(t.exp[order:], t.exp[:order])
     assert t.log[0] == -1
     assert np.array_equal(t.log[t.exp[:order]], np.arange(order))
-    g = ctx.element(t.g)
+    g = element(ctx, t.g)
     assert all(g ** (order // r) != ctx.one for r in range(2, order + 1)
                if order % r == 0)  # g is primitive
-    assert ctx.element(int(t.exp[t.neg])) == -ctx.one
-    one = ctx.one
+    one = element(ctx, 1)
+    assert element(ctx, int(t.exp[t.neg])) == -one
     zech = zech_table(ctx)
     assert t.plus.dtype == np.int32 and t.plus.shape == (order + 1,)
     assert t.plus[order] == 0  # what a clipped lookup of a gap to zero reads
     for n in range(order):
-        elem = ctx.element(int(t.exp[n]))
+        elem = element(ctx, int(t.exp[n]))
         total = elem + one
         assert zech[n] == (t.log[total.to_index()] if total else -1), n
         # plus[n] = log(1 + g^-n), -order where that sum is zero
-        inverse = ctx.element(int(t.exp[(order - n) % order]))
+        inverse = element(ctx, int(t.exp[(order - n) % order]))
         total = inverse + one
         assert t.plus[n] == (t.log[total.to_index()] if total else -order), n
         assert ctx.frob[elem.to_index()] == (elem ** p).to_index()
@@ -426,7 +426,7 @@ def test_point_operators_match_blowup(module, k, points):
     acts = module()
     ctx = FieldCtx.get(acts.p, k)
     rng = np.random.default_rng(k)
-    pts = [ctx.random_point(rng, acts.n) for _ in range(points)]
+    pts = [random_point(ctx, rng, acts.n) for _ in range(points)]
     pts.append((ctx.one,) + (ctx.zero,) * (acts.n - 1))  # an axis point
     for pt in pts:
         want = blowup_rank_vector(acts, pt)
@@ -456,7 +456,7 @@ def test_point_operator_matches_the_loop(module, ks):
         pts = [pt for pt in pts if np.any(np.array(pt) % p)]
         for k in ks:
             ctx = FieldCtx.get(p, k)
-            pts += [ctx.random_point(rng, acts.n) for _ in range(3)]
+            pts += [random_point(ctx, rng, acts.n) for _ in range(3)]
             pts.append((ctx.zero,) * (acts.n - 1) + (ctx.one,))
         for pt in pts:
             want, want_ctx = point_operator(mats, pt, p)
@@ -485,7 +485,7 @@ def test_block_ranks_stack_all_powers_like_one_stack_per_power(module, stack_byt
     rng = np.random.default_rng(p)
     pts = [tuple(rng.integers(1, p, acts.n))]
     for k in (2, 8):
-        pts += [FieldCtx.get(p, k).random_point(rng, acts.n) for _ in range(3)]
+        pts += [random_point(FieldCtx.get(p, k), rng, acts.n) for _ in range(3)]
     pts.append((1,) + (0,) * (acts.n - 1))
     prepared = []
     for pt in pts:
@@ -563,7 +563,7 @@ def test_evaluated_powers_match_the_slice_product_chain(p, k):
         ints = [tuple(rng.integers(-p, 2 * p, n)) for _ in range(3)]
         ints = [pt for pt in ints if np.any(np.array(pt) % p)]
         ints += [(1,) + (0,) * (n - 1), (0,) * (n - 1) + (p - 1,)]
-        drawn = [ctx.random_point(rng, n) for _ in range(3)]
+        drawn = [random_point(ctx, rng, n) for _ in range(3)]
         fields = drawn + [(drawn[0][0] or ctx.one,) + (ctx.zero,) * (n - 1),
                           (ctx.zero,) + tuple(x or ctx.one for x in drawn[1][1:])]
         pts = ints[:2] + fields[:3] + ints[2:] + fields[3:]
@@ -632,13 +632,14 @@ def test_above_cap_point_over_prime_field():
 # -- generic types over stacks -------------------------------------------------------
 
 def generic_type_point_by_point(acts, seed=0, samples=5):
-    """Randomized ``generic_type`` with one ``rank_vector_at`` per sample."""
+    """Randomized ``generic_type`` with one ``rank_vector_at`` per sample,
+    each drawn by ``FieldCtx.random_rows`` and passed as elements."""
     rng = jordan._derive_rng(acts, seed)
     seen = []
     for k in (8, 12):
         ctx = FieldCtx.get(acts.p, k)
         for _ in range(samples):
-            seen.append(rank_vector_at(acts, ctx.random_point(rng, acts.n)))
+            seen.append(rank_vector_at(acts, as_point(ctx.random_rows(rng, acts.n), ctx)))
         best = tuple(max(rv.ranks[i] for rv in seen) for i in range(acts.p + 1))
         winner = next((rv for rv in seen if rv.ranks == best), None)
         if winner is not None:
@@ -664,19 +665,22 @@ def test_generic_type_with_a_degenerate_sample(monkeypatch):
     # the second draw is replaced by an axis point, where S^(7,2) is not
     # free (its locus is the union of the axes), so the samples disagree
     acts = restricted_actions((7, 2), 3, 3)
-    real = FieldCtx.random_point
+    real = FieldCtx.random_rows
 
     def run(fn):
         draws = itertools.count()
 
         def drawn(self, rng, n):
-            pt = real(self, rng, n)
-            return (self.one,) + (self.zero,) * (n - 1) if next(draws) == 1 else pt
-        monkeypatch.setattr(FieldCtx, "random_point", drawn)
+            rows = real(self, rng, n)
+            if next(draws) == 1:
+                rows = np.zeros_like(rows)
+                rows[0, 0] = 1  # the axis point (1, 0, .., 0)
+            return rows
+        monkeypatch.setattr(FieldCtx, "random_rows", drawn)
         try:
             return fn(acts, seed=3)
         finally:
-            monkeypatch.setattr(FieldCtx, "random_point", real)
+            monkeypatch.setattr(FieldCtx, "random_rows", real)
 
     want = run(generic_type_point_by_point)
     axis = rank_vector_at(acts, (1, 0, 0))

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import as_point, random_point
 from spechtvar import jordan, symrank
 from spechtvar.errors import (ArityMismatch, PreconditionViolated, RankCheckFailed,
                               ZeroPoint)
@@ -118,8 +119,8 @@ def test_531_is_free_at_extension_points():
         (ctx.one, ctx.zero, ctx.zero),
         (ctx.zero, ctx.one, ctx.zero),
         (ctx.one, ctx.one, ctx.one),
-        ctx.random_point(rng, 3),
-        ctx.random_point(rng, 3),
+        random_point(ctx, rng, 3),
+        random_point(ctx, rng, 3),
     ]
     assert all(is_free_at(acts, pt) for pt in pts)
 
@@ -145,7 +146,7 @@ def test_many_points_match_one_point_at_a_time():
     acts = perm_module_actions((3, 2, 1), 3, 2)
     ctx = FieldCtx.get(2, 3)
     rng = np.random.default_rng(5)
-    pts = [(1, 0, 0), (1, 1, 1)] + [ctx.random_point(rng, 3) for _ in range(4)]
+    pts = [(1, 0, 0), (1, 1, 1)] + [random_point(ctx, rng, 3) for _ in range(4)]
     pts.insert(3, (0, 1, 1))
     free = are_free_at(acts, pts)
     assert free == [is_free_at(acts, pt) for pt in pts] and any(free) and not all(free)
@@ -161,7 +162,7 @@ def test_freeness_forms_no_power(monkeypatch, mu, p, n, k):
     acts = restricted_actions(mu, n, p)
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(p)
-    pts = [ctx.random_point(rng, n) for _ in range(3)]
+    pts = [random_point(ctx, rng, n) for _ in range(3)]
     pts.append((ctx.one,) + (ctx.zero,) * (n - 1))  # an axis point
     want = [rv.is_free for rv in rank_vectors_at(acts, pts)]
     assert any(want) and not all(want)
@@ -185,7 +186,7 @@ def test_powers_at_a_point_stay_small():
     # values with the coefficient stack: no k^2 block product, whose
     # buffers put this call's peak at 22.8 MiB
     acts = restricted_actions((4, 3, 1, 1), 3, 3)
-    pt = FieldCtx.get(3, 8).random_point(np.random.default_rng(0), acts.n)
+    pt = random_point(FieldCtx.get(3, 8), np.random.default_rng(0), acts.n)
     want = rank_vector_at(acts, pt)  # tables and monomial caches built outside the trace
     tracemalloc.start()
     try:
@@ -203,7 +204,7 @@ def test_powers_chain_where_that_takes_fewer_products():
     # s < count against k^2 per power and point; N alone needs neither
     def points(acts, *ks):
         rng = np.random.default_rng(len(ks))
-        return [jordan._coerce_point(FieldCtx.get(acts.p, k).random_point(rng, acts.n),
+        return [jordan._coerce_point(random_point(FieldCtx.get(acts.p, k), rng, acts.n),
                                      acts.n, acts.p) for k in ks]
     acts = restricted_actions((5, 2, 2), 3, 3)
     ((stack, _),) = acts.blocks
@@ -229,7 +230,7 @@ def test_chained_powers_rank_like_the_stacks(monkeypatch, mu, p, n):
     # call has the same rank vector
     acts = restricted_actions(mu, n, p)
     rng = np.random.default_rng(p)
-    pts = [FieldCtx.get(p, k).random_point(rng, n) for k in (1, 2, 8, 8)]
+    pts = [random_point(FieldCtx.get(p, k), rng, n) for k in (1, 2, 8, 8)]
     pts += [(1,) + (0,) * (n - 1)]
     want = rank_vectors_at(acts, pts)
     assert [rank_vector_at(acts, pt) for pt in pts] == want
@@ -304,16 +305,16 @@ def test_generic_type_builds_permutation_blocks_once(monkeypatch):
 
 
 def test_scaling_invariance():
+    # points and nonzero scalars drawn as coefficient rows, their products
+    # by ``mul_rows``: a point and its multiple have one rank vector
     acts = restricted_actions((4, 2), 2, 3)
     ctx = FieldCtx.get(3, 4)
     rng = np.random.default_rng(11)
     for _ in range(100):
-        pt = ctx.random_point(rng, 2)
-        c = ctx.random_element(rng)
-        while not c:
-            c = ctx.random_element(rng)
-        scaled = tuple(c * x for x in pt)
-        assert rank_vector_at(acts, pt) == rank_vector_at(acts, scaled)
+        pt = ctx.random_rows(rng, 2)
+        c = ctx.random_rows(rng, 1)
+        scaled = ctx.mul_rows(c, pt)
+        assert rank_vector_at(acts, as_point(pt, ctx)) == rank_vector_at(acts, as_point(scaled, ctx))
 
 
 def test_coordinate_permutation_invariance():
@@ -323,7 +324,7 @@ def test_coordinate_permutation_invariance():
     rng = np.random.default_rng(13)
     import itertools
     for _ in range(5):
-        pt = ctx.random_point(rng, 3)
+        pt = random_point(ctx, rng, 3)
         base = rank_vector_at(acts, pt)
         for sigma in itertools.permutations(range(3)):
             moved = tuple(pt[sigma[i]] for i in range(3))
@@ -336,7 +337,7 @@ def test_sampled_ranks_dominated_by_generic():
     ctx = FieldCtx.get(3, 3)
     rng = np.random.default_rng(17)
     for _ in range(10):
-        rv = rank_vector_at(acts, ctx.random_point(rng, 3))
+        rv = rank_vector_at(acts, random_point(ctx, rng, 3))
         assert all(a >= b for a, b in zip(gen.ranks, rv.ranks))
 
 

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import spechtvar
+from spechtvar.ffalg import FieldCtx, FieldElement
 
 
 def test_package_uses_no_assert_statements():
@@ -142,10 +143,10 @@ def test_rank_stack_update_is_branch_free():
 def test_sweeps_and_generic_types_hand_over_stacks():
     # the many-point callers rank their points together: no per-point
     # rank_vector_at / is_free_at call inside them.  The sweeps hand their
-    # orbit representatives over as coefficient rows, straight to the
-    # private bodies of the public many-point functions, which only coerce
-    # points and call them; generic types draw field elements and go
-    # through the public function
+    # orbit representatives over as coefficient rows, and generic types and
+    # the acceptance checks their random draws, straight to the private
+    # bodies of the public many-point functions, which only coerce points
+    # and call them; no package caller goes through the coercion
     def per_point(mod, node):
         f = node.func
         return getattr(f, "id", getattr(f, "attr", None)) in ("rank_vector_at", "is_free_at")
@@ -154,11 +155,12 @@ def test_sweeps_and_generic_types_hand_over_stacks():
     assert not callers & hot, callers & hot
     def names(name):
         return set(_calls(lambda mod, node: getattr(node.func, "id", None) == name))
-    assert names("_rank_vectors") == {"jordan.rank_vectors_at", "variety.sweep_rank_vectors"}
+    assert names("_rank_vectors") == {"jordan.rank_vectors_at", "jordan.generic_type",
+                                      "variety.sweep_rank_vectors", "acceptance._first_change",
+                                      "acceptance.property_suites"}
     assert names("_free") == {"jordan.are_free_at", "variety.enumerate_locus"}
-    assert "jordan.generic_type" in names("rank_vectors_at")
-    assert not {s for s in names("rank_vectors_at") | names("are_free_at")
-                if s.startswith("variety.")}
+    assert names("rank_vectors_at") == {"jordan.rank_vector_at"}
+    assert names("are_free_at") == {"jordan.is_free_at"}
 
 
 def test_point_operator_builds_no_blowup():
@@ -379,3 +381,50 @@ def test_fields_come_from_the_companion_matrix():
                 else node.attr if isinstance(node, ast.Attribute) else None)
         return name in gone
     assert _scopes(names_gone) == []
+
+
+def test_field_elements_are_an_input_form():
+    # field data is coefficient rows: FieldElement keeps construction,
+    # truth, equality, hashing and its code, and no arithmetic (that is the
+    # tests' oracle); FieldCtx draws points as rows only
+    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__pos__",
+                  "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                  "__pow__", "__rpow__", "__invert__", "inverse", "_lift"}
+    assert [name for name in sorted(arithmetic) if hasattr(FieldElement, name)] == []
+
+    def defined(mod, node):
+        if not (isinstance(node, ast.ClassDef) and node.name == "FieldElement"):
+            return False
+        return any(getattr(item, "name", None) in arithmetic
+                   or any(getattr(t, "id", None) in arithmetic
+                          for t in getattr(item, "targets", []))
+                   for item in node.body)
+    assert _scopes(defined) == []
+    gone = {"random_point", "random_element"}
+    assert [name for name in sorted(gone) if hasattr(FieldCtx, name)] == []
+
+    def names_gone(mod, node):
+        name = (node.name if isinstance(node, ast.FunctionDef)
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        return name in gone
+    assert _scopes(names_gone) == []
+
+
+def test_one_product_of_coefficient_rows():
+    # FieldCtx.mul_rows is the one product of coefficient rows: no other
+    # package function builds the outer-sum fold of t^(i+j), and outside
+    # ffalg the reduction columns are read only as the rows of t^a that
+    # chain powers of N; monomial values and the scaling trials multiply
+    # through mul_rows
+    def outer(mod, node):
+        f = node.func
+        return (isinstance(f, ast.Attribute) and f.attr == "outer"
+                and getattr(f.value, "attr", None) == "add")
+    assert set(_calls(outer)) <= {"ffalg.mul_rows"}
+    assert {s for s in _scopes(lambda mod, node: isinstance(node, ast.Attribute)
+                               and node.attr == "reduction")
+            if not s.startswith("ffalg.")} == {"jordan._chained_powers"}
+    assert set(_scopes(lambda mod, node: isinstance(node, ast.Attribute)
+                       and node.attr == "mul_rows")) == {"jordan._monomial_values",
+                                                        "acceptance.property_suites"}

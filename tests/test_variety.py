@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import element, random_element
 from spechtvar import jordan, spechtmod, symrank, variety
 from spechtvar.errors import ArityMismatch, InconsistentCounts, TooManyPoints, ZeroPoint
 from spechtvar.ffalg import TABLE_CAP, FieldCtx, MultiPoly
@@ -18,7 +19,7 @@ QUARTIC = MultiPoly(p=3, nvars=3, terms={(2, 2, 0): 1, (0, 2, 2): 1, (2, 0, 2): 
 
 
 def poly_eval(f, point):
-    """f at a point with coordinates in one field, by ``FieldElement``
+    """f at a point with coordinates in one field, by the oracle's element
     arithmetic: the oracle of the evaluation on coefficient rows
     (``jordan._monomial_values``)."""
     if len(point) != f.nvars:
@@ -26,9 +27,9 @@ def poly_eval(f, point):
     ctx = point[0].ctx
     if ctx.p != f.p:
         raise ArityMismatch("characteristic mismatch")
-    total = ctx.zero
+    total = element(ctx, 0)
     for exps, c in f.terms.items():
-        term = ctx.element(c)
+        term = element(ctx, c)
         for x, e in zip(point, exps):
             if e:
                 term = term * x**e
@@ -73,7 +74,7 @@ def test_point_orbits_partition_points(p, n, k, torus, count):
     assert len(orbits) == count
     if p == 2 and torus:
         assert orbits == list(variety._point_orbits(p, n, k))
-    units = [ctx.element(c) for c in range(2, p)] if torus else []
+    units = [element(ctx, c) for c in range(2, p)] if torus else []
     owner = {}
     for idx, orbit in enumerate(orbits):
         assert not owner.keys() & set(orbit)
@@ -82,7 +83,7 @@ def test_point_orbits_partition_points(p, n, k, torus, count):
         assert orbit[0] == min(orbit, key=order.__getitem__)
         members = set(orbit)
         for pt in orbit:
-            assert tuple((ctx.element(c) ** p).to_index() for c in pt) in members
+            assert tuple((element(ctx, c) ** p).to_index() for c in pt) in members
             for i in range(n):
                 for j in range(i + 1, n):
                     swapped = list(pt)
@@ -90,7 +91,7 @@ def test_point_orbits_partition_points(p, n, k, torus, count):
                     assert normalize_point(swapped, ctx) in members, (pt, i, j)
                 for c in units:
                     scaled = list(pt)
-                    scaled[i] = (ctx.element(pt[i]) * c).to_index()
+                    scaled[i] = (element(ctx, pt[i]) * c).to_index()
                     assert normalize_point(scaled, ctx) in members, (pt, i, c)
     assert owner.keys() == order.keys()
     # GF(p)-rational points with one coordinate multiset are permutations
@@ -111,9 +112,9 @@ def test_freeness_is_invariant_under_gfp_scaling(build, mu, n, p, k):
     # alpha equals freeness at every coordinate-wise GF(p)^*-scaled alpha
     acts = build(mu, n, p)
     ctx = FieldCtx.get(p, k)
-    units = [ctx.element(c) for c in range(1, p)]
+    units = [element(ctx, c) for c in range(1, p)]
     for pt in projective_points(ctx, n):
-        coords = tuple(ctx.element(c) for c in pt)
+        coords = tuple(element(ctx, c) for c in pt)
         free = is_free_at(acts, coords)
         for scales in itertools.product(units, repeat=n):
             scaled = tuple(x * s for x, s in zip(coords, scales))
@@ -127,7 +128,7 @@ def test_scaling_changes_rank_vectors_but_not_freeness():
     ctx = FieldCtx.get(3, 2)
     changed = []
     for pt in projective_points(ctx, 3):
-        coords = tuple(ctx.element(c) for c in pt)
+        coords = tuple(element(ctx, c) for c in pt)
         scaled = coords[:2] + (coords[2] * 2,)
         before, after = rank_vector_at(acts, coords), rank_vector_at(acts, scaled)
         assert before.is_free == after.is_free, pt
@@ -152,7 +153,7 @@ def test_locus_333_matches_quartic_zero_set():
         sample = enumerate_locus(acts, k)
         ctx = FieldCtx.get(3, k)
         for pt in projective_points(ctx, 3):
-            coords = tuple(ctx.element(c) for c in pt)
+            coords = tuple(element(ctx, c) for c in pt)
             assert (not poly_eval(QUARTIC, coords)) == (pt in sample.points)
     s1 = enumerate_locus(acts, 1)
     assert len(s1.points) == 7
@@ -337,10 +338,10 @@ def test_poly_eval_matches_direct_expansion():
     f = MultiPoly(3, 3, {(2, 1, 0): 2, (0, 0, 3): 1, (1, 1, 1): 1})
     rng = np.random.default_rng(9)
     for _ in range(10):
-        pt = [ctx.random_element(rng) for _ in range(3)]
-        direct = ctx.zero
+        pt = [random_element(ctx, rng) for _ in range(3)]
+        direct = element(ctx, 0)
         for (e1, e2, e3), c in f.terms.items():
-            direct = direct + ctx.element(c) * pt[0]**e1 * pt[1]**e2 * pt[2]**e3
+            direct = direct + element(ctx, c) * pt[0]**e1 * pt[1]**e2 * pt[2]**e3
         assert poly_eval(f, pt) == direct
     with pytest.raises(ArityMismatch):
         poly_eval(f, pt[:2])
@@ -350,7 +351,7 @@ def _check_forms_against_poly_eval(ctx, pts, forms):
     """``jordan._monomial_values`` on the coefficient rows of these code
     points, for every monomial in 3 variables of degree <= 4, and
     ``variety._form_values`` of each form, against ``poly_eval``."""
-    coords = [tuple(ctx.element(c) for c in pt) for pt in pts]
+    coords = [tuple(element(ctx, c) for c in pt) for pt in pts]
     exps = [tuple(e) for d in range(5) for e in symrank.exponents(3, d)[:, ::-1].tolist()]
     mono = jordan._monomial_values(ctx.digits(pts), ctx, np.array(exps))
     assert mono.shape == (len(pts), len(exps), ctx.k)
