@@ -23,8 +23,8 @@ products are sums of logs and sums use the Zech logarithm
 log: g^a + g^b = g^(max(a, b) + plus[|a - b|]).  ``gfq`` eliminates on
 d-by-d matrices of log codes with them, and the sweeps normalise points
 and apply the Frobenius by lookup.
-``FieldCtx.mul_matrix`` gives the k-by-k multiplication matrix of an
-element over GF(p); the tables, g included, are built from its powers.
+``FieldCtx.mul_matrix`` gives the k-by-k multiplication matrix over GF(p)
+of a coefficient row; the tables, g included, are built from its powers.
 """
 
 from __future__ import annotations
@@ -148,10 +148,14 @@ class FieldCtx:
             raise PreconditionViolated(f"p = {p} is not prime")
         if not 1 <= k <= 12:
             raise PreconditionViolated(f"extension degree {k} outside 1..12")
-        # int64 sums: k (p-1)^2 in products of k x k matrices over GF(p),
-        # k (p-1) + k (k-1)/2 (p-1)^2 in ``mul_rows``
-        if max(k * (p - 1) ** 2, k * (p - 1) + k * (k - 1) // 2 * (p - 1) ** 2) >= 2**63:
+        # int64 sums: k (p-1)^2 in products of k x k matrices over GF(p);
+        # k m + k (k-1)/2 m (p-1) in ``mul_rows`` for pairwise products of
+        # at most m, which are reduced to m = p - 1 where m = (p-1)^2 is too big
+        def fold_sum(m):
+            return k * m + k * (k - 1) // 2 * m * (p - 1)
+        if max(k * (p - 1) ** 2, fold_sum(p - 1)) >= 2**63:
             raise PreconditionViolated(f"GF({p}^{k}): sums of products reach 2^63, past int64")
+        self.reduce_pairs = fold_sum((p - 1) ** 2) >= 2**63
         self.p = p
         self.k = k
         self.q = p**k
@@ -164,6 +168,8 @@ class FieldCtx:
         self.reduction = np.stack(columns, axis=1)
         # multiplication by t^c is C^c, whose column j is that of t^(c+j)
         self.tmats = np.stack([self.reduction[:, c:c + k] for c in range(k)])
+        # row i k + j is the coefficient row of t^(i+j)
+        self.fold = self.reduction.T[np.add.outer(np.arange(k), np.arange(k)).ravel()]
 
     @classmethod
     @lru_cache(maxsize=None)  # unbounded: jordan._block_ranks groups points by context identity
@@ -223,26 +229,22 @@ class FieldCtx:
         """Products of broadcastable coefficient rows (..., k), as (..., k) rows.
 
         Entries lie in [0, p).  The rows multiply as polynomials in t: each
-        pairwise product x_i y_j is reduced mod p and added into t^(i+j),
-        folded by column i + j of ``reduction``, in one product with the
-        (k^2, k) fold.  A sum of it is at most k (p-1) + k (k-1)/2 (p-1)^2,
-        which the constructor keeps below 2^63.
+        pairwise product x_i y_j is added into t^(i+j), folded by column
+        i + j of ``reduction``, in one product with the (k^2, k) ``fold``.
+        The pairwise products are reduced mod p first only where
+        ``reduce_pairs`` says their unreduced sums could reach 2^63.
         """
-        p, k = self.p, self.k
         prod = x[..., :, None] * y[..., None, :]
-        prod %= p
-        fold = self.reduction.T[np.add.outer(np.arange(k), np.arange(k)).ravel()]
-        return prod.reshape(*prod.shape[:-2], k * k) @ fold % p
+        if self.reduce_pairs:
+            prod %= self.p
+        return prod.reshape(*prod.shape[:-2], self.k * self.k) @ self.fold % self.p
 
     # -- matrices over GF(p) and code tables -----------------------------------
 
-    def mul_matrix(self, elem: "FieldElement") -> np.ndarray:
-        """k-by-k multiplication matrix of elem over GF(p)."""
-        out = np.zeros((self.k, self.k), dtype=np.int64)
-        for c, coef in enumerate(elem.coeffs):
-            if coef:
-                out += coef * self.tmats[c]
-        return out % self.p
+    def mul_matrix(self, row: np.ndarray) -> np.ndarray:
+        """k-by-k multiplication matrix over GF(p) of the element with
+        coefficient row ``row`` (k,): sum_c row_c C^c."""
+        return np.tensordot(row, self.tmats, 1) % self.p
 
     @cached_property
     def tables(self) -> LogTables:
@@ -254,13 +256,13 @@ class FieldCtx:
         # g is primitive iff no power g^(order/r), r a prime factor of
         # order, is 1: read on powers of its multiplication matrix
         ident, factors = np.eye(k, dtype=np.int64), _prime_factors(order)
-        g = next(c for c in range(1, self.q) for m in [self.mul_matrix(self.element(c))]
+        g = next(c for c in range(1, self.q) for m in [self.mul_matrix(self.digits(c))]
                  if all((_mat_pow(m, order // r, p) != ident).any() for r in factors))
         # coefficient rows of g^0 .. g^(b-1) by doubling with the
         # multiplication matrix of g^(2^j); each further block of b powers
         # is those rows times the matrix of g^s, turned into codes at once
         rows = ident[:1]
-        step = self.mul_matrix(self.element(g))
+        step = self.mul_matrix(self.digits(g))
         while len(rows) < min(order, _TABLE_BLOCK):
             rows = np.concatenate([rows, rows @ step.T % p])
             step = step @ step % p

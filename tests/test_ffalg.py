@@ -204,10 +204,14 @@ def test_row_products_agree_with_element_products(p, k):
     assert got.tolist() == [[list((a * b).coeffs) for b in elems] for a in elems]
 
 
-@pytest.mark.parametrize("p,k", [(10**9 + 7, 2), (59, 12), (2**31 - 1, 2), (3037000493, 1)])
+@pytest.mark.parametrize("p,k", [(10**9 + 7, 2), (59, 12), (2**31 - 1, 2), (3037000493, 1),
+                                 (2097143, 2), (2097169, 2)])
 def test_row_products_are_exact_in_large_fields(p, k):
-    # random pairs where p is large for k: the last two are the largest
-    # primes the int64 guard admits at k = 2 and k = 1
+    # random pairs where p is large for k: (2**31 - 1, 2) and (3037000493, 1)
+    # are the largest primes the int64 guard admits at k = 2 and k = 1;
+    # 2097143 is the largest prime whose unreduced pairwise products fold
+    # below 2^63 at k = 2, and 2097169, the next, needs them reduced
+    assert FieldCtx.get(p, k).reduce_pairs == (p in (10**9 + 7, 2**31 - 1, 2097169))
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(p % 1000 + k)
     pairs = [(random_element(ctx, rng), random_element(ctx, rng)) for _ in range(200)]
@@ -246,9 +250,11 @@ def test_mul_matrix_is_ring_hom():
     for _ in range(10):
         a = random_element(ctx, rng)
         b = random_element(ctx, rng)
-        ma, mb = ctx.mul_matrix(a), ctx.mul_matrix(b)
-        assert np.array_equal(ctx.mul_matrix(a * b), (ma @ mb) % 5)
-        assert np.array_equal(ctx.mul_matrix(a + b), (ma + mb) % 5)
+        def mat(x):
+            return ctx.mul_matrix(np.array(x.coeffs))
+        ma, mb = mat(a), mat(b)
+        assert np.array_equal(mat(a * b), (ma @ mb) % 5)
+        assert np.array_equal(mat(a + b), (ma + mb) % 5)
         # column 0 recovers the coefficient vector
         assert tuple(ma[:, 0]) == a.coeffs
 

@@ -412,16 +412,18 @@ def test_field_elements_are_an_input_form():
 
 
 def test_one_product_of_coefficient_rows():
-    # FieldCtx.mul_rows is the one product of coefficient rows: no other
-    # package function builds the outer-sum fold of t^(i+j), and outside
-    # ffalg the reduction columns are read only as the rows of t^a that
-    # chain powers of N; monomial values and the scaling trials multiply
-    # through mul_rows
+    # FieldCtx.mul_rows is the one product of coefficient rows: the
+    # outer-sum fold of t^(i+j) is built once, by the FieldCtx constructor,
+    # and read only by mul_rows; outside ffalg the reduction columns are
+    # read only as the rows of t^a that chain powers of N; monomial values
+    # and the scaling trials multiply through mul_rows
     def outer(mod, node):
         f = node.func
         return (isinstance(f, ast.Attribute) and f.attr == "outer"
                 and getattr(f.value, "attr", None) == "add")
-    assert set(_calls(outer)) <= {"ffalg.mul_rows"}
+    assert _calls(outer) == ["ffalg.__init__"]
+    assert set(_scopes(lambda mod, node: isinstance(node, ast.Attribute)
+                       and node.attr == "fold")) == {"ffalg.__init__", "ffalg.mul_rows"}
     assert {s for s in _scopes(lambda mod, node: isinstance(node, ast.Attribute)
                                and node.attr == "reduction")
             if not s.startswith("ffalg.")} == {"jordan._chained_powers"}
