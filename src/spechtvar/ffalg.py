@@ -111,8 +111,8 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-# Largest field with log/Zech tables: GF(3^12) takes about 10 MB of them.
-# GF(5^12) would need about 4 GB; it keeps the companion blowup (``gfq``).
+# Largest field with log/Zech tables: GF(3^12) takes about 10 MB of them;
+# GF(5^12) would need about 4 GB and is ranked over GF(5^6) (``gfq._subfield``).
 TABLE_CAP = 3**12
 _TABLE_BLOCK = 4096  # powers of g per step of the table build
 

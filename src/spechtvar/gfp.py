@@ -6,18 +6,17 @@ accumulated sum stays below m*(p-1)^2, so float32 is exact up to 2**24 and
 float64 up to 2**53.  `float_mod` is the one rule that reduces such float
 products mod p, before any cast to integers; it works in place through one
 scratch tile of `TILE_BYTES`, so it allocates no quotient the size of its
-input.  Elimination is a blocked right-looking LU so that the trailing
-updates are BLAS matmuls as well.  In the package it serves only the
-companion blowup of GF(5^12), the one field above the log table cap
-(``gfq``), and ``nullspace`` for interpolation; the sweeps rank on
-``gfq._rank_stack``.  A unit lower triangular system needs no elimination:
-`solve_unit_lower` runs a blocked forward substitution on floats, reduced by
-`float_mod` without leaving the float type.  Each block of rows takes one
-matmul against the rows solved above it and one against the inverse of its
-diagonal block, and those inverses come from one batched product series; so
-the solve is all matmuls.  It serves module construction (the
-standard-tabloid minor) and exact mode's division by the previous Bareiss
-pivot (``symrank``).
+input.  Elimination (``rank``, ``rref``, ``solve``, ``nullspace``) is plain,
+one column at a time; in the package it serves interpolation's
+``nullspace`` and ``gfq._subfield``'s one-off nullspace and solve, since
+every rank at a point, over every field, is ``gfq._rank_stack``'s.  A unit lower
+triangular system needs no elimination: `solve_unit_lower` runs a blocked
+forward substitution on floats, reduced by `float_mod` without leaving the
+float type.  Each block of rows takes one matmul against the rows solved
+above it and one against the inverse of its diagonal block, and those
+inverses come from one batched product series; so the solve is all
+matmuls.  It serves module construction (the standard-tabloid minor) and
+exact mode's division by the previous Bareiss pivot (``symrank``).
 """
 
 from __future__ import annotations
@@ -150,57 +149,25 @@ def _diagonal_inverses(lf: np.ndarray, w: int, p: int) -> np.ndarray:
 
 
 def _echelon(a: np.ndarray, p: int) -> list[int]:
-    """In-place forward elimination; returns the pivot column list.
-
-    `a` must be int64 with entries already reduced mod p.  Afterwards the
-    first len(pivots) rows are an (unnormalized) row echelon form and the
-    rows below are zero.
-    """
+    """In-place forward elimination, one column at a time, of an int64 `a`
+    reduced mod p; returns the pivot columns.  Afterwards the first
+    len(pivots) rows are an (unnormalized) row echelon form, the rest zero."""
     m, n = a.shape
     inv = inverse_table(p)
     pivots: list[int] = []
-    r = 0
-    col = 0
-    while col < n and r < m:
-        width = min(_PANEL, n - col)
-        piv_local: list[int] = []
-        k = 0
-        for j in range(col, col + width):
-            nz = np.flatnonzero(a[r + k:, j])
-            if nz.size == 0:
-                continue
-            i0 = r + k + int(nz[0])
-            if i0 != r + k:
-                a[[r + k, i0]] = a[[i0, r + k]]
-            mult = (a[r + k + 1:, j] * inv[a[r + k, j]]) % p
-            # eliminate below within the panel; trailing columns are deferred
-            if j + 1 < col + width:
-                a[r + k + 1:, j + 1: col + width] = (
-                    a[r + k + 1:, j + 1: col + width]
-                    - mult[:, None] * a[r + k, j + 1: col + width]
-                ) % p
-            a[r + k + 1:, j] = mult  # stash multipliers in the cleared slot
-            piv_local.append(j)
-            k += 1
-        if k and col + width < n:
-            piv_idx = np.array(piv_local)
-            # pivot rows first: row_i -= sum_{j<i} m_ij * row_j (final values)
-            mults = a[r: r + k, piv_idx]
-            trail = a[r: r + k, col + width:]
-            for i in range(1, k):
-                trail[i] = (trail[i] - mults[i, :i] @ trail[:i]) % p
-            # all rows below the pivot block in one BLAS update
-            low = a[r + k:, piv_idx]
-            if low.size and low.any():
-                below = a[r + k:, col + width:]  # a view: updated in place
-                below -= mod_matmul(low, trail, p)
-                below %= p
-        # clear the multiplier stash so the result is honest echelon form
-        for i, j in enumerate(piv_local):
-            a[r + i + 1:, j] = 0
-        pivots.extend(piv_local)
-        r += k
-        col += width
+    for j in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.flatnonzero(a[r:, j])
+        if not nz.size:
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        below = r + 1 + np.flatnonzero(a[r + 1:, j])
+        mult = a[below, j] * inv[a[r, j]] % p
+        a[below, j:] = (a[below, j:] - mult[:, None] * a[r, j:]) % p
+        pivots.append(j)
     return pivots
 
 
@@ -261,14 +228,14 @@ def solve(b: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
 
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
-    """Matrix whose columns are a basis of the right nullspace over GF(p)."""
+    """Matrix whose columns are a basis of the right nullspace over GF(p):
+    one column per free column f of the reduced form, 1 at f and minus
+    column f of the reduced form at the pivot columns."""
     a = np.asarray(a)
     n = a.shape[1]
     red, pivots = rref(a, p)
-    free = [j for j in range(n) if j not in set(pivots)]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    for idx, j in enumerate(free):
-        basis[j, idx] = 1
-        for i, c in enumerate(pivots):
-            basis[c, idx] = (-red[i, j]) % p
+    free = np.delete(np.arange(n), pivots)
+    basis = np.zeros((n, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots] = -red[:len(pivots), free] % p
     return basis

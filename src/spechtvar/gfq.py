@@ -5,42 +5,44 @@ array of shape (k, d, d) over GF(p) with M = sum_c t^c M_c in the power
 basis of ``FieldCtx``.  ``jordan`` forms N and its powers in this form
 from matrices over GF(p).
 
-Ranks have one elimination over GF(q), ``_rank_stack``, for every
-field with tables, the prime fields GF(p) = GF(p^1) included: each
-matrix's slices become log codes (``prepare``, from ``FieldCtx.tables``),
-and a stack of B code matrices of one shape is eliminated together,
-column by column, adding rows with the Zech logarithm.  The row update
-is branch-free: one lookup in ``LogTables.plus``, clipped, on flat
-indices into the stack, with zero coded out of range so that the same
-lookup handles it.  Per column the numpy passes are shared by the whole
-stack, so their call overhead is paid once for B matrices; generic points
-give one block's matrices the same nonzero pattern, so the stack's
-updates touch few columns beyond any one matrix's.  Callers hand
-``ranks`` all their matrices of one shape at once; ``rank`` is one
-matrix.  Every rank is taken in full: freeness needs only rank N
-(``jordan.are_free_at``), so nothing stops early.  Fields above
-``ffalg.TABLE_CAP`` (only GF(5^12) among the module primes) have no
-tables; there the rank is taken one matrix at a time on the GF(p)
-companion blowup sum_c kron(M_c, tmats[c]), whose rank is k times the
-rank over GF(p^k).
+Every rank, over every field, is taken by one stacked elimination,
+``_rank_stack``, on log codes (``prepare``, from ``FieldCtx.tables``).
+Callers hand ``ranks`` all their matrices of one shape at once, and the
+stack shares each column's numpy passes, whose row update is one clipped
+lookup in ``LogTables.plus``; generic points give one block's matrices
+the same nonzero pattern, so the stack's updates touch few columns beyond
+any one matrix's.  ``rank`` is one matrix.  Every rank is taken in full:
+freeness needs only rank N (``jordan.are_free_at``), so nothing stops early.
+
+A field above ``ffalg.TABLE_CAP`` (GF(5^9) .. GF(5^12) among the module
+primes) is ranked over its largest subfield with tables, GF(p^j), j | k
+(Lidl and Niederreiter, Finite Fields, Thm 2.8): each entry of M becomes
+its m-by-m multiplication matrix over GF(p^j), m = k/j, a GF(p)-linear
+map of the slices (``_subfield``), and the md-by-md lift has rank m rank M.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import gfp
-from .errors import RankCheckFailed
+from .errors import PreconditionViolated, RankCheckFailed
 from .ffalg import TABLE_CAP, FieldCtx
 
 
 def prepare(slices: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Matrices (k, m, n), or a stack (B, k, m, n), of integers or exact
+    """Matrices (k, r, s), or a stack (B, k, r, s), of integers or exact
     floats below p in the form ``ranks`` takes: int32 log codes (-1 for
-    zero) where the field has tables, else int64 slices.  Codes are
-    sum_c p^c slices[c] by Horner's rule, exact below TABLE_CAP < 2^24."""
+    zero).  Above the table cap they are codes over GF(p^j) of the lift, in
+    which entry (x, y) is the m-by-m block at rows x m and columns y m on.
+    Codes are sum_c p^c slices[c] by Horner's rule, exact below TABLE_CAP."""
     if ctx.q > TABLE_CAP:
-        return np.asarray(slices, dtype=np.int64)
+        ctx, lift = _subfield(ctx)
+        slices = np.einsum("abic,...cxy->...ixayb", lift, slices, optimize=True) % ctx.p
+        *lead, r, m, s, _ = slices.shape
+        slices = slices.reshape(*lead, r * m, s * m)
     codes = slices[..., -1, :, :]
     for c in range(ctx.k - 2, -1, -1):
         codes = codes * ctx.p + slices[..., c, :, :]
@@ -53,17 +55,62 @@ def rank(slices: np.ndarray, ctx: FieldCtx) -> int:
 
 
 def ranks(mats: list[np.ndarray], ctx: FieldCtx) -> list[int]:
-    """Ranks over GF(p^k) of matrices of one shape, each from ``prepare``.
-
-    Where the field has tables the matrices are ranked by one stacked
-    elimination, ``_rank_stack``; fields above the table cap go to
-    ``_blowup_rank``, one matrix at a time.  Every rank is the full rank.
-    """
-    if ctx.q > TABLE_CAP:
-        return [_blowup_rank(m, ctx) for m in mats]
+    """Ranks over GF(p^k) of matrices of one shape, each from ``prepare``,
+    by one stacked elimination.  Above the table cap that is over GF(p^j),
+    of the lifts, whose ranks are m times the ranks over GF(p^k);
+    RankCheckFailed where one is not a multiple of m."""
     if not mats:
         return []
-    return _rank_stack(np.stack(mats), ctx).tolist()
+    field = _subfield(ctx)[0] if ctx.q > TABLE_CAP else ctx
+    m = ctx.k // field.k
+    got = _rank_stack(np.stack(mats), field)
+    if m > 1:
+        if (got % m).any():
+            raise RankCheckFailed(f"lifted ranks {got.tolist()} are not multiples of {m}")
+        got //= m
+    return got.tolist()
+
+
+# Elements per step of the root search in ``_subfield``: bounds its products.
+_ROOT_BLOCK = 4096
+
+
+@lru_cache(maxsize=None)
+def _subfield(ctx: FieldCtx) -> tuple[FieldCtx, np.ndarray]:
+    """GF(p^j), j the largest divisor of k with p^j <= TABLE_CAP, and the lift
+    W (m, m, j, k), m = k/j: W[a, b] @ x are the coefficients of entry (a, b)
+    of multiplication by x over GF(p^j); PreconditionViolated for p above it.
+
+    GF(p^j) is the GF(p)-nullspace of x -> x^(p^j) - x, and a root r of its
+    modulus there stands for its t; W[a, b, :, c] are the coordinates of
+    t^(b+c), a column of ``reduction``, on the basis t^a r^i."""
+    p, k = ctx.p, ctx.k
+    j = max((j for j in range(1, k + 1) if k % j == 0 and p**j <= TABLE_CAP), default=0)
+    if not j:
+        raise PreconditionViolated(f"GF({p}^{k}) has no subfield with log tables")
+    sub, m = FieldCtx.get(p, j), k // j
+    eye = np.eye(k, dtype=np.int64)
+    images = np.tile(eye[0], (k, 1))  # (t^i)^(p^j), by square and multiply
+    for bit in bin(p**j)[2:]:
+        images = ctx.mul_rows(images, images)
+        if bit == "1":
+            images = ctx.mul_rows(images, eye)
+    fixed = gfp.nullspace((images - eye).T, p)
+    for lo in range(0, sub.q, _ROOT_BLOCK):
+        elems = sub.digits(np.arange(lo, min(lo + _ROOT_BLOCK, sub.q))) @ fixed.T % p
+        value = np.tile(eye[0], (len(elems), 1))  # the modulus at each, by Horner
+        for c in sub.modulus[-2::-1]:
+            value = ctx.mul_rows(value, elems)
+            value[:, 0] = (value[:, 0] + c) % p
+        roots = np.flatnonzero(~value.any(axis=1))
+        if roots.size:
+            break
+    powers = [eye[0]]
+    for _ in range(j - 1):
+        powers.append(ctx.mul_rows(powers[-1], elems[roots[0]]))
+    basis = ctx.mul_rows(eye[:m, None], np.stack(powers)[None])  # [a, i] = t^a r^i
+    coords = gfp.solve(basis.reshape(k, k).T, ctx.reduction, p).reshape(m, j, 2 * k - 1)
+    return sub, coords[:, :, np.add.outer(np.arange(m), np.arange(k))].transpose(0, 2, 1, 3)
 
 
 # Entries per pass of the row update: a column's update runs over blocks
@@ -151,18 +198,3 @@ def _reduce(x: np.ndarray, order: int) -> None:
     exactly when 0 <= x < order."""
     u = x.view(np.uint32)
     np.minimum(u, (x - order).view(np.uint32), out=u)
-
-
-def _blowup_rank(slices: np.ndarray, ctx: FieldCtx) -> int:
-    """Rank over GF(p^k) from the GF(p) companion blowup of the slices.
-
-    Replacing each entry by its multiplication matrix is a ring
-    homomorphism, so the blowup rank is k times the rank over GF(p^k).
-    The path for fields above the table cap, and the tests' oracle.
-    """
-    k, p = ctx.k, ctx.p
-    big = sum(np.kron(s, ctx.tmats[c]) for c, s in enumerate(slices)) % p
-    r = gfp.rank(big, p)
-    if r % k:
-        raise RankCheckFailed(f"blowup rank {r} is not a multiple of {k}")
-    return r // k

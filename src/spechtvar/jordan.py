@@ -29,9 +29,9 @@ rank N = d - d/p.  No power of N is formed for it.  GF(p) points are the
 case k = 1 and take the same path.
 
 Generic types come in two modes: randomized sampling over GF(p^8) with
-entrywise-max certification (retried over GF(p^12)), and exact
-fraction-free elimination over the rational function field for small
-dimensions.
+entrywise-max certification, retried over GF(p^12) (for p = 5 above the
+table cap, so ranked over GF(5^6) by ``gfq``), and exact fraction-free
+elimination over the rational function field for small dimensions.
 """
 
 from __future__ import annotations

@@ -13,11 +13,16 @@ multiply.  ``element``, ``random_element`` and ``random_point`` build and
 draw such elements as ``FieldCtx`` did, from the same random stream as
 ``FieldCtx.random_rows``.  The package's own elements keep no arithmetic,
 so a package path that still multiplies elements fails.
+
+``_blowup_rank`` is the rank over GF(p^k) that fields above the log table
+cap took before they were ranked over a subfield: the rank over GF(p) of
+the companion ``blowup`` sum_c kron(M_c, C^c), divided by k.
 """
 
 import numpy as np
 
 from spechtvar import gfp
+from spechtvar.errors import RankCheckFailed
 from spechtvar.ffalg import FieldElement
 from spechtvar.jordan import _coerce_point
 
@@ -147,3 +152,21 @@ def point_powers(mats, alpha, p, count=None):
     for _ in range((p - 1 if count is None else count) - 1):
         powers.append(slice_matmul(powers[-1], op, ctx))
     return powers, ctx
+
+
+def blowup(slices, ctx):
+    """The GF(p) matrix sum_c kron(M_c, C^c) of the slices M_c."""
+    return sum(np.kron(s, ctx.tmats[c]) for c, s in enumerate(slices)) % ctx.p
+
+
+def _blowup_rank(slices, ctx):
+    """Rank over GF(p^k) from the GF(p) companion blowup of the slices.
+
+    Replacing each entry by its multiplication matrix is a ring
+    homomorphism, so the blowup rank is k times the rank over GF(p^k).
+    """
+    k, p = ctx.k, ctx.p
+    r = gfp.rank(blowup(slices, ctx), p)
+    if r % k:
+        raise RankCheckFailed(f"blowup rank {r} is not a multiple of {k}")
+    return r // k

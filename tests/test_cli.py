@@ -156,6 +156,20 @@ def test_stdout_matches_golden(argv, golden, capsys):
     assert out == (GOLDEN.parent / golden).read_text()
 
 
+# stdout of the n = 1 sweeps over the fields above the table cap, written by
+# the CLI when those were ranked on the GF(5) companion blowup; they are now
+# ranked over GF(5^3), GF(5^5), GF(5) and GF(5^6) on the subfield lift
+_ABOVE_CAP = json.loads((GOLDEN.parent / "variety_p5_above_cap.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(_ABOVE_CAP))
+def test_above_cap_sweeps_match_golden(command, capsys):
+    argv = command.split()
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert out == _ABOVE_CAP[command]
+
+
 def test_young_summand_set(capsys):
     rep = run_json(["young", "--r", "9", "--m", "4", "--p", "3"], capsys)["report"]
     assert rep["s_values"] == [1, 2, 4]

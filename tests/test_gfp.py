@@ -244,3 +244,14 @@ def test_nullspace(p):
     assert basis.shape[1] == 35 - gfp.rank(a, p)
     assert not gfp.mod_matmul(a, basis, p).any()
     assert gfp.rank(basis, p) == basis.shape[1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_nullspace_of_a_wide_matrix(p):
+    # 40 x 150 of rank at most 25: a wide nullspace, most columns free
+    rng = np.random.default_rng(29 + p)
+    a = gfp.mod_matmul(rng.integers(0, p, (40, 25)), rng.integers(0, p, (25, 150)), p)
+    basis = gfp.nullspace(a, p)
+    assert basis.shape == (150, 150 - naive_rank(a, p))
+    assert not gfp.mod_matmul(a, basis, p).any()
+    assert gfp.rank(basis, p) == basis.shape[1]

@@ -1,16 +1,17 @@
-"""The GF(q) kernel (stacked log/Zech elimination) and the evaluated powers
-of N against oracles.
+"""The GF(q) kernel (stacked log/Zech elimination), the subfield lift above
+the table cap and the evaluated powers of N against oracles.
 
-``gfq._blowup_rank`` is the rank path for fields above the table cap; it
-is called directly here as the oracle, and at k = 1 it is ``gfp.rank`` of
-the matrix itself.  ``rank_logs`` below is the one-matrix-at-a-time
-log/Zech elimination that the stack kernel replaced, kept as the stack's
-oracle: it adds with ``%``, ``np.where`` and its own table ``zech_table``
-(log(1 + g^n), the table ``LogTables.plus`` replaced).  The prime fields
-GF(p) = GF(p^1) are ranked by the same stack.  ``oracles.slice_matmul``,
-the GF(p^k) product that once formed each power of N at a point, builds
-the planted matrices here, and its chain is the oracle of the powers that
-``jordan`` evaluates from GF(p) coefficient stacks.
+``oracles._blowup_rank``, the rank on the GF(p) companion blowup that
+fields above the table cap took before the lift, is the ranks' oracle; at
+k = 1 it is ``gfp.rank`` of the matrix itself.  ``rank_logs`` below is the
+one-matrix-at-a-time log/Zech elimination that the stack kernel replaced,
+kept as the stack's oracle: it adds with ``%``, ``np.where`` and its own
+table ``zech_table`` (log(1 + g^n), the table ``LogTables.plus``
+replaced).  The prime fields GF(p) = GF(p^1) are ranked by the same stack.
+``oracles.slice_matmul``, the GF(p^k) product that once formed each power
+of N at a point, builds the planted matrices here, and its chain is the
+oracle of the powers that ``jordan`` evaluates from GF(p) coefficient
+stacks.
 """
 
 import itertools
@@ -20,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import as_point, element, point_operator, point_powers, random_point, slice_matmul
+from oracles import (_blowup_rank, as_point, blowup, element, point_operator, point_powers,
+                     random_point, slice_matmul)
 from spechtvar import gfp, gfq, jordan, symrank
-from spechtvar.errors import PreconditionViolated
+from spechtvar.errors import PreconditionViolated, RankCheckFailed
 from spechtvar.ffalg import TABLE_CAP, FieldCtx
 from spechtvar.jordan import (GenericTypeReport, JordanType, RankVector, are_free_at,
                               generic_type, is_free_at, rank_vector_at, rank_vectors_at)
@@ -37,10 +39,6 @@ def random_slices(ctx, rows, cols, rng, density=1.0):
     """Slices of a random matrix whose entries are nonzero with the given odds."""
     out = rng.integers(0, ctx.p, (ctx.k, rows, cols))
     return out * (rng.random((rows, cols)) < density)
-
-
-def blowup(ctx, slices):
-    return sum(np.kron(s, ctx.tmats[c]) for c, s in enumerate(slices)) % ctx.p
 
 
 def planted_slices(ctx, rows, cols, rank, rng, density=1.0):
@@ -147,18 +145,22 @@ def test_no_tables_above_the_cap():
 @pytest.mark.parametrize("p,k", FIELDS + [(5, 12)])
 def test_prepare_matches_the_tensordot_codes(p, k):
     # Horner's rule gives the codes sum_c p^c slices[c] of the tensordot
-    # it replaced, from int64 or int32 slices; above the table cap the
-    # slices pass through unchanged
+    # it replaced, from int64 or int32 slices; above the table cap they are
+    # the int32 codes over GF(5^6) of the lift, whose entry (a, b) in the
+    # block of entry (x, y) is W[a, b] @ slices[:, x, y]
     ctx = FieldCtx.get(p, k)
     rng = np.random.default_rng(13 * p + k)
     for rows, cols in ((1, 1), (7, 5), (30, 30)):
         slices = random_slices(ctx, rows, cols, rng, density=0.7)
         got = gfq.prepare(slices, ctx)
+        field, lifted = ctx, slices
         if ctx.q > TABLE_CAP:
-            assert got is slices
-            continue
-        codes = np.tensordot(p ** np.arange(k), slices, axes=1)
-        assert got.dtype == np.int32 and np.array_equal(got, ctx.tables.log[codes])
+            field, lift = gfq._subfield(ctx)
+            m = len(lift)
+            blocks = np.tensordot(lift, slices, axes=([3], [0])) % p  # [a, b, i, x, y]
+            lifted = blocks.transpose(2, 3, 0, 4, 1).reshape(field.k, rows * m, cols * m)
+        codes = np.tensordot(p ** np.arange(field.k), lifted, axes=1)
+        assert got.dtype == np.int32 and np.array_equal(got, field.tables.log[codes])
         assert np.array_equal(gfq.prepare(slices.astype(np.int32), ctx), got)
 
 
@@ -175,7 +177,7 @@ def test_rank_and_stop_at_match_blowup(p, k):
             x = random_slices(ctx, d, planted, rng, density)
             y = random_slices(ctx, planted, d + 3, rng, density)
             m = slice_matmul(x, y, ctx) if planted else np.zeros((k, d, d + 3), dtype=np.int64)
-            want = gfq._blowup_rank(m, ctx)
+            want = _blowup_rank(m, ctx)
             assert want <= planted
             assert gfq.rank(m, ctx) == want, (planted, density)
 
@@ -194,7 +196,7 @@ def test_stack_matches_per_matrix_kernel(p, k):
         codes = [gfq.prepare(m, ctx) for m in mats]
         assert all(c.dtype == np.int32 and c.shape == (rows, cols) for c in codes)
         want = [rank_logs(c.astype(np.int64), ctx) for c in codes]
-        assert want == [gfq._blowup_rank(m, ctx) for m in mats]
+        assert want == [_blowup_rank(m, ctx) for m in mats]
         # a product of two random full-rank-size factors; over GF(2) each
         # factor is singular more often, so it may lose a little more rank
         assert want[0] == want[5] == 0 and want[3] >= full - (2 if ctx.q > 2 else 4)
@@ -244,7 +246,7 @@ def assert_kernel_matches(mats, ctx):
     per matrix and against the companion blowup."""
     codes = [gfq.prepare(m, ctx) for m in mats]
     want = [rank_logs(c.astype(np.int64), ctx) for c in codes]
-    assert want == [gfq._blowup_rank(m, ctx) for m in mats]
+    assert want == [_blowup_rank(m, ctx) for m in mats]
     assert gfq.ranks(codes, ctx) == want
     assert kernel_ranks(codes, ctx) == want
     return want
@@ -329,8 +331,8 @@ def test_slice_product_matches_blowup_product(p, k):
     rng = np.random.default_rng(p + 10 * k)
     x = random_slices(ctx, 7, 5, rng)
     y = random_slices(ctx, 5, 6, rng)
-    assert np.array_equal(blowup(ctx, slice_matmul(x, y, ctx)),
-                          gfp.mod_matmul(blowup(ctx, x), blowup(ctx, y), p))
+    assert np.array_equal(blowup(slice_matmul(x, y, ctx), ctx),
+                          gfp.mod_matmul(blowup(x, ctx), blowup(y, ctx), p))
 
 
 def folded_product(x, y, ctx):
@@ -397,8 +399,80 @@ def test_rank_matches_blowup_on_small_matrices(field, d, planted, seed):
     if planted < d:  # a matrix of rank <= planted: zero all but planted rows
         m = slice_matmul(random_slices(ctx, d, d, rng), m * (np.arange(d) < planted)[:, None],
                        ctx)
-    want = gfq._blowup_rank(m, ctx)
+    want = _blowup_rank(m, ctx)
     assert gfq.rank(m, ctx) == want
+
+
+# -- the subfield lift above the table cap ---------------------------------------------
+
+# every field above the cap that the CLI reaches, GF(5^9) .. GF(5^12), and
+# the library-only GF(7^8); each is ranked over GF(p^j) for this j
+ABOVE_CAP = {(5, 9): 3, (5, 10): 5, (5, 11): 1, (5, 12): 6, (7, 8): 4}
+
+
+def lifted_slices(codes, sub):
+    """Slices over the subfield of a matrix of its log codes."""
+    elems = np.where(codes < 0, 0, sub.tables.exp[np.maximum(codes, 0)])
+    return np.moveaxis(sub.digits(elems), -1, 0)
+
+
+@pytest.mark.parametrize("p,k", list(ABOVE_CAP))
+def test_lift_ranks_match_blowup(p, k):
+    # stacks mixing zero, full-rank and planted matrices, square, non-square
+    # and 1 x 1, ranked over GF(p^j) on their lifts, against the blowup
+    ctx = FieldCtx.get(p, k)
+    sub, lift = gfq._subfield(ctx)
+    m = k // ABOVE_CAP[p, k]
+    assert sub is FieldCtx.get(p, ABOVE_CAP[p, k]) and lift.shape == (m, m, sub.k, k)
+    rng = np.random.default_rng(19 * p + k)
+    for rows, cols in ((9, 9), (6, 11), (11, 6), (1, 1)):
+        full = min(rows, cols)
+        mats = [planted_slices(ctx, rows, cols, r, rng, density)
+                for r, density in ((0, 1.0), (full, 1.0), (full // 2, 0.4), (1, 1.0),
+                                   (full, 0.3))]
+        codes = [gfq.prepare(x, ctx) for x in mats]
+        assert all(c.dtype == np.int32 and c.shape == (rows * m, cols * m) for c in codes)
+        want = [_blowup_rank(x, ctx) for x in mats]
+        assert want[:2] == [0, full]
+        assert gfq.ranks(codes, ctx) == want
+        assert [gfq.rank(x, ctx) for x in mats] == want
+        assert gfq.ranks(codes[1:2], ctx) == [full]  # B = 1
+
+
+@pytest.mark.parametrize("p,k", list(ABOVE_CAP))
+def test_lift_is_a_ring_homomorphism(p, k):
+    # the lift of a product is the product of the lifts over GF(p^j), and
+    # the identity lifts to the identity
+    ctx = FieldCtx.get(p, k)
+    sub, _ = gfq._subfield(ctx)
+    m = k // sub.k
+    rng = np.random.default_rng(23 * p + k)
+
+    def lifted(x):
+        return lifted_slices(gfq.prepare(x, ctx), sub)
+    for rows, inner, cols in ((4, 3, 5), (1, 1, 1), (2, 6, 2)):
+        x = random_slices(ctx, rows, inner, rng)
+        y = random_slices(ctx, inner, cols, rng, density=0.5)
+        assert np.array_equal(lifted(slice_matmul(x, y, ctx)),
+                              slice_matmul(lifted(x), lifted(y), sub))
+    (eye,) = embedded(ctx, np.eye(3))
+    assert np.array_equal(lifted(eye), embedded(sub, np.eye(3 * m))[0])
+
+
+def test_lift_checks_its_ranks():
+    # a lifted rank is m times a rank over GF(p^k): a 1 x 1 code matrix
+    # of rank 1 over GF(5^6), not a lift, has none
+    with pytest.raises(RankCheckFailed):
+        gfq.ranks([np.zeros((1, 1), dtype=np.int32)], FieldCtx.get(5, 12))
+
+
+def test_no_subfield_with_tables_above_the_cap():
+    # p = 531457 is above the cap itself, so GF(p) has no subfield with tables
+    ctx = FieldCtx.get(531457, 1)
+    with pytest.raises(PreconditionViolated):
+        gfq.prepare(np.ones((1, 2, 2), dtype=np.int64), ctx)
+    with pytest.raises(PreconditionViolated):
+        gfq.ranks([np.zeros((2, 2), dtype=np.int32)], ctx)
 
 
 # -- point operators ---------------------------------------------------------------
@@ -409,7 +483,7 @@ def blowup_rank_vector(acts, alpha) -> RankVector:
     total = np.zeros(acts.p + 1, dtype=np.int64)
     for stack, mult in acts.blocks:
         powers, ctx = point_powers(stack, alpha, acts.p)
-        ranks = [stack.shape[1]] + [gfq._blowup_rank(pw, ctx) for pw in powers]
+        ranks = [stack.shape[1]] + [_blowup_rank(pw, ctx) for pw in powers]
         total += mult * np.array(ranks + [0])
     return RankVector(acts.p, tuple(int(x) for x in total))
 
@@ -618,8 +692,8 @@ def test_prime_field_points_match_gfp_rank(module):
 
 
 def test_above_cap_point_over_prime_field():
-    # GF(5^12) has no tables, so this reaches the blowup path; a point with
-    # coordinates in GF(5) must give the GF(5) rank vector
+    # GF(5^12) has no tables, so this is ranked over GF(5^6) on the lift;
+    # a point with coordinates in GF(5) must give the GF(5) rank vector
     acts = restricted_actions((8, 2), 2, 5)
     ctx = FieldCtx.get(5, 12)
     for coords in ([1, 0], [1, 2], [3, 4]):
@@ -686,3 +760,25 @@ def test_generic_type_with_a_degenerate_sample(monkeypatch):
     axis = rank_vector_at(acts, (1, 0, 0))
     assert axis != want.rank_vector and not axis.is_free and want.rank_vector.is_free
     assert run(generic_type) == want
+
+
+def test_generic_type_retries_above_the_cap(monkeypatch):
+    # S^(7,2,1) at p = 5 is not free only on the two axes, which share one
+    # rank vector, so no real draw leaves the max over GF(5^8) unattained:
+    # the GF(5^8) samples are given two incomparable rank vectors instead,
+    # and the retry over GF(5^12), ranked over GF(5^6) on the lift, takes
+    # the real draws
+    acts = restricted_actions((7, 2, 1), 2, 5)
+    real = jordan._rank_vectors
+    fake = [RankVector(5, (160, 110, 60, 40, 20, 0)), RankVector(5, (160, 120, 80, 40, 0, 0))]
+    drawn = itertools.count()
+
+    def ranked(acts, points):  # the two in turn, whether points come one or five at a time
+        if points[0][1].k == 8:
+            return [fake[next(drawn) % 2] for _ in points]
+        return real(acts, points)
+    monkeypatch.setattr(jordan, "_rank_vectors", ranked)
+    want = generic_type_point_by_point(acts, seed=4)
+    got = generic_type(acts, seed=4)
+    assert got == want and got.field is FieldCtx.get(5, 12) and got.samples == 10
+    assert got.rank_vector.ranks == (160, 128, 96, 64, 32, 0)  # free

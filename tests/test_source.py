@@ -79,11 +79,11 @@ def _calls_method(node: ast.Call, name: str) -> bool:
 
 
 def test_one_blowup_and_one_freeness_elimination():
-    # one companion blowup, in the rank path for fields above the table
-    # cap; and no elimination stops early: freeness reads rank N in full,
-    # so the GF(q) kernel, like the GF(p) one, has no stop count
-    assert _calls(lambda mod, node: _is_attr_call(node, "np", "kron")) == [
-        "gfq._blowup_rank"]
+    # no companion blowup: fields above the table cap are lifted to their
+    # largest subfield with tables, so np.kron is called nowhere (the blowup
+    # is the tests' oracle); and no elimination stops early: freeness reads
+    # rank N in full, so the GF(q) kernel, like the GF(p) one, has no stop count
+    assert _calls(lambda mod, node: _is_attr_call(node, "np", "kron")) == []
 
     def stop_name(mod, node):
         name = (node.arg if isinstance(node, (ast.arg, ast.keyword))
@@ -93,13 +93,16 @@ def test_one_blowup_and_one_freeness_elimination():
 
 
 def test_one_rank_route_per_field():
-    # GF(p) is GF(p^1): every field with tables is ranked by the stack
-    # kernel, and only the blowup above the table cap ranks over GF(p)
+    # GF(p) is GF(p^1), and a field above the table cap is ranked over a
+    # subfield: every field is ranked by the stack kernel, no package
+    # function ranks over GF(p) with gfp.rank, the blowup route is gone,
+    # and gfq.ranks hands its matrices over as one stack, with no loop
     assert _calls(lambda mod, node: _is_attr_call(node, "gfp", "rank")
-                  or (mod == "gfp" and getattr(node.func, "id", None) == "rank")) == [
-        "gfq._blowup_rank"]
-    assert _calls(lambda mod, node: getattr(node.func, "id", None) == "_blowup_rank") == [
-        "gfq.ranks"]
+                  or (mod == "gfp" and getattr(node.func, "id", None) == "rank")) == []
+    assert _scopes(lambda mod, node: getattr(node, "id", getattr(node, "attr", getattr(
+        node, "name", None))) == "_blowup_rank") == []
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert "gfq.ranks" not in _scopes(lambda mod, node: mod == "gfq" and isinstance(node, loops))
 
     def is_k_one(mod, node):
         if mod not in ("gfq", "jordan") or not isinstance(node, ast.Compare):
@@ -415,18 +418,21 @@ def test_one_product_of_coefficient_rows():
     # FieldCtx.mul_rows is the one product of coefficient rows: the
     # outer-sum fold of t^(i+j) is built once, by the FieldCtx constructor,
     # and read only by mul_rows; outside ffalg the reduction columns are
-    # read only as the rows of t^a that chain powers of N; monomial values
-    # and the scaling trials multiply through mul_rows
+    # read only as the rows of t^a that chain powers of N and, once per
+    # field, by the subfield lift's builder, whose other outer sum indexes
+    # them by b + c; monomial values, the scaling trials and that builder
+    # multiply through mul_rows
     def outer(mod, node):
         f = node.func
         return (isinstance(f, ast.Attribute) and f.attr == "outer"
                 and getattr(f.value, "attr", None) == "add")
-    assert _calls(outer) == ["ffalg.__init__"]
+    assert _calls(outer) == ["ffalg.__init__", "gfq._subfield"]
     assert set(_scopes(lambda mod, node: isinstance(node, ast.Attribute)
                        and node.attr == "fold")) == {"ffalg.__init__", "ffalg.mul_rows"}
     assert {s for s in _scopes(lambda mod, node: isinstance(node, ast.Attribute)
                                and node.attr == "reduction")
-            if not s.startswith("ffalg.")} == {"jordan._chained_powers"}
+            if not s.startswith("ffalg.")} == {"jordan._chained_powers", "gfq._subfield"}
     assert set(_scopes(lambda mod, node: isinstance(node, ast.Attribute)
                        and node.attr == "mul_rows")) == {"jordan._monomial_values",
-                                                        "acceptance.property_suites"}
+                                                        "acceptance.property_suites",
+                                                        "gfq._subfield"}

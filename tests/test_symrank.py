@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import point_powers, random_point
+from oracles import _blowup_rank, point_powers, random_point
 from spechtvar import gfp, gfq, symrank
 from spechtvar.errors import PreconditionViolated, TooLarge
 from spechtvar.ffalg import FieldCtx
@@ -228,9 +228,7 @@ def eval_rank_oracle(gens, p, power, trials=6, seed=0):
     for _ in range(trials):
         powers, n_ctx = point_powers(gens, random_point(ctx, rng, len(gens)), p, power)
         acc = powers[-1]
-        big = sum(np.kron(s, ctx.tmats[c]) for c, s in enumerate(acc)) % p
-        r, rem = divmod(gfp.rank(big, p), n_ctx.k)
-        assert rem == 0
+        r = _blowup_rank(acc, n_ctx)
         assert gfq.rank(acc, n_ctx) == r
         best = max(best, r)
     return best
