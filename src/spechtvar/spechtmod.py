@@ -139,6 +139,20 @@ def _keys(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...j,j->...", rows, weights, dtype=np.uint64, casting="unsafe")
 
 
+def orbit_labels(maps, size: int) -> np.ndarray:
+    """Least index of each orbit of the group generated by ``maps``, index
+    arrays permuting range(size): label = min(label, label[g]) over the maps,
+    then label = label[label], until no label moves (g^-1 is a power of g)."""
+    label = np.arange(size, dtype=np.int32 if size < 2**31 else np.int64)
+    while True:
+        before = label
+        for g in maps:
+            label = np.minimum(label, label[g])
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
+
+
 @lru_cache(maxsize=64)
 def _tabloid_table(mu: Partition) -> _TabloidTable:
     return _TabloidTable(mu)
@@ -440,25 +454,11 @@ class PermutationActions:
     dim: int
 
     def orbits(self) -> list[np.ndarray]:
-        """E_n-orbits on tabloids, each sorted, ordered by least element."""
-        seen = np.zeros(self.dim, dtype=bool)
-        out = []
-        for start in range(self.dim):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            members = []
-            while stack:
-                v = stack.pop()
-                members.append(v)
-                for pi in self.perms:
-                    w = int(pi[v])
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(np.array(sorted(members), dtype=np.int64))
-        return out
+        """E_n-orbits on tabloids, each sorted, ordered by least element:
+        ``orbit_labels`` of the generators' tabloid permutations, grouped."""
+        label = orbit_labels(self.perms, self.dim)
+        order = np.argsort(label, kind="stable")  # grouped by label, ascending within
+        return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
     @cached_property
     def blocks(self) -> tuple[tuple[np.ndarray, int], ...]:

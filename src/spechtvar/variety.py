@@ -2,17 +2,19 @@
 
 Points are projective: the first nonzero coordinate is normalized to 1,
 which is sound because Jordan type is invariant under scaling.  A point
-is stored as a tuple of field-element codes (integers below p^k).
+is a row of field-element codes (integers below p^k), a locus holds
+tuples of them, and the points of a space are one int32 array.
 
 Every sweep takes one walk, ``_point_orbits``, and evaluates one point
-per orbit of a group acting on the points.  ``sweep_rank_vectors`` and
-``_form_cuts_out`` walk the group generated by the Frobenius and the
-coordinate permutations, which keeps the rank vector, so the quotient is
-exact: the A_i lie over GF(p), so applying the field automorphism
-entrywise maps N(alpha) to N(alpha^p); and the permutation of S_m
-sending the p-cycle g_i to g_sigma(i) normalises E_n and conjugates A_i
-to A_sigma(i) on any S_m-module (Specht and permutation modules alike),
-so N(alpha) and N(sigma alpha) are conjugate.
+per orbit; the walk makes each generator an index map of the point array
+for ``spechtmod.orbit_labels``.  ``sweep_rank_vectors`` walks the group
+generated by the Frobenius and the coordinate permutations, which keeps
+the rank vector, so the quotient is exact: the A_i lie over GF(p), so
+applying the field automorphism entrywise maps N(alpha) to N(alpha^p);
+and the permutation of S_m sending the p-cycle g_i to g_sigma(i)
+normalises E_n and conjugates A_i to A_sigma(i) on any S_m-module
+(Specht and permutation modules alike), so N(alpha) and N(sigma alpha)
+are conjugate.
 
 ``enumerate_locus`` needs freeness only, and walks that group times the
 diagonal torus that scales each coordinate by GF(p)^*.  Conjugation in
@@ -34,7 +36,6 @@ Specht and permutation modules.  Forms are evaluated on such rows by
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,11 +43,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import gfp, symrank
-from .errors import InconsistentCounts, TooManyPoints, ZeroPoint
+from .errors import InconsistentCounts, PreconditionViolated, TooManyPoints, ZeroPoint
 from .ffalg import TABLE_CAP, FieldCtx, MultiPoly
 from .jordan import _free, _monomial_values, _rank_vectors
 from .partitions import Partition
-from .spechtmod import RestrictedActions
+from .spechtmod import RestrictedActions, orbit_labels
 
 # Reference catalogue for p=3, |mu|=9: conjugate-class representative ->
 # (kind, dimension).  Every partition of 9 is covered through its
@@ -71,6 +72,7 @@ CATALOGUE_P3_9: dict[Partition, tuple[str, int]] = {
 }
 
 _POINT_GATE = 10**6
+_BLOCK = 2**12  # point rows per step of a generator's index map and of tuple conversion
 
 
 @dataclass(frozen=True)
@@ -100,23 +102,56 @@ class VarietyClass:
     form: MultiPoly | None = None
 
 
+def _projective_codes(p: int, n: int, k: int) -> np.ndarray:
+    """The projective points of GF(p^k)^n as int32 code rows: by lead
+    position, then in base q = p^k, the last coordinate fastest.  The one
+    place ``_POINT_GATE`` is enforced, in integers bounded for any k."""
+    if k < 1:
+        raise PreconditionViolated(f"extension degree {k} is below 1")
+    q = p ** min(k, 21)  # 2^21 > _POINT_GATE, so a larger k is past the gate too
+    if sum(q**j for j in range(min(n, 21))) > _POINT_GATE:
+        raise TooManyPoints(f"P^{n - 1} over GF({p}^{k}) has more than {_POINT_GATE} points")
+    weights = q ** np.arange(n - 1, -1, -1)  # q^(n-1-j)
+    value = np.concatenate([np.arange(w, 2 * w) for w in weights])  # base q, lead 1 at w
+    codes = np.empty((len(value), n), dtype=np.int32)
+    for j, w in enumerate(weights):
+        codes[:, j] = value // w % q
+    return codes
+
+
+def _index(codes: np.ndarray, q: int) -> np.ndarray:
+    """Positions in ``_projective_codes`` of normalized code rows (B, n): the
+    base-q value less the block's first value, plus the block's start."""
+    weights = q ** np.arange(codes.shape[1] - 1, -1, -1)
+    return codes @ weights - (2 * weights - np.cumsum(weights))[(codes != 0).argmax(1)]
+
+
+def _normalized(codes: np.ndarray, t) -> np.ndarray:
+    """Nonzero code rows (B, n), each scaled by log tables ``t`` to lead 1."""
+    lead = codes[np.arange(len(codes)), (codes != 0).argmax(1), None]
+    # log of 1/lead is in 1..order, and log[0] = -1: every index is in exp
+    return np.where(codes != 0, t.exp[t.log[codes] + (t.order - t.log[lead])], 0)
+
+
+def _tuples(codes: np.ndarray, keep: np.ndarray | None = None):
+    """Code rows, or those where ``keep`` is true, as tuples, a block at a time."""
+    for lo in range(0, len(codes), _BLOCK):
+        block = codes[lo:lo + _BLOCK]
+        yield from map(tuple, (block if keep is None else block[keep[lo:lo + _BLOCK]]).tolist())
+
+
 def projective_points(ctx: FieldCtx, n: int):
-    """All points with first nonzero coordinate equal to 1, as code tuples."""
-    q = ctx.q
-    for lead in range(n):
-        free = n - lead - 1
-        for rest in itertools.product(range(q), repeat=free):
-            yield (0,) * lead + (1,) + rest
+    """All points with first nonzero coordinate 1, as code tuples, in walk order."""
+    yield from _tuples(_projective_codes(ctx.p, n, ctx.k))
 
 
 def normalize_point(codes, ctx: FieldCtx) -> tuple[int, ...]:
     """Scale a nonzero code vector so its first nonzero coordinate is 1."""
-    lead = next((c for c in codes if c), None)
-    if lead is None:
+    if not all(0 <= c < ctx.q for c in codes):
+        raise PreconditionViolated(f"codes {tuple(codes)} are not all in 0..{ctx.q - 1}")
+    if not any(codes):
         raise ZeroPoint("zero vector is not projective")
-    t = ctx.tables
-    shift = t.order - t.log[lead]  # log of 1/lead, in 1..order
-    return tuple(int(t.exp[t.log[c] + shift]) if c else 0 for c in codes)
+    return tuple(_normalized(np.array([codes]), ctx.tables)[0].tolist())
 
 
 # enumerate_locus results, least recently used first, at most _LOCUS_MEMO_SIZE
@@ -126,67 +161,41 @@ _LOCUS_MEMO_SIZE = 128
 
 @lru_cache(maxsize=16)
 def _point_orbits(p: int, n: int, k: int, *, torus: bool = False
-                  ) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Each orbit of projective points under Frobenius x S_n once.
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, orbit, reps): the ``_projective_codes`` rows, the orbit of
+    each under Frobenius x S_n, and each orbit's first point, increasing.
 
-    The one sweep walk, and the one place ``_POINT_GATE`` is enforced,
-    before any table is built.  The walk needs the field's tables, so a
-    field above ``TABLE_CAP`` is refused for n > 1 as well; for n = 1 the
-    one projective point (1) is the one orbit, and nothing is walked.  An
-    orbit is listed from its first point in ``projective_points`` order,
-    the representative.  The Frobenius is a code lookup and keeps
-    normalization (1 is fixed); a transposed point is normalized again.
-    The orbits depend only on the arguments, so the walk is kept once per
-    process.
-
-    With ``torus`` (freeness only, see the module docstring) the group
-    also scales coordinates by GF(p)^*; with S_n it is generated by
-    scaling the last coordinate by a primitive root of GF(p),
-    exp[log x + (q - 1)/(p - 1)].  That keeps the lead unless the last
-    coordinate is the lead, and then it fixes the projective point, so
-    no normalization is needed.  For p = 2 the torus is trivial.
-    """
-    if n == 1:
-        return (((1,),),)
-    q = p**k
-    total = (q**n - 1) // (q - 1)
-    if total > _POINT_GATE:
-        raise TooManyPoints(f"{total} projective points exceed the sweep gate")
-    if q > TABLE_CAP:
-        raise TooManyPoints(f"GF({q}) is above the table cap; only n = 1 is swept")
-    ctx = FieldCtx.get(p, k)
-    frob = ctx.frob.tolist().__getitem__
-    scale = torus and p > 2
-    if scale:
+    The one sweep walk, kept read-only once per process.  The gate and the
+    table cap come before any table is built: the walk needs tables, so
+    n > 1 is refused above ``TABLE_CAP``.  Each generator becomes an index
+    map of the points for ``orbit_labels``: the Frobenius by code lookup
+    (it keeps the lead 1), each adjacent transposition normalized again.
+    With ``torus`` (freeness only, see the module docstring) the group also
+    scales coordinates by GF(p)^*; with S_n, scaling the last one by a
+    primitive root of GF(p), exp[log x + (q - 1)/(p - 1)], generates it."""
+    points = _projective_codes(p, n, k)
+    moves, t = [], None
+    if n > 1:
+        if p**k > TABLE_CAP:
+            raise TooManyPoints(f"GF({p**k}) is above the table cap; only n = 1 is swept")
+        ctx = FieldCtx.get(p, k)
         t = ctx.tables
-        exp, log, unit = t.exp.tolist(), t.log.tolist(), t.order // (p - 1)
-    seen, orbits = set(), []
-    for pt in projective_points(ctx, n):
-        if pt in seen:
-            continue
-        seen.add(pt)
-        orbit, todo = [pt], [pt]
-        while todo:
-            cur = todo.pop()
-            moved = [tuple(map(frob, cur))]
-            for i in range(n - 1):
-                swapped = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
-                lead = next(c for c in swapped if c)
-                moved.append(swapped if lead == 1 else normalize_point(swapped, ctx))
-            if scale and cur[-1] and any(cur[:-1]):
-                moved.append(cur[:-1] + (exp[log[cur[-1]] + unit],))
-            for img in moved:
-                if img not in seen:
-                    seen.add(img)
-                    orbit.append(img)
-                    todo.append(img)
-        orbits.append(tuple(orbit))
-    return tuple(orbits)
-
-
-def _representatives(orbits, ctx: FieldCtx) -> list[tuple[np.ndarray, FieldCtx]]:
-    """The first point of each orbit, as pairs (coefficient rows, field)."""
-    return [(rows, ctx) for rows in ctx.digits([orbit[0] for orbit in orbits])]
+        moves = [ctx.frob.__getitem__] if k > 1 else []  # k = 1: the identity
+        moves += [lambda rows, s=np.r_[:i, i + 1, i, i + 2:n]: rows.take(s, axis=1)
+                  for i in range(n - 1)]
+        if torus and p > 2:
+            unit = np.append(0, t.exp[t.log[1:] + t.order // (p - 1)])  # code of c g^((q-1)/(p-1))
+            moves.append(lambda rows: np.column_stack([rows[:, :-1], unit[rows[:, -1]]]))
+    maps = np.empty((len(moves), len(points)), dtype=np.int32)  # one allocation
+    for move, image in zip(moves, maps):
+        for lo in range(0, len(points), _BLOCK):
+            image[lo:lo + _BLOCK] = _index(_normalized(move(points[lo:lo + _BLOCK]), t), p**k)
+    label = orbit_labels(maps, len(points))
+    reps = np.flatnonzero(label == np.arange(len(points)))
+    walk = points, np.searchsorted(reps, label).astype(np.int32), reps
+    for a in walk:
+        a.flags.writeable = False
+    return walk
 
 
 def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
@@ -200,11 +209,12 @@ def enumerate_locus(acts: RestrictedActions, k: int) -> LocusSample:
     key = (type(acts).__name__, acts.mu, n, p, k)
     sample = _LOCUS_MEMO.pop(key, None)
     if sample is None:
-        orbits = _point_orbits(p, n, k, torus=True)
-        free = _free(acts, _representatives(orbits, FieldCtx.get(p, k)))
-        points = {pt for orbit, f in zip(orbits, free) if not f for pt in orbit}
-        sample = LocusSample(mu=acts.mu, p=p, n=n, k=k, points=frozenset(points),
-                             total_projective_points=sum(map(len, orbits)))
+        points, orbit, reps = _point_orbits(p, n, k, torus=p > 2)  # trivial torus at p = 2
+        ctx = FieldCtx.get(p, k)
+        free = np.array(_free(acts, [(rows, ctx) for rows in ctx.digits(points[reps])]))
+        sample = LocusSample(mu=acts.mu, p=p, n=n, k=k,
+                             points=frozenset(_tuples(points, ~free[orbit])),
+                             total_projective_points=len(points))
     _LOCUS_MEMO[key] = sample  # (re)inserted last, as the most recently used
     if len(_LOCUS_MEMO) > _LOCUS_MEMO_SIZE:
         del _LOCUS_MEMO[next(iter(_LOCUS_MEMO))]
@@ -254,12 +264,13 @@ def _form_cuts_out(sample: LocusSample, f: MultiPoly) -> bool:
 
     f has GF(p) coefficients, so only the Frobenius is sure to keep its
     zero set; an interpolated form need not be permutation-symmetric, so
-    every member of every orbit is evaluated.
+    every point of the walk ``enumerate_locus`` kept is evaluated.
     """
-    pts = [pt for orbit in _point_orbits(sample.p, sample.n, sample.k) for pt in orbit]
-    values = _form_values(f, pts, FieldCtx.get(sample.p, sample.k))
-    vanishes = ~values.any(axis=1)
-    return bool((vanishes == [pt in sample.points for pt in pts]).all())
+    p, n, k = sample.p, sample.n, sample.k
+    points = _point_orbits(p, n, k, torus=p > 2)[0]
+    vanishes = ~_form_values(f, points, FieldCtx.get(p, k)).any(axis=1)
+    locus = _index(np.array(list(sample.points), dtype=np.int64).reshape(-1, n), p**k)
+    return bool(vanishes[locus].all() and vanishes.sum() == len(locus))
 
 
 def _pattern_kind(sample: LocusSample) -> str | None:
@@ -388,11 +399,11 @@ def sweep_rank_vectors(acts: RestrictedActions, k: int):
     its points: the Frobenius and coordinate permutations keep it.  The
     representatives are ranked together (``jordan._rank_vectors``).
     """
-    orbits = _point_orbits(acts.p, acts.n, k)
-    rvs = _rank_vectors(acts, _representatives(orbits, FieldCtx.get(acts.p, k)))
-    for orbit, rv in zip(orbits, rvs):
-        for pt in orbit:
-            yield pt, rv.is_free, rv
+    points, orbit, reps = _point_orbits(acts.p, acts.n, k)
+    ctx = FieldCtx.get(acts.p, k)
+    rvs = _rank_vectors(acts, [(rows, ctx) for rows in ctx.digits(points[reps])])
+    for pt, i in zip(_tuples(points), orbit.tolist()):
+        yield pt, rvs[i].is_free, rvs[i]
 
 
 def template_check(f: MultiPoly, p: int) -> bool:

@@ -17,13 +17,21 @@ so a package path that still multiplies elements fails.
 ``_blowup_rank`` is the rank over GF(p^k) that fields above the log table
 cap took before they were ranked over a subfield: the rank over GF(p) of
 the companion ``blowup`` sum_c kron(M_c, C^c), divided by k.
+
+``point_orbits`` and ``tabloid_orbits`` are the breadth-first walks that
+found orbits, over sets of tuples, before ``spechtmod.orbit_labels`` read
+them off index maps: the orbits of Frobenius x S_n (x the GF(p)^* torus)
+on projective points, each listed from its first point in enumeration
+order, and the E_n-orbits on tabloids, each sorted.
 """
+
+import itertools
 
 import numpy as np
 
 from spechtvar import gfp
 from spechtvar.errors import RankCheckFailed
-from spechtvar.ffalg import FieldElement
+from spechtvar.ffalg import FieldCtx, FieldElement
 from spechtvar.jordan import _coerce_point
 
 
@@ -170,3 +178,62 @@ def _blowup_rank(slices, ctx):
     if r % k:
         raise RankCheckFailed(f"blowup rank {r} is not a multiple of {k}")
     return r // k
+
+
+def point_orbits(p, n, k, torus=False):
+    """Orbits of projective points of GF(p^k)^n, as tuples of code tuples,
+    ordered by first point; the point order is lexicographic within each
+    lead position, leads in increasing position."""
+    ctx = FieldCtx.get(p, k)
+    t = ctx.tables
+    exp, log, unit = t.exp.tolist(), t.log.tolist(), t.order // (p - 1)
+    frob = ctx.frob.tolist()
+
+    def normalized(pt):
+        shift = t.order - log[next(c for c in pt if c)]
+        return tuple(exp[log[c] + shift] if c else 0 for c in pt)
+
+    points = [(0,) * lead + (1,) + rest for lead in range(n)
+              for rest in itertools.product(range(ctx.q), repeat=n - lead - 1)]
+    seen, orbits = set(), []
+    for pt in points:
+        if pt in seen:
+            continue
+        seen.add(pt)
+        orbit, todo = [pt], [pt]
+        while todo:
+            cur = todo.pop()
+            moved = [tuple(frob[c] for c in cur)]
+            moved += [normalized(cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:])
+                      for i in range(n - 1)]
+            if torus and p > 2 and cur[-1] and any(cur[:-1]):
+                moved.append(cur[:-1] + (exp[log[cur[-1]] + unit],))
+            for img in moved:
+                if img not in seen:
+                    seen.add(img)
+                    orbit.append(img)
+                    todo.append(img)
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
+
+
+def tabloid_orbits(perms, dim):
+    """Orbits on range(dim) of the group generated by the index maps
+    ``perms``, each sorted, ordered by least element."""
+    seen = np.zeros(dim, dtype=bool)
+    out = []
+    for start in range(dim):
+        if seen[start]:
+            continue
+        stack, members = [start], []
+        seen[start] = True
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            for pi in perms:
+                w = int(pi[v])
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        out.append(np.array(sorted(members), dtype=np.int64))
+    return out

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -301,6 +302,21 @@ def test_large_primes_are_decided_within_seconds(p, code):
         assert json.loads(run.stdout)["config"]["p"] == p
     else:
         assert "is not below 3317044064679887385961981" in run.stderr
+
+
+@pytest.mark.parametrize("ext", ["100000", "100000000000000000000"])
+def test_extension_degrees_past_the_gate_exit_within_a_second(ext, capsys):
+    # the point gate is decided without forming 3^ext: in-process the
+    # refusal takes well under a second; in a fresh process it is one
+    # error line, with no traceback
+    argv = ["variety", "--mu", "(3,3,3)", "--p", "3", "--ext", ext]
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "") and err.startswith("error:") and err.count("\n") == 1
+    fresh = subprocess.run([sys.executable, "-c", _MAIN, *argv], env=_fresh_env(),
+                           capture_output=True, text=True, timeout=30)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [

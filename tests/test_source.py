@@ -204,12 +204,20 @@ def test_one_builder_of_power_coefficients():
                                            "symrank.generic_power_ranks"]
 
 
-def test_one_point_walk():
-    # every sweep enumerates points through the one orbit walk
-    def names_projective_points(mod, node):
-        f = node.func
-        return getattr(f, "id", getattr(f, "attr", None)) == "projective_points"
-    assert _calls(names_projective_points) == ["variety._point_orbits"]
+def test_one_orbit_routine():
+    # points and tabloids find their orbits by the one label routine; the
+    # points of a space are enumerated once, read only by the walk and by
+    # projective_points; no breadth-first walk over a seen-set is left
+    def names(name):
+        return sorted(_calls(lambda mod, node: getattr(node.func, "id",
+                                                       getattr(node.func, "attr", None)) == name))
+    assert names("orbit_labels") == ["spechtmod.orbits", "variety._point_orbits"]
+    assert names("_projective_codes") == ["variety._point_orbits", "variety.projective_points"]
+    walks = ("spechtmod", "variety")
+    assert _scopes(lambda mod, node: mod in walks and isinstance(node, ast.While)) == [
+        "spechtmod.orbit_labels"]
+    assert _scopes(lambda mod, node: mod in walks and isinstance(node, ast.Name)
+                   and node.id in ("seen", "todo")) == []
 
 
 def test_variety_evaluates_forms_on_code_tables():

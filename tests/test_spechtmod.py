@@ -7,15 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from spechtvar import gfp, spechtmod
 from spechtvar.cli import main
 from spechtvar.errors import (NoSolution, PreconditionViolated, RankCheckFailed,
                               TooLarge)
 from spechtvar.jordan import rank_vector_at
-from spechtvar.partitions import conjugate, dim_specht, partitions_of
+from spechtvar.partitions import conjugate, dim_specht, partitions_of, size
 from spechtvar.spechtmod import (_ballot_rows, _cache_dtype, _cache_key, _digest,
                                  _load_cached, _solve_on_minor, _tabloid_table,
-                                 _TabloidTable, generator_cycles, perm_module_actions,
+                                 _TabloidTable, generator_cycles, orbit_labels,
+                                 perm_module_actions,
                                  restricted_actions, standard_basis, tabloid_count)
 
 
@@ -529,6 +531,27 @@ def test_perm_module_orbits_partition_the_tabloids():
     assert all(s in (1, 3, 9, 27) for s in sizes)
     seen = np.concatenate(orbits)
     assert len(np.unique(seen)) == 1680
+
+
+def test_orbit_labels_are_least_indices():
+    # no maps: every index is its own orbit; the 4-cycle (0 3 2 1) and the
+    # transposition (3 5) put 5 in the orbit of 0 only together
+    assert orbit_labels([], 4).tolist() == [0, 1, 2, 3]
+    cycle, swap = np.array([3, 0, 1, 2, 4, 5]), np.array([0, 1, 2, 5, 4, 3])
+    assert orbit_labels([cycle], 6).tolist() == [0, 0, 0, 0, 4, 5]
+    assert orbit_labels([swap], 6).tolist() == [0, 1, 2, 3, 4, 3]
+    assert orbit_labels([swap, cycle], 6).tolist() == [0, 0, 0, 0, 4, 0]
+
+
+@pytest.mark.parametrize("mu, p", [((6, 3), 3), ((3, 3, 3), 3), ((4, 4), 2), ((4, 2, 2), 2),
+                                   ((7, 3), 5)])
+def test_perm_module_orbits_match_the_breadth_first_walk(mu, p):
+    # orbit_labels gives the partition, each orbit sorted, and the order by
+    # least element of the walk over a seen-set that it replaced
+    acts = perm_module_actions(mu, size(mu) // p, p)
+    got, ref = acts.orbits(), oracles.tabloid_orbits(acts.perms, acts.dim)
+    assert len(got) == len(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_perm_module_block_actions_reassemble():

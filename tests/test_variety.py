@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from oracles import element, random_element
 from spechtvar import jordan, spechtmod, symrank, variety
-from spechtvar.errors import ArityMismatch, InconsistentCounts, TooManyPoints, ZeroPoint
+from spechtvar.errors import (ArityMismatch, InconsistentCounts, PreconditionViolated,
+                               TooManyPoints, ZeroPoint)
 from spechtvar.ffalg import TABLE_CAP, FieldCtx, MultiPoly
 from spechtvar.jordan import is_free_at, rank_vector_at
 from spechtvar.spechtmod import perm_module_actions, restricted_actions
@@ -55,6 +57,23 @@ def test_normalize_point():
     assert normalize_point((2, 2, 0), ctx) == (1, 1, 0)
     with pytest.raises(ZeroPoint):
         normalize_point((0, 0, 0), ctx)
+    # codes outside 0..q-1 name no element: a negative code would read the
+    # end of the log table, and q itself lies past it
+    ctx9 = FieldCtx.get(3, 2)
+    for codes in [(0, -1, 2), (0, 9, 2)]:
+        with pytest.raises(PreconditionViolated):
+            normalize_point(codes, ctx9)
+
+
+WALKED_FIELDS = [(3, 3, 3), (3, 3, 2), (5, 2, 2), (3, 2, 3), (2, 4, 3), (2, 4, 2),
+                 (2, 3, 3), (2, 3, 2)]
+
+
+def walked_orbits(p, n, k, torus):
+    """``_point_orbits`` as a list of orbits, each a tuple of code tuples in
+    point order."""
+    points, orbit, reps = variety._point_orbits(p, n, k, torus=torus)
+    return [tuple(map(tuple, points[orbit == i].tolist())) for i in range(len(reps))]
 
 
 @pytest.mark.parametrize("p, n, k, torus, count", [
@@ -70,19 +89,22 @@ def test_normalize_point():
 def test_point_orbits_partition_points(p, n, k, torus, count):
     ctx = FieldCtx.get(p, k)
     order = {pt: i for i, pt in enumerate(projective_points(ctx, n))}
-    orbits = list(variety._point_orbits(p, n, k, torus=torus))
-    assert len(orbits) == count
+    points, orbit, reps = variety._point_orbits(p, n, k, torus=torus)
+    assert points.dtype == np.int32 and list(map(tuple, points.tolist())) == list(order)
+    assert len(reps) == count and orbit.shape == (len(points),)
     if p == 2 and torus:
-        assert orbits == list(variety._point_orbits(p, n, k))
+        assert np.array_equal(orbit, variety._point_orbits(p, n, k)[1])
+    # the representative is each orbit's least point, and orbits are
+    # ordered by it
+    assert np.all(np.diff(reps) > 0)
+    assert [int(np.flatnonzero(orbit == i)[0]) for i in range(count)] == reps.tolist()
     units = [element(ctx, c) for c in range(2, p)] if torus else []
     owner = {}
-    for idx, orbit in enumerate(orbits):
-        assert not owner.keys() & set(orbit)
-        owner.update(dict.fromkeys(orbit, idx))
-        # the representative is listed first and is the orbit's least point
-        assert orbit[0] == min(orbit, key=order.__getitem__)
-        members = set(orbit)
-        for pt in orbit:
+    for idx, members in enumerate(walked_orbits(p, n, k, torus)):
+        assert not owner.keys() & set(members)
+        owner.update(dict.fromkeys(members, idx))
+        members = set(members)
+        for pt in members:
             assert tuple((element(ctx, c) ** p).to_index() for c in pt) in members
             for i in range(n):
                 for j in range(i + 1, n):
@@ -101,6 +123,27 @@ def test_point_orbits_partition_points(p, n, k, torus, count):
         if all(c < p for c in pt):
             rational.setdefault(tuple(sorted(pt)), set()).add(owner[pt])
     assert all(len(owners) == 1 for owners in rational.values())
+
+
+@pytest.mark.parametrize("torus", [False, True], ids=["plain", "torus"])
+@pytest.mark.parametrize("p, n, k", WALKED_FIELDS)
+def test_point_orbits_match_the_breadth_first_walk(p, n, k, torus):
+    # same partition, same representatives (each orbit's first point) and
+    # same orbit order as the walk over sets of tuples that labels replaced
+    got, ref = walked_orbits(p, n, k, torus), oracles.point_orbits(p, n, k, torus)
+    assert [set(orbit) for orbit in got] == [set(orbit) for orbit in ref]
+    assert [orbit[0] for orbit in got] == [orbit[0] for orbit in ref]
+
+
+@pytest.mark.parametrize("p, n, k, torus, count", [
+    (3, 3, 6, False, 14949), (3, 3, 6, True, 3812), (3, 2, 12, True, 11144),
+    (5, 2, 8, True, 6172)], ids=["GF729-n3", "GF729-n3-torus", "GF3^12-n2-torus",
+                                 "GF5^8-n2-torus"])
+def test_orbit_counts_at_gate_scale(p, n, k, torus, count):
+    # walks of a few hundred thousand points
+    points, orbit, reps = variety._point_orbits.__wrapped__(p, n, k, torus=torus)
+    assert len(points) == (p**(k * n) - 1) // (p**k - 1)
+    assert len(reps) == count == orbit.max() + 1
 
 
 @pytest.mark.parametrize("build, mu, n, p, k", [
@@ -253,6 +296,25 @@ def test_point_gate_comes_before_any_field(monkeypatch):
         variety._point_orbits(3, 3, 9)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_extension_degree_below_one_is_refused(k):
+    acts = restricted_actions((3, 3, 3), 3, 3)
+    with pytest.raises(PreconditionViolated):
+        enumerate_locus(acts, k)
+    with pytest.raises(PreconditionViolated):
+        variety._point_orbits(5, 1, k)
+
+
+@pytest.mark.parametrize("k", [10**5, 10**20])
+def test_point_gate_forms_no_power_of_a_large_degree(monkeypatch, k):
+    # p^k is not formed: the gate is decided in bounded integers, and its
+    # message names the degree, not the number of points
+    monkeypatch.setattr(variety, "FieldCtx", None)
+    with pytest.raises(TooManyPoints) as err:
+        variety._point_orbits(3, 3, k)
+    assert len(str(err.value)) < 100
+
+
 def test_no_walk_above_the_table_cap(monkeypatch):
     # GF(7^7) has no tables; its 823,544 points of P^1 pass the gate, but
     # the walk is refused before any context or table is looked up
@@ -276,7 +338,11 @@ def test_sweep_above_the_table_cap_is_one_point():
 def test_kept_orbit_walk_matches_a_fresh_walk(p, n, k, torus):
     kept = variety._point_orbits(p, n, k, torus=torus)
     assert variety._point_orbits(p, n, k, torus=torus) is kept
-    assert kept == variety._point_orbits.__wrapped__(p, n, k, torus=torus)
+    fresh = variety._point_orbits.__wrapped__(p, n, k, torus=torus)
+    assert len(kept) == len(fresh) == 3
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(kept, fresh))
+    # the kept arrays are shared by every later sweep, so none is writable
+    assert not any(a.flags.writeable for a in kept)
 
 
 def test_sweep_rank_vectors_333():
