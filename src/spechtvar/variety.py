@@ -102,6 +102,14 @@ class VarietyClass:
     form: MultiPoly | None = None
 
 
+def _places(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The place values q^(n-1-j) of a code row in base q, and per lead position
+    the base-q value less the position in ``_projective_codes``; none is a
+    power of q at n = 1, where q may pass int64."""
+    w = q ** np.arange(n - 1, -1, -1) if n > 1 else np.ones(1, np.int64)
+    return w, 2 * w - np.cumsum(w)
+
+
 def _projective_codes(p: int, n: int, k: int) -> np.ndarray:
     """The projective points of GF(p^k)^n as int32 code rows: by lead
     position, then in base q = p^k, the last coordinate fastest.  The one
@@ -111,19 +119,19 @@ def _projective_codes(p: int, n: int, k: int) -> np.ndarray:
     q = p ** min(k, 21)  # 2^21 > _POINT_GATE, so a larger k is past the gate too
     if sum(q**j for j in range(min(n, 21))) > _POINT_GATE:
         raise TooManyPoints(f"P^{n - 1} over GF({p}^{k}) has more than {_POINT_GATE} points")
-    weights = q ** np.arange(n - 1, -1, -1)  # q^(n-1-j)
-    value = np.concatenate([np.arange(w, 2 * w) for w in weights])  # base q, lead 1 at w
+    w, shift = _places(q, n)
+    value = np.repeat(shift, w) + np.arange(w.sum())  # base-q value of each point
     codes = np.empty((len(value), n), dtype=np.int32)
-    for j, w in enumerate(weights):
-        codes[:, j] = value // w % q
+    codes[:, 0] = value // w[0]  # the value is below 2 w[0]; q passes int64 only at n = 1
+    for j in range(1, n):
+        codes[:, j] = value // w[j] % q
     return codes
 
 
 def _index(codes: np.ndarray, q: int) -> np.ndarray:
-    """Positions in ``_projective_codes`` of normalized code rows (B, n): the
-    base-q value less the block's first value, plus the block's start."""
-    weights = q ** np.arange(codes.shape[1] - 1, -1, -1)
-    return codes @ weights - (2 * weights - np.cumsum(weights))[(codes != 0).argmax(1)]
+    """Positions in ``_projective_codes`` of normalized code rows (B, n)."""
+    w, shift = _places(q, codes.shape[1])
+    return codes @ w - shift[(codes != 0).argmax(1)]
 
 
 def _normalized(codes: np.ndarray, t) -> np.ndarray:

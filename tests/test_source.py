@@ -206,13 +206,16 @@ def test_one_builder_of_power_coefficients():
 
 def test_one_orbit_routine():
     # points and tabloids find their orbits by the one label routine; the
-    # points of a space are enumerated once, read only by the walk and by
-    # projective_points; no breadth-first walk over a seen-set is left
+    # points of a space are enumerated once, in one order, read only by the
+    # walk and by projective_points, which no package code calls; no
+    # breadth-first walk over a seen-set is left
     def names(name):
         return sorted(_calls(lambda mod, node: getattr(node.func, "id",
                                                        getattr(node.func, "attr", None)) == name))
     assert names("orbit_labels") == ["spechtmod.orbits", "variety._point_orbits"]
     assert names("_projective_codes") == ["variety._point_orbits", "variety.projective_points"]
+    assert names("projective_points") == []
+    assert names("_places") == ["variety._index", "variety._projective_codes"]  # one order
     walks = ("spechtmod", "variety")
     assert _scopes(lambda mod, node: mod in walks and isinstance(node, ast.While)) == [
         "spechtmod.orbit_labels"]

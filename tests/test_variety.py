@@ -315,6 +315,22 @@ def test_point_gate_forms_no_power_of_a_large_degree(monkeypatch, k):
     assert len(str(err.value)) < 100
 
 
+@pytest.mark.parametrize("p,k", [(97, 10), (41, 12)])
+def test_one_point_walk_past_int64(p, k):
+    # n = 1 over a field with p^k >= 2^63: the one projective point (1) is
+    # its one orbit, found, looked up and swept without forming a power of q
+    assert p**k >= 2**63
+    for torus in (False, True):
+        points, orbit, reps = variety._point_orbits(p, 1, k, torus=torus)
+        assert (points.tolist(), orbit.tolist(), reps.tolist()) == ([[1]], [0], [0])
+    assert variety._index(np.ones((1, 1), np.int32), p**k).tolist() == [0]
+    assert list(projective_points(FieldCtx.get(p, k), 1)) == [(1,)]
+    acts = restricted_actions((p,), 1, p)
+    assert enumerate_locus(acts, k).points == {(1,)}
+    (pt, free, rv), = sweep_rank_vectors(acts, k)
+    assert (pt, free, rv.ranks[0]) == ((1,), False, 1)
+
+
 def test_no_walk_above_the_table_cap(monkeypatch):
     # GF(7^7) has no tables; its 823,544 points of P^1 pass the gate, but
     # the walk is refused before any context or table is looked up
